@@ -27,7 +27,6 @@ __all__ = [
     "BigRational",
     "PrimePower",
     "FiniteField",
-    "FiniteFieldElement",
     "DegreeCapError",
     "is_prime",
     "primes_up_to",
@@ -197,22 +196,8 @@ def _fp_is_irreducible(mod, p):
     if mod[0] == 0:  # divisible by x
         return False
 
-    def frob_power(k):
-        # x^(p^k) mod f
-        cur = (0, 1) + (0,) * (d - 2)
-        for _ in range(k):
-            out = (1,) + (0,) * (d - 1)
-            base, e = cur, p
-            while e:
-                if e & 1:
-                    out = fp_poly_mulmod(out, base, mod, p)
-                base = fp_poly_mulmod(base, base, mod, p)
-                e >>= 1
-            cur = out
-        return cur
-
     x_poly = (0, 1) + (0,) * (d - 2)
-    if frob_power(d) != x_poly:
+    if fp_poly_powmod_x(p**d, mod, p) != x_poly:
         return False
     t = d
     prime_divs = set()
@@ -226,7 +211,7 @@ def _fp_is_irreducible(mod, p):
     if t > 1:
         prime_divs.add(t)
     for t in prime_divs:
-        g = frob_power(d // t)
+        g = fp_poly_powmod_x(p ** (d // t), mod, p)
         diff = tuple((gi - (1 if i == 1 else 0)) % p for i, gi in enumerate(g))
         if len(fp_poly_gcd(diff, mod, p)) - 1 > 0:
             return False
@@ -318,8 +303,8 @@ def fp_factor_degree_pattern(f, p):
 class FiniteField:
     """F_{p^degree} in polynomial basis, elements are coefficient tuples.
 
-    The raw tuple interface (add/mul/... on tuples) is what the counting
-    loops use; FiniteFieldElement wraps a tuple for operator syntax.
+    Arithmetic works on the tuples directly (add/mul/pow/...), which is
+    what the counting loops use.
     """
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...] | None = None):
@@ -363,14 +348,6 @@ class FiniteField:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
     def mul(self, a, b):
         return fp_poly_mulmod(a, b, self.modulus, self.p)
 
@@ -403,60 +380,6 @@ class FiniteField:
         """All field elements as tuples, fixed lexicographic order."""
         for tup in itertools.product(range(self.p), repeat=self.degree):
             yield tup
-
-    def element(self, coeffs) -> "FiniteFieldElement":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.degree:
-            raise ValueError("coefficient vector length must equal the field degree")
-        return FiniteFieldElement(self, coeffs)
-
-
-class FiniteFieldElement:
-    """A field element: a coefficient vector tied to its field descriptor."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field_: FiniteField, coeffs: tuple[int, ...]):
-        self.field = field_
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FiniteFieldElement(self.field, self.field.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FiniteFieldElement(self.field, self.field.sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FiniteFieldElement(self.field, self.field.neg(self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FiniteFieldElement(self.field, self.field.mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, e):
-        return FiniteFieldElement(self.field, self.field.pow(self.coeffs, e))
-
-    def inverse(self):
-        return FiniteFieldElement(self.field, self.field.inv(self.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteFieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"FFElt{self.coeffs}@F_{self.field.p}^{self.field.degree}"
 
 
 def make_extension_field(pp: PrimePower, n: int, cap: int = DEFAULT_DEGREE_CAP) -> FiniteField:

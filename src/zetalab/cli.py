@@ -59,7 +59,7 @@ from .zeta import (
 )
 
 _INT_FIELDS = ("precision", "degree_cap", "budget", "prime_cutoff")
-_FLOAT_FIELDS = ("cluster_tol", "weil_tol", "functional_tol", "snap_tol")
+_FLOAT_FIELDS = ("cluster_tol", "weil_tol", "functional_tol")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class RunConfig:
     cluster_tol: float = 1e-6
     weil_tol: float = 1e-9
     functional_tol: float = 1e-9
-    snap_tol: float = 0.1
     degree_cap: int = 24
     budget: int = 10**9
     prime_cutoff: int = 10**4

@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -504,17 +505,11 @@ def _check_budget(total, budget, what):
         )
 
 
-def _stripe_bounds(total, stripes):
-    return [total * s // stripes for s in range(stripes + 1)]
-
-
-def _count_projective(field: FiniteField, nvars, polys, budget, stripes):
+def _count_projective(field: FiniteField, nvars, polys, budget):
     """Count projective solutions, one normalized representative each.
 
     Representatives have first nonzero coordinate equal to 1, walked in
     lexicographic order of (leading position, remaining coordinates).
-    The stripe count never changes the result; it only partitions the
-    walk, which is the property the tests pin down.
     """
     qn = field.order
     total = (qn**nvars - 1) // (qn - 1)
@@ -523,42 +518,27 @@ def _count_projective(field: FiniteField, nvars, polys, budget, stripes):
     one = field.one
     zero = field.zero
     compiled = [p.compile_for(field) for p in polys]
-
-    def stream():
-        for lead in range(nvars):
-            prefix = (zero,) * lead + (one,)
-            rest = nvars - lead - 1
-            if rest == 0:
-                yield prefix
-            else:
-                for tail in itertools.product(elems, repeat=rest):
-                    yield prefix + tail
-
-    bounds = _stripe_bounds(total, stripes)
     count = 0
-    for s in range(stripes):
-        for point in itertools.islice(stream(), bounds[s], bounds[s + 1]):
+    for lead in range(nvars):
+        prefix = (zero,) * lead + (one,)
+        for tail in itertools.product(elems, repeat=nvars - lead - 1):
+            point = prefix + tail
             if all(evaluate_compiled(field, c, point) == zero for c in compiled):
                 count += 1
     return count
 
 
-def _count_affine(field: FiniteField, nvars, polys, budget, stripes):
+def _count_affine(field: FiniteField, nvars, polys, budget):
     qn = field.order
     total = qn**nvars
     _check_budget(total, budget, "affine enumeration")
     elems = list(field.elements())
     zero = field.zero
     compiled = [p.compile_for(field) for p in polys]
-    bounds = _stripe_bounds(total, stripes)
     count = 0
-    for s in range(stripes):
-        it = itertools.islice(
-            itertools.product(elems, repeat=nvars), bounds[s], bounds[s + 1]
-        )
-        for point in it:
-            if all(evaluate_compiled(field, c, point) == zero for c in compiled):
-                count += 1
+    for point in itertools.product(elems, repeat=nvars):
+        if all(evaluate_compiled(field, c, point) == zero for c in compiled):
+            count += 1
     return count
 
 
@@ -622,21 +602,15 @@ def count_points(
     n: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    stripes: int = 1,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> int:
     """Exact #X(F_{q^n}).  Integer-coefficient data is specialized mod p."""
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if stripes < 1:
-        raise ValueError("stripe count must be >= 1")
     kind = spec.kind
     if kind == "product":
-        return count_points(
-            spec.left, q, n, budget=budget, stripes=stripes, degree_cap=degree_cap
-        ) * count_points(
-            spec.right, q, n, budget=budget, stripes=stripes, degree_cap=degree_cap
-        )
+        left = count_points(spec.left, q, n, budget=budget, degree_cap=degree_cap)
+        return left * count_points(spec.right, q, n, budget=budget, degree_cap=degree_cap)
     if kind == "zero_dimensional":
         return _count_zero_dimensional(spec.zero_poly, q, n)
     if kind == "projective_space":
@@ -646,15 +620,11 @@ def count_points(
     if kind == "elliptic_curve":
         return _count_elliptic(field, spec.a_invariants, budget)
     if kind in ("plane_projective_curve", "projective_hypersurface"):
-        return _count_projective(
-            field, spec.ambient_dim + 1, spec.equations, budget, stripes
-        )
+        return _count_projective(field, spec.ambient_dim + 1, spec.equations, budget)
     if kind == "raw_system":
         if spec.ambient == "projective":
-            return _count_projective(
-                field, spec.ambient_dim + 1, spec.equations, budget, stripes
-            )
-        return _count_affine(field, spec.ambient_dim, spec.equations, budget, stripes)
+            return _count_projective(field, spec.ambient_dim + 1, spec.equations, budget)
+        return _count_affine(field, spec.ambient_dim, spec.equations, budget)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -695,11 +665,16 @@ def _store_cached_counts(path, fingerprint, q: PrimePower, counts):
         "q": {"p": q.p, "r": q.r},
         "counts": {str(k): counts[k] for k in sorted(counts)},
     }
-    tmp = path.with_suffix(".tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    # a temp file of its own per writer, so concurrent stores never share
+    # one; os.replace then swaps the finished file in atomically
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def count_series(
@@ -709,7 +684,6 @@ def count_series(
     *,
     cache_dir=None,
     budget: int = DEFAULT_BUDGET,
-    stripes: int = 1,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> PointCounts:
     """Counts over F_{q^n} for n = 1..m, backed by an optional JSON cache."""
@@ -726,9 +700,7 @@ def count_series(
         if n in cached:
             continue
         try:
-            cached[n] = count_points(
-                spec, q, n, budget=budget, stripes=stripes, degree_cap=degree_cap
-            )
+            cached[n] = count_points(spec, q, n, budget=budget, degree_cap=degree_cap)
         except BudgetError as exc:
             raise BudgetError(f"at extension degree {n}: {exc}") from exc
         fresh = True

@@ -210,11 +210,13 @@ _SPECTRUM_CACHE: dict = {}
 
 
 def _local_decomposition(model: ArithmeticModel, p: int, degrees=None):
-    """The fiber's weight decomposition at p, cached per (fiber, p)."""
+    """The fiber's weight decomposition at p, cached per (fiber, p,
+    degrees, betti): the Betti numbers fix the reconstruction degrees
+    and the weight separation."""
     fiber = _fiber_spec(model, p)
     if degrees is None:
         degrees = max(2, sum(model.betti))
-    key = (fiber.fingerprint(), p, degrees)
+    key = (fiber.fingerprint(), p, degrees, model.betti)
     hit = _DECOMPOSITION_CACHE.get(key)
     if hit is not None:
         return hit
@@ -246,7 +248,7 @@ def local_spectrum(model: ArithmeticModel, p: int, degrees=None) -> NcSpectrum:
     fiber = _fiber_spec(model, p)
     if degrees is None:
         degrees = max(2, sum(model.betti))
-    key = (fiber.fingerprint(), p, degrees)
+    key = (fiber.fingerprint(), p, degrees, model.betti)
     hit = _SPECTRUM_CACHE.get(key)
     if hit is not None:
         return hit
@@ -686,84 +688,22 @@ def _accelerated_alternating(terms, n):
     return -acc / d[n]
 
 
-def _eta(s, n=90):
-    return _accelerated_alternating(lambda k: mpmath.power(k + 1, -s), n)
-
-
 def _beta_series(s, n=90):
     return _accelerated_alternating(lambda k: mpmath.power(2 * k + 1, -s), n)
 
 
-_EM_TERMS = 9
-_EM_N = 40
-
-
-def _zeta_euler_maclaurin(s):
-    """Direct sum with endpoint corrections; used where the eta route
-    loses digits (near the zeros of 1 - 2^{1-s})."""
-    N = _EM_N
-    acc = mpmath.mpf(0)
-    for k in range(1, N):
-        acc += mpmath.power(k, -s)
-    acc += mpmath.power(N, 1 - s) / (s - 1)
-    acc += mpmath.power(N, -s) / 2
-    rising = s
-    term_pow = mpmath.power(N, -s - 1)
-    for j in range(1, _EM_TERMS + 1):
-        b = mpmath.bernoulli(2 * j)
-        acc += b / mpmath.factorial(2 * j) * rising * term_pow
-        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-        term_pow = term_pow / (N * N)
-    return acc
-
-
-def _zeta_right_half(s):
-    """zeta on Re(s) > 0, s != 1."""
-    denom = 1 - mpmath.power(2, 1 - s)
-    if abs(denom) < mpmath.mpf("0.05"):
-        return _zeta_euler_maclaurin(s)
-    return _eta(s) / denom
-
-
-def _zeta_reflect(s):
-    """zeta via the reflection into Re(1-s) > 0.
-
-    At s = 0 the factor sin(pi*s/2) vanishes against the pole of
-    zeta(1-s); the product's limit is -pi/2 (from sin(pi*s/2) ~ (pi/2)s
-    against the residue -1/s), which is substituted exactly there.
-    """
-    if s == 0:
-        damped = -mpmath.pi / 2
-    else:
-        damped = mpmath.sin(mpmath.pi * s / 2) * _zeta_right_half(1 - s)
-    return (
-        mpmath.power(2, s)
-        * mpmath.power(mpmath.pi, s - 1)
-        * mpmath.gamma(1 - s)
-        * damped
-    )
-
-
-def zeta_continuation(s, *, method: str = "auto", dps: int = 40):
+def zeta_continuation(s, *, dps: int = 40):
     """The Riemann zeta function anywhere except the pole at s=1.
 
-    The alternating (eta) series with Chebyshev acceleration covers
-    Re(s) > 0; the reflection formula extends to the left half-plane.
-    method "eta" or "reflection" forces a route (both are defined on
-    the overlap strip 0 < Re(s) < 1, which the tests use to cross-check
-    them); "auto" picks by half-plane.
+    mpmath.zeta continues it through the same alternating-series
+    acceleration (Borwein) on the right and the reflection formula on
+    the left.
     """
     with mpmath.workdps(dps):
         s_mp = mpmath.mpc(complex(s))
         if s_mp == 1:
             raise PoleError("zeta has its pole at s=1")
-        if method == "eta" or (method == "auto" and s_mp.real > 0):
-            out = _zeta_right_half(s_mp)
-        elif method in ("reflection", "auto"):
-            out = _zeta_reflect(s_mp)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        return complex(out)
+        return complex(mpmath.zeta(s_mp))
 
 
 def dirichlet_beta(s, *, dps: int = 40):

@@ -32,11 +32,11 @@ from .series import (
     mat_rank,
     mat_rref,
     poly_deg,
-    poly_divmod,
     poly_eval,
     poly_mul,
     poly_trim,
     polynomial_roots,
+    root_multiplicity,
 )
 from .zeta import WeightDecomposition, ord_at
 
@@ -83,19 +83,6 @@ def _primitive_int_poly(coeffs):
     return tuple(ints)
 
 
-def _root_multiplicity(poly, value):
-    """Exact multiplicity of (t - value) in a rational polynomial."""
-    poly = tuple(Fraction(c) for c in poly_trim(poly))
-    value = Fraction(value)
-    mult = 0
-    while poly_eval(poly, value) == 0:
-        poly, rem = poly_divmod(poly, (-value, Fraction(1)))
-        if rem:
-            raise AssertionError("exact division left a remainder")
-        mult += 1
-    return mult
-
-
 @dataclass(frozen=True)
 class EigenvalueBlock:
     """A conjugacy block of eigenvalues: the roots of one primitive
@@ -136,7 +123,7 @@ class EigenvalueBlock:
         return single**self.mult
 
     def multiplicity_of(self, value):
-        return self.mult * _root_multiplicity(self.poly, value)
+        return self.mult * root_multiplicity(self.poly, value)[0]
 
     def approximate_roots(self, precision=30):
         """[(root approximation, total multiplicity)] including mult."""
@@ -807,7 +794,7 @@ def semisimplicity_criterion(M) -> Check:
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
     char = det_identity_minus_t(M)
-    alg = _root_multiplicity(char, 1)
+    alg, _ = root_multiplicity(char, 1)
     diff = [
         [(Fraction(1) if i == j else Fraction(0)) - M[i][j] for j in range(n)]
         for i in range(n)
@@ -866,18 +853,17 @@ def spectrum_strip_exceptional(spec: NcSpectrum, count: int) -> NcSpectrum:
     need = count
     new_blocks = []
     for b in spec.even:
-        per_copy = _root_multiplicity(b.poly, 1)
+        per_copy, cofactor = root_multiplicity(b.poly, 1)
         for _ in range(b.mult):
             take = min(need, per_copy)
             if take == 0:
                 new_blocks.append(EigenvalueBlock(poly=b.poly, mult=1, weight=b.weight))
                 continue
             need -= take
-            reduced = tuple(Fraction(c) for c in b.poly)
-            for _ in range(take):
-                reduced, rem = poly_divmod(reduced, (Fraction(-1), Fraction(1)))
-                if rem:
-                    raise AssertionError("exact division left a remainder")
+            # keep the per_copy - take factors (t - 1) not stripped
+            reduced = cofactor
+            for _ in range(per_copy - take):
+                reduced = poly_mul(reduced, (-1, 1))
             if poly_deg(reduced) >= 1:
                 new_blocks.append(
                     EigenvalueBlock.from_coeffs(reduced, mult=1, weight=b.weight)

@@ -89,10 +89,6 @@ def poly_mul(a, b):
     return tuple(res)
 
 
-def poly_scale(a, c):
-    return poly_trim(x * c for x in a)
-
-
 def poly_eval(a, x):
     acc = 0 * x if a else 0
     for c in reversed(tuple(a)):
@@ -131,6 +127,22 @@ def poly_gcd(a, b):
         lead = Fraction(a[-1])
         a = tuple(Fraction(c) / lead for c in a)
     return a
+
+
+def root_multiplicity(poly, value):
+    """Exact multiplicity of (t - value) in a rational polynomial.
+
+    Returns (mult, cofactor) with poly = (t - value)^mult * cofactor.
+    """
+    poly = tuple(Fraction(c) for c in poly_trim(poly))
+    value = Fraction(value)
+    mult = 0
+    while poly_eval(poly, value) == 0:
+        poly, rem = poly_divmod(poly, (-value, Fraction(1)))
+        if rem:
+            raise AssertionError("exact division left a remainder")
+        mult += 1
+    return mult, poly
 
 
 def _poly_exact_div(a, b):
@@ -251,10 +263,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def det_identity_minus_t(mat):
     """det(I - t*M) as an exact coefficient tuple, via the trace recurrence.
 
@@ -314,11 +322,6 @@ class PowerSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if len(self.coeffs) > 6 else ""
         return f"PowerSeries([{head}{tail}]; order={self.order})"
-
-    def truncate(self, M):
-        if M > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: M + 1])
 
     def __add__(self, other):
         M = min(self.order, other.order)
@@ -436,17 +439,6 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction(num={self.num}, den={self.den})"
 
-    def num_int(self):
-        """Numerator as an integer tuple (raises if not integral)."""
-        if any(c.denominator != 1 for c in self.num):
-            raise ValueError("numerator has non-integer coefficients")
-        return tuple(int(c) for c in self.num)
-
-    def den_int(self):
-        if any(c.denominator != 1 for c in self.den):
-            raise ValueError("denominator has non-integer coefficients")
-        return tuple(int(c) for c in self.den)
-
     def expand(self, M: int) -> PowerSeries:
         """Taylor expansion at 0 to order M, exact."""
         inv = [Fraction(0)] * (M + 1)
@@ -552,19 +544,20 @@ class RootCluster:
     def total_multiplicity(self):
         return sum(m for _, m, _ in self.roots)
 
-    def reconstruct(self):
-        """Rebuild prod (1 - t/root)^mult as high-precision coefficients."""
-        with mpmath.workdps(self.precision + 10):
-            poly = [mpmath.mpc(1)]
-            for root, mult, _ in self.roots:
-                for _ in range(mult):
-                    # multiply by (1 - t/root)
-                    nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-                    for i, co in enumerate(poly):
-                        nxt[i] += co
-                        nxt[i + 1] -= co / root
-                    poly = nxt
-            return poly
+
+def poly_from_roots(roots, precision):
+    """prod (1 - t/root)^mult over (root, mult) pairs, as mpmath
+    coefficients computed at precision + 10 digits."""
+    with mpmath.workdps(precision + 10):
+        poly = [mpmath.mpc(1)]
+        for root, mult in roots:
+            for _ in range(mult):
+                nxt = [mpmath.mpc(0)] * (len(poly) + 1)
+                for i, co in enumerate(poly):
+                    nxt[i] += co
+                    nxt[i + 1] -= co / root
+                poly = nxt
+        return poly
 
 
 def _mp_exact(c):

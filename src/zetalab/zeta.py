@@ -34,9 +34,11 @@ from .series import (
     poly_deg,
     poly_divmod,
     poly_eval,
+    poly_from_roots,
     poly_mul,
     poly_trim,
     power_sums_inverse_roots,
+    root_multiplicity,
     roots_with_moduli,
 )
 
@@ -283,15 +285,8 @@ def _try_ladder_division(side, rungs, q):
 def _rebuild_integer_polynomial(members, residual_tol, precision):
     """Multiply (1 - t/root)^mult over a cluster and round to integers;
     the rounding residual is the separation quality gate."""
+    poly = poly_from_roots(members, precision)
     with mpmath.workdps(precision + 10):
-        poly = [mpmath.mpc(1)]
-        for root, mult in members:
-            for _ in range(mult):
-                nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-                for i, co in enumerate(poly):
-                    nxt[i] += co
-                    nxt[i + 1] -= co / root
-                poly = nxt
         out = []
         worst = mpmath.mpf(0)
         for co in poly:
@@ -571,8 +566,13 @@ class OrdResult:
 
 
 def _rational_point(q: PrimePower, z):
-    """q^{-z} as an exact Fraction when that is possible."""
-    two_z = Fraction(z).limit_denominator(10**6) * 2
+    """q^{-z} as an exact Fraction when that is possible.
+
+    Only z that is exactly k/2 qualifies (ints, Fractions, and floats
+    with that exact value); a float merely close to k/2 goes the numeric
+    route, so an exact claim never rests on snapping.
+    """
+    two_z = 2 * Fraction(z)
     if two_z.denominator != 1:
         return None
     k = int(two_z)  # z = k/2
@@ -584,17 +584,6 @@ def _rational_point(q: PrimePower, z):
             return None
         base, expo = root, k
     return Fraction(1, base**expo) if expo >= 0 else Fraction(base ** (-expo))
-
-
-def _exact_multiplicity(poly, x0):
-    mult = 0
-    poly = tuple(Fraction(c) for c in poly)
-    while poly_eval(poly, x0) == 0:
-        poly, rem = poly_divmod(poly, (-x0, Fraction(1)))
-        if rem:
-            raise AssertionError("exact division left a remainder")
-        mult += 1
-    return mult
 
 
 def _numeric_multiplicity(poly, x0, precision, match_tol):
@@ -633,7 +622,7 @@ def ord_at(
     )
     x0 = _rational_point(q, z)
     if x0 is not None:
-        order = _exact_multiplicity(Z.num, x0) - _exact_multiplicity(Z.den, x0)
+        order = root_multiplicity(Z.num, x0)[0] - root_multiplicity(Z.den, x0)[0]
         return OrdResult(z=z, order=order, exact=True, indeterminate=False, note=note)
     with mpmath.workdps(precision + 10):
         if isinstance(z, Fraction):

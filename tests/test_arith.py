@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zetalab.arith import (
     DegreeCapError,
+    _fp_is_irreducible,
     FiniteField,
     PrimePower,
     fp_factor_degree_pattern,
@@ -123,6 +124,19 @@ class TestFpPolynomials:
         total = sum(k * count for k, count in pattern.items())
         assert total == len(fp_squarefree_part(f, p)) - 1
 
+    @given(st.sampled_from([2, 3, 5]), st.integers(min_value=2, max_value=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_irreducibility_matches_trial_division(self, p, d, data):
+        low = tuple(data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(d))
+        f = low + (1,)
+        has_factor = False
+        for k in range(1, d // 2 + 1):
+            for idx in range(p**k):
+                g = tuple(idx // p**i % p for i in range(k)) + (1,)
+                if not fp_poly_divmod(f, g, p)[1]:
+                    has_factor = True
+        assert _fp_is_irreducible(f, p) == (not has_factor)
+
 
 class TestFiniteField:
     def test_cardinality(self):
@@ -181,17 +195,3 @@ class TestFiniteField:
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
         assert field.pow(a, p ** deg) == a
 
-    def test_element_wrapper_operators(self):
-        field = FiniteField(5, 2)
-        x = field.element(field.from_int(2))
-        y = field.element(field.from_int(3))
-        assert (x * y).coeffs == field.from_int(1)
-        assert (x + (-x)).coeffs == field.from_int(0)
-        assert (x ** 24).coeffs == field.from_int(1)
-        assert x.inverse() * x == field.element(field.from_int(1))
-
-    def test_mixed_field_elements_rejected(self):
-        f1 = FiniteField(5, 2)
-        f2 = FiniteField(5, 3)
-        with pytest.raises(ValueError):
-            f1.element(f1.from_int(1)) + f2.element(f2.from_int(1))

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from zetalab.arith import PrimePower
@@ -16,6 +17,7 @@ from zetalab.lfun import (
     BadPrimeError,
     PoleError,
     _elliptic_counts,
+    _local_decomposition,
     bounds_certificate,
     dirichlet_beta,
     dirichlet_expand,
@@ -28,6 +30,7 @@ from zetalab.lfun import (
     winding_order,
     zeta_continuation,
 )
+from zetalab.zeta import SeparationError
 
 from conftest import fixture_path
 
@@ -99,6 +102,20 @@ class TestLocalSpectra:
     def test_bad_prime_without_replacement(self, ell):
         with pytest.raises(BadPrimeError, match="excluded factor"):
             local_spectrum(ell, 2)
+
+    def test_cached_spectrum_depends_on_betti(self):
+        # the (2,0,2) model shares the fiber, p and degree count of the
+        # (1,2,1) one; it must fail the same way whichever ran first
+        family = "elliptic a=[0,0,1,-1,0]"
+        wrong = ArithmeticModel.from_dict({"family": family, "betti": [2, 0, 2]})
+        right = ArithmeticModel.from_dict({"family": family, "betti": [1, 2, 1]})
+        with pytest.raises(SeparationError):
+            local_spectrum(wrong, 5)
+        assert local_spectrum(right, 5).chi1 == 2
+        with pytest.raises(SeparationError):
+            local_spectrum(wrong, 5)
+        with pytest.raises(SeparationError):
+            _local_decomposition(wrong, 5)
 
     def test_elliptic_fast_counts_match_enumeration(self):
         spec = parse_variety("elliptic a=[0,0,0,1,0]")
@@ -195,13 +212,19 @@ class TestContinuation:
         with pytest.raises(PoleError):
             zeta_continuation(1)
 
-    def test_methods_agree_on_overlap_strip(self):
+    def test_functional_equation_on_strip(self):
+        # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         rng = random.Random(3)
         for _ in range(10):
             s = complex(rng.uniform(0.05, 0.95), rng.uniform(-8, 8))
-            a = zeta_continuation(s, method="eta")
-            b = zeta_continuation(s, method="reflection")
-            assert abs(a - b) < 1e-8
+            with mpmath.workdps(40):
+                factor = complex(
+                    mpmath.power(2, s)
+                    * mpmath.power(mpmath.pi, s - 1)
+                    * mpmath.sin(mpmath.pi * s / 2)
+                    * mpmath.gamma(1 - s)
+                )
+            assert abs(zeta_continuation(s) - factor * zeta_continuation(1 - s)) < 1e-8
 
     def test_beta_oracles(self):
         assert abs(dirichlet_beta(1) - math.pi / 4) < 1e-10

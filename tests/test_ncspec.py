@@ -257,6 +257,10 @@ class TestSpectrumAlgebra:
         once = spectrum_strip_exceptional(e5[1], 1)
         assert once.chi0 == 1
         assert nc_zeta(once, "even").den == (F(1), F(-1))
+        # a block whose copies each carry (t - 1)^2, stripped part-way
+        square = NcSpectrum(q=PrimePower(5), even=(EigenvalueBlock(poly=(1, -2, 1), mult=2),))
+        partial = spectrum_strip_exceptional(square, 3)
+        assert [(b.poly, b.mult) for b in partial.even] == [((-1, 1), 1)]
 
     def test_strip_beyond_multiplicity_raises(self, e5):
         with pytest.raises(ValueError):

@@ -226,6 +226,12 @@ class TestOrdAt:
         assert res.exact and res.order == 0
         assert ord_at(Z, q, 1).order == -1
 
+    def test_float_near_integer_is_not_exact(self):
+        # 1e-7 must not snap to 0, where 1/(1 - t) has its pole
+        res = ord_at(RationalFunction((1,), (1, -1)), PrimePower(3), 1e-7)
+        assert res.order == 0 and not res.exact
+        assert ord_at(RationalFunction((1,), (1, -1)), PrimePower(3), 0.0).exact
+
     def test_indeterminate_band(self):
         Z = RationalFunction((1, -3), (1, -2))
         res = ord_at(Z, PrimePower(3), 1.005, match_tol=1e-3)

@@ -33,6 +33,7 @@ __all__ = [
     "make_extension_field",
     "fp_poly_mulmod",
     "fp_poly_gcd",
+    "fp_poly_powmod",
     "fp_poly_powmod_x",
     "fp_squarefree_part",
     "fp_factor_degree_pattern",
@@ -171,20 +172,21 @@ def fp_poly_gcd(a, b, p):
     return a
 
 
-def fp_poly_powmod_x(e, mod, p):
-    """x^e mod (mod) over F_p by square and multiply."""
-    deg = len(mod) - 1
-    if deg == 1:
-        base = ((-mod[0]) % p,)
-    else:
-        base = (0, 1) + (0,) * (deg - 2)
-    result = (1,) + (0,) * (deg - 1)
+def fp_poly_powmod(base, e, mod, p):
+    """base^e mod (mod) over F_p by square and multiply."""
+    result = (1,) + (0,) * (len(mod) - 2)
     while e:
         if e & 1:
             result = fp_poly_mulmod(result, base, mod, p)
-        base = fp_poly_mulmod(base, base, mod, p)
         e >>= 1
+        if e:
+            base = fp_poly_mulmod(base, base, mod, p)
     return result
+
+
+def fp_poly_powmod_x(e, mod, p):
+    """x^e mod (mod) over F_p."""
+    return fp_poly_powmod((0, 1), e, mod, p)
 
 
 def _fp_is_irreducible(mod, p):
@@ -273,11 +275,14 @@ def fp_factor_degree_pattern(f, p):
 
     Returns {degree: count} for the squarefree part of f, by
     distinct-degree factorization: gcd(x^(p^k) - x, f) collects exactly
-    the irreducible factors of degree dividing k.  Root counts over
-    extensions follow: f has sum(k * count[k] for k | n) roots in F_{p^n}.
+    the irreducible factors of degree dividing k.  x^(p^k) mod f comes
+    from the previous one by one more Frobenius step h -> h^p, taken
+    mod whatever part of f is left.  Root counts over extensions follow:
+    f has sum(k * count[k] for k | n) roots in F_{p^n}.
     """
     f = fp_squarefree_part(f, p)
     pattern: dict[int, int] = {}
+    h = (0, 1)
     k = 0
     while len(f) - 1 > 0:
         k += 1
@@ -285,8 +290,8 @@ def fp_factor_degree_pattern(f, p):
             # what is left is a single irreducible factor
             pattern[len(f) - 1] = pattern.get(len(f) - 1, 0) + 1
             break
-        xpk = fp_poly_powmod_x(p**k, f, p)
-        diff = tuple((c - (1 if i == 1 else 0)) % p for i, c in enumerate(xpk))
+        h = fp_poly_powmod(h, p, f, p)
+        diff = tuple((c - (1 if i == 1 else 0)) % p for i, c in enumerate(h))
         g = fp_poly_gcd(diff, f, p)
         dg = len(g) - 1
         if dg > 0:

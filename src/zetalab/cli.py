@@ -59,7 +59,7 @@ from .zeta import (
 )
 
 _INT_FIELDS = ("precision", "degree_cap", "budget", "prime_cutoff")
-_FLOAT_FIELDS = ("cluster_tol", "weil_tol", "functional_tol")
+_FLOAT_FIELDS = ("cluster_tol", "functional_tol")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ class RunConfig:
 
     precision: int = 50
     cluster_tol: float = 1e-6
-    weil_tol: float = 1e-9
     functional_tol: float = 1e-9
     degree_cap: int = 24
     budget: int = 10**9
@@ -145,7 +144,15 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key=value config file")
-    common.add_argument("--precision", type=int, help="working digits for root finding")
+    common.add_argument(
+        "--precision",
+        type=int,
+        help=(
+            "working digits for root finding: weight separation and the witness "
+            "of a failed moduli check; verdicts are exact, and lfun, check serre "
+            "and check beilinson do not use it"
+        ),
+    )
     common.add_argument("--prime-cutoff", type=int, dest="prime_cutoff")
     common.add_argument("--cache-dir", dest="cache_dir")
     common.add_argument("--format", choices=("json", "text"))
@@ -396,12 +403,8 @@ def _cmd_check(args, config):
     else:
         dec, subject = _decomposition_for(args, config)
         if kind == "weil":
-            checks = weil_check(dec, tol=config.weil_tol, precision=config.precision)
-            checks += nc_weil_check(
-                nc_spectrum_from_weights(dec),
-                tol=config.weil_tol,
-                precision=config.precision,
-            )
+            checks = weil_check(dec, precision=config.precision)
+            checks += nc_weil_check(nc_spectrum_from_weights(dec), precision=config.precision)
         elif kind == "ladic":
             checks = l_adic_check(dec)
             checks += nc_l_adic_check(nc_spectrum_from_weights(dec))

@@ -586,16 +586,6 @@ def _count_elliptic(field: FiniteField, a_inv, budget):
     return count
 
 
-def _count_zero_dimensional(coeffs, q: PrimePower, n):
-    """Distinct roots of the defining polynomial in F_{q^n}, via the
-    degree pattern of its irreducible factors mod p."""
-    p = q.p
-    fp = tuple(c % p for c in coeffs)
-    pattern = fp_factor_degree_pattern(fp, p)
-    m = q.r * n
-    return sum(d * cnt for d, cnt in pattern.items() if m % d == 0)
-
-
 def count_points(
     spec: VarietySpec,
     q: PrimePower,
@@ -607,12 +597,28 @@ def count_points(
     """Exact #X(F_{q^n}).  Integer-coefficient data is specialized mod p."""
     if n < 1:
         raise ValueError("extension degree must be >= 1")
+    return _point_counter(spec, q, budget, degree_cap)(n)
+
+
+def _point_counter(spec: VarietySpec, q: PrimePower, budget, degree_cap):
+    """n -> #X(F_{q^n}).  What does not depend on n is computed once:
+    a zero-dimensional factor's degree pattern mod p serves every n."""
     kind = spec.kind
     if kind == "product":
-        left = count_points(spec.left, q, n, budget=budget, degree_cap=degree_cap)
-        return left * count_points(spec.right, q, n, budget=budget, degree_cap=degree_cap)
+        left = _point_counter(spec.left, q, budget, degree_cap)
+        right = _point_counter(spec.right, q, budget, degree_cap)
+        return lambda n: left(n) * right(n)
     if kind == "zero_dimensional":
-        return _count_zero_dimensional(spec.zero_poly, q, n)
+        # distinct roots in F_{q^n}: the irreducible factors mod p whose
+        # degree divides r*n contribute their degree each
+        p = q.p
+        pattern = fp_factor_degree_pattern(tuple(c % p for c in spec.zero_poly), p)
+        return lambda n: sum(d * cnt for d, cnt in pattern.items() if (q.r * n) % d == 0)
+    return lambda n: _count_over_extension(spec, q, n, budget, degree_cap)
+
+
+def _count_over_extension(spec: VarietySpec, q: PrimePower, n, budget, degree_cap):
+    kind = spec.kind
     if kind == "projective_space":
         qn = q.q**n
         return (qn ** (spec.ambient_dim + 1) - 1) // (qn - 1)
@@ -654,8 +660,12 @@ def _load_cached_counts(path, fingerprint, q: PrimePower):
             val = int(val)
         except (TypeError, ValueError):
             return {}
-        if deg >= 1 and val >= 0:
-            out[deg] = val
+        if deg < 1 or val < 0:
+            return {}
+        out[deg] = val
+    # a store always writes exactly the degrees 1..k
+    if sorted(out) != list(range(1, len(out) + 1)):
+        return {}
     return out
 
 
@@ -696,11 +706,14 @@ def count_series(
         path = _cache_path(cache_dir, fingerprint, q)
         cached = _load_cached_counts(path, fingerprint, q)
     fresh = False
+    count = None
     for n in range(1, m + 1):
         if n in cached:
             continue
+        if count is None:
+            count = _point_counter(spec, q, budget, degree_cap)
         try:
-            cached[n] = count_points(spec, q, n, budget=budget, degree_cap=degree_cap)
+            cached[n] = count(n)
         except BudgetError as exc:
             raise BudgetError(f"at extension degree {n}: {exc}") from exc
         fresh = True

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
 from .arith import PrimePower, primes_up_to
-from .counting import VarietySpec, count_points, parse_variety
+from .counting import VarietySpec, count_series, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
 from .series import poly_eval, power_sums_inverse_roots
@@ -175,7 +176,7 @@ def _elliptic_counts(a_invariants, p: int, m: int):
     a1, a2, a3, a4, a6 = a_invariants
     if p == 2:
         spec = VarietySpec(kind="elliptic_curve", a_invariants=tuple(a_invariants))
-        return [count_points(spec, PrimePower(2), n) for n in range(1, m + 1)]
+        return list(count_series(spec, PrimePower(2), m).counts)
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -201,24 +202,27 @@ def _elliptic_counts(a_invariants, p: int, m: int):
 def _fiber_counts(spec: VarietySpec, p: int, m: int):
     if spec.kind == "elliptic_curve":
         return _elliptic_counts(spec.a_invariants, p, m)
-    q = PrimePower(p)
-    return [count_points(spec, q, n) for n in range(1, m + 1)]
+    return list(count_series(spec, PrimePower(p), m).counts)
 
 
-_DECOMPOSITION_CACHE: dict = {}
-_SPECTRUM_CACHE: dict = {}
+# Local results (decomposition, spectrum) by (fiber fingerprint, p,
+# degrees, betti), least recently used first.  The bound holds several
+# global models of a few hundred primes each.
+LOCAL_CACHE_SIZE = 2048
+_LOCAL_CACHE: OrderedDict = OrderedDict()
 
 
-def _local_decomposition(model: ArithmeticModel, p: int, degrees=None):
-    """The fiber's weight decomposition at p, cached per (fiber, p,
-    degrees, betti): the Betti numbers fix the reconstruction degrees
-    and the weight separation."""
+def _local_entry(model: ArithmeticModel, p: int, degrees=None):
+    """(weight decomposition, spectrum) of the fiber at p, cached per
+    (fiber, p, degrees, betti): the Betti numbers fix the reconstruction
+    degrees and the weight separation."""
     fiber = _fiber_spec(model, p)
     if degrees is None:
         degrees = max(2, sum(model.betti))
     key = (fiber.fingerprint(), p, degrees, model.betti)
-    hit = _DECOMPOSITION_CACHE.get(key)
+    hit = _LOCAL_CACHE.get(key)
     if hit is not None:
+        _LOCAL_CACHE.move_to_end(key)
         return hit
     counts = _fiber_counts(fiber, p, degrees)
     q = PrimePower(p)
@@ -232,8 +236,19 @@ def _local_decomposition(model: ArithmeticModel, p: int, degrees=None):
         if len(Z.num) > 1:
             raise ValueError("replacement fibers must have a polar zeta (dimension 0)")
         dec = weight_factorize(Z, q, 0, (len(Z.den) - 1,))
-    _DECOMPOSITION_CACHE[key] = dec
-    return dec
+    spectrum = nc_spectrum_from_weights(dec)
+    weil = FAIL if any(c.verdict == FAIL for c in weil_check(dec)) else PASS
+    spectrum.provenance["p"] = p
+    spectrum.provenance["weil"] = weil
+    _LOCAL_CACHE[key] = (dec, spectrum)
+    while len(_LOCAL_CACHE) > LOCAL_CACHE_SIZE:
+        _LOCAL_CACHE.popitem(last=False)
+    return dec, spectrum
+
+
+def _local_decomposition(model: ArithmeticModel, p: int, degrees=None):
+    """The fiber's weight decomposition at p (cached with its spectrum)."""
+    return _local_entry(model, p, degrees)[0]
 
 
 def local_spectrum(model: ArithmeticModel, p: int, degrees=None) -> NcSpectrum:
@@ -244,24 +259,12 @@ def local_spectrum(model: ArithmeticModel, p: int, degrees=None) -> NcSpectrum:
     factors, shift them onto the two circles.  The root-modulus check
     runs on the result and its verdict is recorded in the spectrum's
     provenance.  Bad primes without a replacement raise BadPrimeError.
+    The spectrum is cached; each call returns it with a provenance of
+    its own (whose values are immutable), so editing one result leaves
+    the next call unchanged.
     """
-    fiber = _fiber_spec(model, p)
-    if degrees is None:
-        degrees = max(2, sum(model.betti))
-    key = (fiber.fingerprint(), p, degrees, model.betti)
-    hit = _SPECTRUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dec = _local_decomposition(model, p, degrees)
-    spectrum = nc_spectrum_from_weights(dec)
-    worst = PASS
-    for c in weil_check(dec):
-        if c.verdict == FAIL:
-            worst = FAIL
-    spectrum.provenance["p"] = p
-    spectrum.provenance["weil"] = worst
-    _SPECTRUM_CACHE[key] = spectrum
-    return spectrum
+    spectrum = _local_entry(model, p, degrees)[1]
+    return replace(spectrum, provenance=dict(spectrum.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +518,25 @@ class BoundsCertificate:
 
 
 def _block_power_sums(spec: NcSpectrum, parity: str, m: int):
-    """trace(F^n) for n = 1..m, exact, from the block polynomials."""
-    sums = [Fraction(0)] * m
-    for b in spec.blocks(parity):
-        rev = tuple(Fraction(c, b.poly[-1]) for c in reversed(b.poly))
-        ps = power_sums_inverse_roots(rev, m)
-        for i in range(m):
-            sums[i] += b.mult * ps[i]
-    return sums
+    """trace(F^n) for n = 1..m, exact, from the block polynomials.
+
+    A block B of degree d with leading coefficient L has eigenvalues mu
+    whose multiples L*mu are the inverse roots of the integer polynomial
+    1 + sum_k B_{d-k} L^{k-1} t^k, so Newton's identities give their
+    power sums in integers.  With D the lcm of the leading coefficients,
+    trace(F^n) = (sum of mult * (D/L)^n * p_n(L*mu)) / D^n: one division
+    per n, at the end.
+    """
+    blocks = spec.blocks(parity)
+    D = math.lcm(*(b.poly[-1] for b in blocks))
+    sums = [0] * m
+    for b in blocks:
+        d, L = b.degree, b.poly[-1]
+        P = (1,) + tuple(b.poly[d - k] * L ** (k - 1) for k in range(1, d + 1))
+        ratio = D // L
+        for i, ps in enumerate(power_sums_inverse_roots(P, m)):
+            sums[i] += b.mult * ps * ratio ** (i + 1)
+    return [Fraction(x, D ** (i + 1)) for i, x in enumerate(sums)]
 
 
 def bounds_certificate(
@@ -556,7 +570,7 @@ def bounds_certificate(
             if parity == "even":
                 ok = abs(t) <= chi
             else:
-                ok = t * t <= Fraction(chi * chi) * Fraction(p) ** n
+                ok = t * t <= chi * chi * p**n
             if not ok:
                 violations.append({"p": p, "n": n, "trace": str(t), "chi": chi})
     C = max(per_prime.values(), default=0)

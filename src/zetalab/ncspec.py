@@ -8,8 +8,9 @@ the weight factors rescaled by exact integer powers of q, so everything
 here stays at the level of integer polynomials: a spectrum is a
 multiset of polynomial blocks, and all structural verdicts
 (multiplicities, determinants, functional-equation symmetry, closure
-under reciprocity) are exact.  Floats appear only in modulus checks and
-pointwise sampling.
+under reciprocity, root moduli) are exact.  Floats appear only in
+pointwise sampling, approximate roots for reports, and the witness of a
+failed modulus check.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .series import (
     poly_trim,
     polynomial_roots,
     root_multiplicity,
+    roots_on_circle,
 )
 from .zeta import WeightDecomposition, ord_at
 
@@ -231,7 +233,7 @@ def nc_spectrum_from_weights(dec: WeightDecomposition) -> NcSpectrum:
         q=dec.q,
         even=tuple(even),
         odd=tuple(odd),
-        provenance={"kind": "weights", "d": dec.d, "betti": list(dec.betti)},
+        provenance={"kind": "weights", "d": dec.d, "betti": dec.betti},
     )
 
 
@@ -253,50 +255,59 @@ def nc_zeta(spec: NcSpectrum, parity: str) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def nc_weil_check(spec: NcSpectrum, tol: float = 1e-9, *, precision: int = DEFAULT_PRECISION):
+def nc_weil_check(spec: NcSpectrum, *, precision: int = DEFAULT_PRECISION):
     """Even moduli against 1, odd against q^{1/2}; block polynomials are
-    integer by construction, which is the algebraicity certificate."""
+    integer by construction, which is the algebraicity certificate.
+
+    The verdict is exact (series.roots_on_circle); a PASS reports
+    deviation 0.0 and no witness.  Only a FAIL finds the roots, at the
+    given precision, to name the eigenvalue farthest off its circle.
+    """
     checks = []
-    with mpmath.workdps(precision + 10):
-        targets = {"even": mpmath.mpf(1), "odd": mpmath.sqrt(spec.q.q)}
-        for parity in ("even", "odd"):
-            blocks = spec.blocks(parity)
-            if not blocks:
-                checks.append(
-                    Check(
-                        name=f"nc_weil.{parity}",
-                        verdict=PASS,
-                        detail="empty eigenvalue multiset",
-                        data={"dimension": 0},
-                    )
-                )
-                continue
-            worst = mpmath.mpf(0)
-            witness = None
-            for b in blocks:
-                for root, _ in polynomial_roots(b.poly, precision):
-                    dev = abs(abs(root) - targets[parity]) / targets[parity]
-                    if dev > worst:
-                        worst = dev
-                        witness = complex(root)
-            ok = worst < tol
+    for parity, Q in (("even", 1), ("odd", spec.q.q)):
+        blocks = spec.blocks(parity)
+        if not blocks:
             checks.append(
                 Check(
                     name=f"nc_weil.{parity}",
-                    verdict=PASS if ok else FAIL,
-                    detail=(
-                        f"max relative modulus deviation {float(worst):.3e} from "
-                        f"target {'1' if parity == 'even' else 'sqrt(q)'}"
-                    ),
-                    data={
-                        "dimension": spec.chi(parity),
-                        "max_rel_deviation": float(worst),
-                        "worst_eigenvalue": witness,
-                        "integer_polynomials": True,
-                    },
+                    verdict=PASS,
+                    detail="empty eigenvalue multiset",
+                    data={"dimension": 0},
                 )
             )
+            continue
+        ok = all(roots_on_circle(b.poly, Q) for b in blocks)
+        worst, witness = (0.0, None) if ok else _worst_modulus(blocks, Q, precision)
+        checks.append(
+            Check(
+                name=f"nc_weil.{parity}",
+                verdict=PASS if ok else FAIL,
+                detail=(
+                    f"max relative modulus deviation {worst:.3e} from "
+                    f"target {'1' if parity == 'even' else 'sqrt(q)'}"
+                ),
+                data={
+                    "dimension": spec.chi(parity),
+                    "max_rel_deviation": worst,
+                    "worst_eigenvalue": witness,
+                    "integer_polynomials": True,
+                },
+            )
+        )
     return checks
+
+
+def _worst_modulus(blocks, Q, precision):
+    """(max relative deviation of |mu| from Q^{1/2}, that mu), numerically."""
+    worst, witness = mpmath.mpf(0), None
+    with mpmath.workdps(precision + 10):
+        target = mpmath.sqrt(Q)
+        for b in blocks:
+            for root, _ in polynomial_roots(b.poly, precision):
+                dev = abs(abs(root) - target) / target
+                if dev > worst:
+                    worst, witness = dev, complex(root)
+    return float(worst), witness
 
 
 def nc_l_adic_check(spec: NcSpectrum, C: int = None):

@@ -1,17 +1,23 @@
 """Exact truncated power series over Q, polynomial algebra, and root extraction.
 
-All series and polynomial arithmetic is exact (Fraction coefficients);
-floating point enters only at root extraction, which runs at a
-configurable decimal precision (default 50 digits).  The exact side and
-the approximate side meet in one place: a root multiset whose
-multiplicities come from exact gcd computations, never from numerical
-multiplicity guessing.
+All series and polynomial arithmetic is exact (Fraction coefficients),
+and so is linear algebra: row reduction runs fraction-free on integers
+(Bareiss) and only the reduced rows come back as Fractions.  Whether
+every root of an integer polynomial lies on the circle |z| = Q^{1/2}
+is decided exactly as well (roots_on_circle), by a palindrome test and
+a Sturm count, so floats never decide a Weil verdict.  Floating point
+enters only at root extraction (roots_with_moduli, polynomial_roots),
+which runs at a configurable decimal precision (default 50 digits) and
+serves weight separation, failure witnesses and approximate roots in
+reports.  There a root multiset takes its multiplicities from exact gcd
+computations, never from numerical multiplicity guessing.
 
 Polynomials are coefficient tuples, low degree first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +35,7 @@ __all__ = [
     "log_det_series",
     "pade_reconstruct",
     "polynomial_roots",
+    "roots_on_circle",
     "roots_with_moduli",
     "power_sums_inverse_roots",
     "squarefree_decomposition",
@@ -48,6 +55,11 @@ class RootFindingError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Polynomial helpers over Q (tuples, low degree first)
 # ---------------------------------------------------------------------------
+
+
+def _frac(x):
+    """x as a Fraction; Fractions pass through without a new object."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def poly_trim(c):
@@ -102,8 +114,8 @@ def poly_deriv(a):
 
 def poly_divmod(a, b):
     """Exact division with remainder over Q."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in poly_trim(b)]
+    a = [_frac(x) for x in a]
+    b = [_frac(x) for x in poly_trim(b)]
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
@@ -186,22 +198,31 @@ def squarefree_decomposition(P):
 def power_sums_inverse_roots(P, m):
     """p_n = sum of n-th powers of the inverse roots of P, n = 1..m.
 
-    P(t) = prod (1 - lam_i t) with P(0) = 1; Newton's identities on the
-    elementary symmetric functions e_i = (-1)^i * coeff_i.  Exact.
+    P(t) = prod (1 - lam_i t) with P(0) = 1; Newton's identities
+    p_n = -n P_n - sum_{i<n} P_i p_{n-i}.  Exact: for an integral P the
+    recurrence runs on Python integers and returns integers.
     """
     P = poly_trim(P)
     if not P or P[0] != 1:
         raise ValueError("normalized polynomial with constant term 1 expected")
+    P = [_int_if_integral(c) for c in P]
     deg = len(P) - 1
-    e = [(-1) ** i * Fraction(P[i]) if i <= deg else Fraction(0) for i in range(m + 1)]
-    p = [Fraction(0)] * (m + 1)
+    p = [0] * (m + 1)
     for n in range(1, m + 1):
-        acc = (-1) ** (n - 1) * n * (e[n] if n <= deg else 0)
-        for i in range(1, n):
-            if i <= deg and e[i]:
-                acc += (-1) ** (i - 1) * e[i] * p[n - i]
-        p[n] = Fraction(acc)
-    return [x if x.denominator != 1 else x for x in p[1:]]
+        acc = -n * P[n] if n <= deg else 0
+        for i in range(1, min(n - 1, deg) + 1):
+            if P[i]:
+                acc -= P[i] * p[n - i]
+        p[n] = acc
+    return p[1:]
+
+
+def _int_if_integral(c):
+    """c as an int when it is integral, otherwise as a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +231,46 @@ def power_sums_inverse_roots(P, m):
 
 
 def mat_rref(rows):
-    """Row-reduce over Q.  Returns (rref rows, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
+    """Row-reduce over Q.  Returns (rref rows, pivot column list).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each row is scaled
+    to integers, and after the k-th pivot every entry is an integer minor
+    of the input, so the division by the previous pivot is exact.  The
+    reduced echelon form is unique, so dividing each pivot row by its
+    pivot at the end gives the same Fractions as elimination over Q.
+    """
+    if not rows:
         return [], []
+    m = [_integer_row(row) for row in rows]
     ncols = len(m[0])
     pivots = []
     r = 0
+    prev = 1
     for c in range(ncols):
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        top = m[r]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    # every pivot now equals the last one; rows past the rank are zero
+    return [[Fraction(x, prev) for x in row] for row in m], pivots
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators (same row space)."""
+    row = [_frac(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def mat_rank(rows):
@@ -301,7 +339,7 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(_frac(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
@@ -412,8 +450,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den, reduce=True):
-        num = poly_trim(tuple(Fraction(c) for c in num))
-        den = poly_trim(tuple(Fraction(c) for c in den))
+        num = poly_trim(tuple(_frac(c) for c in num))
+        den = poly_trim(tuple(_frac(c) for c in den))
         if not num or not den or num[0] == 0 or den[0] == 0:
             raise ValueError("numerator and denominator need nonzero constant terms")
         if reduce:
@@ -421,8 +459,10 @@ class RationalFunction:
             if poly_deg(g) > 0:
                 num = _poly_exact_div(num, g)
                 den = _poly_exact_div(den, g)
-        num = tuple(Fraction(c) / num[0] for c in num)
-        den = tuple(Fraction(c) / den[0] for c in den)
+        if num[0] != 1:
+            num = tuple(c / num[0] for c in num)
+        if den[0] != 1:
+            den = tuple(c / den[0] for c in den)
         self.num = num
         self.den = den
 
@@ -441,16 +481,18 @@ class RationalFunction:
 
     def expand(self, M: int) -> PowerSeries:
         """Taylor expansion at 0 to order M, exact."""
-        inv = [Fraction(0)] * (M + 1)
-        inv[0] = Fraction(1)
-        d = self.den
+        # integral coefficients (the usual case) keep the loops in ints
+        d = [_int_if_integral(c) for c in self.den]
+        inv = [0] * (M + 1)
+        inv[0] = 1
         for n in range(1, M + 1):
-            acc = Fraction(0)
+            acc = 0
             for k in range(1, min(n, len(d) - 1) + 1):
                 acc += d[k] * inv[n - k]
             inv[n] = -acc
-        out = [Fraction(0)] * (M + 1)
-        for i, c in enumerate(self.num[: M + 1]):
+        num = [_int_if_integral(c) for c in self.num[: M + 1]]
+        out = [0] * (M + 1)
+        for i, c in enumerate(num):
             if c:
                 for j in range(M + 1 - i):
                     out[i + j] += c * inv[j]
@@ -526,6 +568,131 @@ def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunc
     if tuple(exp.coeffs) != tuple(c[: need + 1]):
         raise PadeError("no solution at the stated degrees")
     return cand
+
+
+# ---------------------------------------------------------------------------
+# Exact root-modulus certificate
+# ---------------------------------------------------------------------------
+
+
+def roots_on_circle(poly, Q: int) -> bool:
+    """Whether every complex root of the integer polynomial has modulus
+    Q^{1/2}, decided exactly (no root finding).
+
+    For a factor P with P(0) = 1 pass its reversal: the roots of the
+    reversal are the inverse roots of P.  The real roots +-Q^{1/2} are
+    divided out first.  What is left must be Q-palindromic of even
+    degree 2m, E(x) = x^m h(x + Q/x), and its roots lie on the circle
+    exactly when every root of h is real and inside (-2 Q^{1/2},
+    2 Q^{1/2}); a Sturm chain counts the distinct real roots of h there,
+    with signs at the irrational endpoints decided in Q(Q^{1/2})
+    (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+    """
+    E = [_int_if_integral(c) for c in poly_trim(poly)]
+    if Q < 1 or not E or not all(isinstance(c, int) for c in E):
+        raise ValueError("need a positive Q and a nonzero integer polynomial")
+    root = math.isqrt(Q)
+    if root * root == Q:
+        E = _divide_out(E, (-root, 1))
+        E = _divide_out(E, (root, 1))
+    else:
+        E = _divide_out(E, (-Q, 0, 1))
+    n = len(E) - 1
+    if n == 0:
+        return True
+    if n % 2:
+        return False
+    m = n // 2
+    if any(E[j] != Q ** (m - j) * E[n - j] for j in range(m)):
+        return False
+    # x^-m E(x) = E_m + sum_k E_{m+k} (x^k + (Q/x)^k), and
+    # s_k = x^k + (Q/x)^k obeys s_k = y s_{k-1} - Q s_{k-2} in y = x + Q/x
+    h = (E[m],)
+    s_prev, s_cur = (2,), (0, 1)
+    for k in range(1, m + 1):
+        h = poly_add(h, [E[m + k] * c for c in s_cur])
+        s_prev, s_cur = s_cur, poly_add((0,) + s_cur, [-Q * c for c in s_prev])
+    chain = _sturm_chain(h)
+    distinct = len(h) - len(chain[-1])  # deg h - deg gcd(h, h')
+    return _sign_changes(chain, -1, Q) - _sign_changes(chain, 1, Q) == distinct
+
+
+def _divide_out(E, factor):
+    """E with every power of the monic integer factor divided out."""
+    while True:
+        quo, rem = _int_poly_divmod_monic(E, factor)
+        if any(rem):
+            return E
+        E = quo
+
+
+def _int_poly_divmod_monic(a, b):
+    """Quotient and remainder of integer a by monic integer b (exact in Z)."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        f = a[i]
+        if f:
+            q[i - db] = f
+            for j in range(db + 1):
+                a[i - db + j] -= f * b[j]
+    return q, a[:db]
+
+
+def _sturm_chain(h):
+    """h, h', then negated remainders, each scaled by a positive integer
+    (pseudo-division by |lead|, division by the content), which keeps
+    every sign the Sturm count reads.  The last entry is gcd(h, h')."""
+    chain = [h, [i * c for i, c in enumerate(h)][1:]]
+    while len(chain[-1]) > 1:
+        a, b = list(chain[-2]), chain[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b):
+            f = sign * a[-1]
+            shift = len(a) - len(b)
+            a = [lead * c for c in a]
+            for j, c in enumerate(b):
+                a[shift + j] -= f * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            break
+        g = math.gcd(*a)
+        chain.append([-c // g for c in a])
+    return chain
+
+
+def _sign_changes(chain, side, Q):
+    """Sign changes along the chain at y = side * 2 Q^{1/2}."""
+    changes, last = 0, 0
+    for poly in chain:
+        # poly(y) = A + B Q^{1/2}: even powers of y feed A, odd ones B
+        A = B = 0
+        for i, c in enumerate(poly):
+            term = c * side**i * 2**i * Q ** (i // 2)
+            if i % 2:
+                B += term
+            else:
+                A += term
+        sign = _sign_plus_sqrt(A, B, Q)
+        if sign:
+            if last and sign != last:
+                changes += 1
+            last = sign
+    return changes
+
+
+def _sign_plus_sqrt(A, B, Q):
+    """The sign of A + B Q^{1/2}, exactly."""
+    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    gap = A * A - B * B * Q
+    return sa if gap > 0 else sb if gap < 0 else 0
 
 
 # ---------------------------------------------------------------------------

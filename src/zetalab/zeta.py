@@ -10,7 +10,9 @@ relating s and d-s, and exact pole/zero orders.
 
 The factorization never trusts floats: clusters are rounded to integer
 polynomials and the exact product must reproduce the input rational
-function, otherwise the factorization fails loudly.
+function, otherwise the factorization fails loudly.  The moduli check
+takes its verdict from the exact certificate series.roots_on_circle;
+numeric roots are computed only to give a failing factor its witness.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .series import (
     poly_trim,
     power_sums_inverse_roots,
     root_multiplicity,
+    roots_on_circle,
     roots_with_moduli,
 )
 
@@ -199,8 +202,9 @@ def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> Rational
     m = len(values)
     series = zeta_from_counts(values)
 
-    def verify(cand):
-        return cand.expand(m).coeffs == series.coeffs
+    def verify(cand, dn, dd):
+        # pade_reconstruct has matched the series up to t^(dn + dd)
+        return dn + dd >= m or cand.expand(m).coeffs == series.coeffs
 
     if betti is not None:
         betti = tuple(int(b) for b in betti)
@@ -215,7 +219,7 @@ def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> Rational
             cand = pade_reconstruct(series, dn, dd)
         except PadeError as exc:
             raise ReconstructionError(f"reconstruction failed: {exc}") from exc
-        if not verify(cand):
+        if not verify(cand, dn, dd):
             raise ReconstructionError(
                 "reconstruction mismatch: counts are inconsistent with the "
                 "stated Betti numbers"
@@ -228,7 +232,7 @@ def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> Rational
                 cand = pade_reconstruct(series, dn, dd)
             except PadeError:
                 continue
-            if verify(cand):
+            if verify(cand, dn, dd):
                 return cand
     raise ReconstructionError(
         f"no rational function of total degree <= {min(degree_cap, m)} "
@@ -402,20 +406,22 @@ def weight_factorize(
 # ---------------------------------------------------------------------------
 
 
-def weil_check(dec: WeightDecomposition, tol: float = 1e-9, *, precision: int = DEFAULT_PRECISION):
+def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
     """Per weight: inverse-root moduli against q^{w/2}, and exact
-    integrality of the factor."""
+    integrality of the factor.
+
+    The verdict is exact (series.roots_on_circle), and a PASS reports
+    deviation 0.0.  Only a FAIL finds the roots, at the given precision,
+    to report the largest relative modulus deviation as its witness.
+    """
     checks = []
     for f in dec.factors:
         if f.beta == 0:
             continue
         integral = all(isinstance(c, int) for c in f.poly)
-        cluster = roots_with_moduli(f.poly, precision)
-        with mpmath.workdps(precision + 10):
-            target = mpmath.power(dec.q.q, mpmath.mpf(f.w) / 2)
-            worst = max(abs((1 / mod) / target - 1) for _, _, mod in cluster.roots)
-            worst_f = float(worst)
-        ok = integral and worst_f < tol
+        on_circle = roots_on_circle(f.eigenvalue_polynomial(), dec.q.q**f.w)
+        worst_f = 0.0 if on_circle else _max_modulus_deviation(f, dec.q, precision)
+        ok = integral and on_circle
         checks.append(
             Check(
                 name=f"weil.weight{f.w}",
@@ -433,6 +439,14 @@ def weil_check(dec: WeightDecomposition, tol: float = 1e-9, *, precision: int = 
             )
         )
     return checks
+
+
+def _max_modulus_deviation(f: WeightFactor, q: PrimePower, precision):
+    """max |(|inverse root| / q^{w/2}) - 1| over the factor, numerically."""
+    cluster = roots_with_moduli(f.poly, precision)
+    with mpmath.workdps(precision + 10):
+        target = mpmath.power(q.q, mpmath.mpf(f.w) / 2)
+        return float(max(abs((1 / mod) / target - 1) for _, _, mod in cluster.roots))
 
 
 def _strip_prime(n, p):

@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Property tests draw the same examples on every run, and wall-clock
+# deadlines (noisy on shared machines) never fail them.
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

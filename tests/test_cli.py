@@ -36,7 +36,7 @@ class TestRunConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(weil_tol=0)
+            RunConfig(functional_tol=0)
         with pytest.raises(ValueError):
             RunConfig(precision=-1)
         with pytest.raises(ValueError):
@@ -134,6 +134,19 @@ class TestCheckSubcommand:
             "--prime-cutoff", "100", "--n-cutoff", "4",
         )
         assert code == 0 and doc["verdict"] == "PASS"
+
+    def test_serre_report_ignores_precision(self, capsys):
+        # the verdict is exact: --precision shows only in the config block
+        docs = []
+        for digits in ("10", "80"):
+            _, doc = run_json(
+                capsys,
+                "check", "serre", "--model", ELLIPTIC, "--weight", "1",
+                "--prime-cutoff", "100", "--n-cutoff", "4", "--precision", digits,
+            )
+            assert doc["config"].pop("precision") == int(digits)
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
     def test_beilinson_pass(self, capsys):
         code, doc = run_json(capsys, "check", "beilinson", "--model", SPECQ, "--j", "1")

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.arith import PrimePower
+from zetalab.arith import (
+    PrimePower,
+    fp_factor_degree_pattern,
+    fp_poly_divmod,
+    fp_poly_gcd,
+    fp_poly_powmod_x,
+    fp_squarefree_part,
+)
 from zetalab.counting import (
     BudgetError,
     ParseError,
@@ -140,6 +147,61 @@ class TestCounts:
         )
 
 
+def pattern_from_scratch(f, p):
+    """Distinct-degree factorization that builds x^(p^k) mod f afresh for
+    every k: the per-degree route the counts used to take."""
+    f = fp_squarefree_part(f, p)
+    pattern, k = {}, 0
+    while len(f) - 1 > 0:
+        k += 1
+        if 2 * k > len(f) - 1:
+            pattern[len(f) - 1] = pattern.get(len(f) - 1, 0) + 1
+            break
+        xpk = fp_poly_powmod_x(p**k, f, p)
+        diff = tuple((c - (1 if i == 1 else 0)) % p for i, c in enumerate(xpk))
+        g = fp_poly_gcd(diff, f, p)
+        if len(g) > 1:
+            pattern[k] = (len(g) - 1) // k
+            f = fp_poly_divmod(f, g, p)[0]
+    return pattern
+
+
+def per_degree_counts(f, q, m):
+    """#roots of f in F_{q^n}, with the degree pattern recomputed per n."""
+    out = []
+    for n in range(1, m + 1):
+        pattern = pattern_from_scratch(tuple(c % q.p for c in f), q.p)
+        out.append(sum(d * c for d, c in pattern.items() if (q.r * n) % d == 0))
+    return out
+
+
+class TestZeroDimensionalCounts:
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.integers(min_value=1, max_value=2),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5),
+        st.integers(min_value=-4, max_value=4),
+        st.booleans(),
+    )
+    @settings(max_examples=80)
+    def test_one_pattern_matches_per_degree_patterns(self, p, r, low, a, square):
+        f = tuple(low) + (1,)
+        if square:
+            # (x - a)^2 * f is not squarefree mod any p
+            for _ in range(2):
+                f = tuple(x - a * y for x, y in zip((0,) + f, f + (0,)))
+        q = PrimePower(p, r)
+        spec = VarietySpec(kind="zero_dimensional", zero_poly=f)
+        want = per_degree_counts(f, q, 6)
+        assert list(count_series(spec, q, 6).counts) == want
+        assert [count_points(spec, q, n) for n in range(1, 7)] == want
+        assert fp_factor_degree_pattern(tuple(c % p for c in f), p) == pattern_from_scratch(
+            tuple(c % p for c in f), p
+        )
+        both = VarietySpec(kind="product", left=spec, right=spec)
+        assert list(count_series(both, q, 6).counts) == [c * c for c in want]
+
+
 class TestBudget:
     def test_budget_error(self):
         big = parse_variety("affine 3; vars x,y,z; eq x+y+z")
@@ -175,6 +237,19 @@ class TestCache:
         counts = count_series(v, PrimePower(7), 2, cache_dir=tmp_path)
         assert sorted(os.listdir(tmp_path)) == [f"{key}.json", f"{key}.tmp"]
         assert count_series(v, PrimePower(7), 2, cache_dir=tmp_path) == counts
+
+    def test_cache_needs_contiguous_degrees(self, tmp_path):
+        # a file holding degrees other than exactly 1..k is a miss, and
+        # the store that follows writes the true counts
+        v = parse_variety("projective 2; vars x,y,z; eq x^3+y^3+z^3")
+        truth = count_series(v, PrimePower(7), 2)
+        path = tmp_path / f"{v.fingerprint()}-p7r1.json"
+        for counts in ({"1": 4, "2": 32, "7": 999}, {"2": 5}, {"0": 1, "1": 9, "2": 9}):
+            payload = {"spec_hash": v.fingerprint(), "q": {"p": 7, "r": 1}, "counts": counts}
+            path.write_text(json.dumps(payload))
+            assert count_series(v, PrimePower(7), 2, cache_dir=tmp_path) == truth
+            stored = json.loads(path.read_text())["counts"]
+            assert stored == {"1": truth.counts[0], "2": truth.counts[1]}
 
     def test_cache_ignored_on_fingerprint_mismatch(self, tmp_path):
         v = parse_variety("projective 2; vars x,y,z; eq x^3+y^3+z^3")

@@ -9,13 +9,17 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zetalab import lfun
 from zetalab.arith import PrimePower
 from zetalab.counting import count_points, parse_variety
 from zetalab.lfun import (
     ArithmeticModel,
     BadPrimeError,
     PoleError,
+    _block_power_sums,
     _elliptic_counts,
     _local_decomposition,
     bounds_certificate,
@@ -30,6 +34,8 @@ from zetalab.lfun import (
     winding_order,
     zeta_continuation,
 )
+from zetalab.ncspec import EigenvalueBlock, NcSpectrum
+from zetalab.series import power_sums_inverse_roots
 from zetalab.zeta import SeparationError
 
 from conftest import fixture_path
@@ -117,6 +123,20 @@ class TestLocalSpectra:
         with pytest.raises(SeparationError):
             _local_decomposition(wrong, 5)
 
+    def test_returned_spectrum_does_not_edit_the_cache(self, ell):
+        spec = local_spectrum(ell, 5)
+        spec.provenance["weil"] = "EDITED"
+        assert local_spectrum(ell, 5).provenance["weil"] == "PASS"
+
+    def test_recomputed_after_eviction_equals_original(self, ell, monkeypatch):
+        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        monkeypatch.setattr(lfun, "LOCAL_CACHE_SIZE", 2)
+        first = local_spectrum(ell, 7)
+        for p in (11, 13, 17):
+            local_spectrum(ell, p)
+        assert len(lfun._LOCAL_CACHE) == 2
+        assert local_spectrum(ell, 7) == first
+
     def test_elliptic_fast_counts_match_enumeration(self):
         spec = parse_variety("elliptic a=[0,0,0,1,0]")
         for p in (3, 5, 7, 11, 13):
@@ -193,6 +213,30 @@ class TestBoundsCertificates:
     def test_quadratic_ring_bound(self, zi):
         cert = bounds_certificate(zi, "even", 500, 6)
         assert cert.ok and cert.C == 2
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
+                st.sampled_from([1, 2, 3, 5, 25]),
+                st.integers(min_value=1, max_value=3),
+            ),
+            max_size=3,
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=60)
+    def test_block_traces_match_rational_route(self, shapes, m):
+        # the integer route against Newton's identities on each block's
+        # reversal over Q, summed with multiplicity
+        blocks = tuple(EigenvalueBlock(poly=tuple(low) + (lead,), mult=mult) for low, lead, mult in shapes)
+        spec = NcSpectrum(q=PrimePower(5), even=blocks)
+        want = [F(0)] * m
+        for b in blocks:
+            rev = tuple(F(c, b.poly[-1]) for c in reversed(b.poly))
+            for i, t in enumerate(power_sums_inverse_roots(rev, m)):
+                want[i] += b.mult * t
+        assert _block_power_sums(spec, "even", m) == want
 
     def test_serre_per_weight(self, p1, ell):
         top = serre_bounds_certificate(p1, 2, 300, 5)

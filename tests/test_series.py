@@ -1,6 +1,7 @@
 """Exact power-series and rational-function arithmetic, determinant
 expansions, root clustering, and linear algebra over Q."""
 
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -19,12 +20,15 @@ from zetalab.series import (
     mat_mul,
     mat_nullspace,
     mat_rank,
+    mat_rref,
     pade_reconstruct,
     poly_deg,
     poly_eval,
     poly_from_roots,
     poly_mul,
+    polynomial_roots,
     power_sums_inverse_roots,
+    roots_on_circle,
     roots_with_moduli,
     squarefree_decomposition,
 )
@@ -123,6 +127,147 @@ class TestPowerSums:
         P = poly_mul((1, -a), (1, -b))
         ps = power_sums_inverse_roots(P, 5)
         assert ps == [F(a**n + b**n) for n in range(1, 6)]
+
+
+def newton_power_sums_over_q(P, m):
+    """The Newton recurrence on e_i = (-1)^i P_i over Fractions, as
+    power_sums_inverse_roots computed it before it ran on integers."""
+    deg = len(P) - 1
+    e = [(-1) ** i * F(P[i]) if i <= deg else F(0) for i in range(m + 1)]
+    p = [F(0)] * (m + 1)
+    for n in range(1, m + 1):
+        acc = (-1) ** (n - 1) * n * (e[n] if n <= deg else 0)
+        for i in range(1, n):
+            if i <= deg and e[i]:
+                acc += (-1) ** (i - 1) * e[i] * p[n - i]
+        p[n] = F(acc)
+    return p[1:]
+
+
+class TestPowerSumsAgainstFractionRecurrence:
+    @given(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=0, max_size=6),
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=80)
+    def test_integer_recurrence_matches(self, tail, m):
+        P = (1,) + tuple(tail)
+        got = power_sums_inverse_roots(P, m)
+        assert all(isinstance(x, int) for x in got)
+        assert got == newton_power_sums_over_q(P, m)
+
+    @given(st.lists(small_fractions, min_size=1, max_size=5), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=40)
+    def test_rational_input_matches(self, tail, m):
+        P = (F(1),) + tuple(tail)
+        assert power_sums_inverse_roots(P, m) == newton_power_sums_over_q(P, m)
+
+
+def numeric_on_circle(E, Q):
+    """The verdict the Weil checks took before the exact certificate:
+    every 50-digit root within 1e-9 (relative) of modulus Q^{1/2}."""
+    with mpmath.workdps(60):
+        target = mpmath.sqrt(Q)
+        return all(
+            abs(abs(x) - target) / target < mpmath.mpf("1e-9")
+            for x, _ in polynomial_roots(E, 50)
+        )
+
+
+@st.composite
+def weil_candidates(draw):
+    """(E, Q): E has the inverse roots of a product of 1 - a t + Q t^2,
+    repeated factors, 1 -+ Q^{1/2} t and 1 - Q t^2, with Q = q^w square
+    or not; a third of the draws are perturbed.  Palindromic non-Weil
+    factors come from a^2 > 4Q and from 1 + (2Q + c) t^2 + Q^2 t^4, whose
+    trace polynomial y^2 + c has complex roots for c > 0."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    Q = q ** draw(st.integers(min_value=0, max_value=3))
+    P = (1,)
+    bound = math.isqrt(4 * Q)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a = draw(st.integers(min_value=-bound - 2, max_value=bound + 2))
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            P = poly_mul(P, (1, -a, Q))
+    if draw(st.booleans()):
+        c = draw(st.integers(min_value=-2, max_value=3))
+        P = poly_mul(P, (1, 0, 2 * Q + c, 0, Q * Q))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        P = poly_mul(P, (1, 0, -Q))
+    root = math.isqrt(Q)
+    if root * root == Q:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            P = poly_mul(P, (1, draw(st.sampled_from([root, -root]))))
+    if len(P) == 1:
+        P = (1, -root) if root * root == Q else (1, 0, -Q)
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        P = list(P)
+        i = draw(st.integers(min_value=1, max_value=len(P) - 1))
+        P[i] += draw(st.sampled_from([-2, -1, 1, 2]))
+        P = tuple(P)
+    E = tuple(reversed(P))
+    while E and E[-1] == 0:
+        E = E[:-1]
+    return E, Q
+
+
+class TestRootsOnCircle:
+    def test_examples(self):
+        assert roots_on_circle((5, -2, 1), 5)  # 1 +- 2i
+        assert not roots_on_circle((6, -2, 1), 5)
+        assert roots_on_circle((-5, 1), 25) and roots_on_circle((-5, 0, 1), 5)
+        assert not roots_on_circle((-6, 1), 5)
+        assert roots_on_circle((1, 1, 1, 1), 1)  # -1, +-i
+        assert not roots_on_circle((2, 1, 1), 1)
+        assert not roots_on_circle((0, 0, 1), 1)  # 0 is a double root
+
+    @given(weil_candidates())
+    @settings(max_examples=300)
+    def test_exact_verdict_matches_numeric(self, case):
+        E, Q = case
+        if len(E) < 2:
+            return
+        assert roots_on_circle(E, Q) == numeric_on_circle(E, Q)
+
+
+def rref_over_q(rows):
+    """Gauss-Jordan over Fractions: the reference for mat_rref."""
+    m = [[F(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+class TestBareissRref:
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_gauss_jordan_over_q(self, data):
+        nrows = data.draw(st.integers(min_value=1, max_value=6))
+        ncols = data.draw(st.integers(min_value=1, max_value=7))
+        rank = data.draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        left = [[data.draw(entry) for _ in range(rank)] for _ in range(nrows)]
+        right = [[data.draw(entry) for _ in range(ncols)] for _ in range(rank)]
+        A = [
+            [sum((left[i][k] * right[k][j] for k in range(rank)), F(0)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        assert mat_rref(A) == rref_over_q(A)
 
 
 class TestRootClustering:

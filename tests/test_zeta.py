@@ -143,7 +143,7 @@ class TestWeightFactorization:
 
 class TestWeilCheck:
     def test_elliptic_passes_tightly(self, e5_decomposition):
-        checks = weil_check(e5_decomposition, 1e-9)
+        checks = weil_check(e5_decomposition)
         assert all(c.verdict == "PASS" for c in checks)
         w1 = next(c for c in checks if c.name == "weil.weight1")
         assert w1.data["max_rel_deviation"] < 1e-30

@@ -59,7 +59,7 @@ from .zeta import (
 )
 
 _INT_FIELDS = ("precision", "degree_cap", "budget", "prime_cutoff")
-_FLOAT_FIELDS = ("cluster_tol", "functional_tol")
+_FLOAT_FIELDS = ("functional_tol",)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class RunConfig:
     key=value config file, overridden by flags."""
 
     precision: int = 50
-    cluster_tol: float = 1e-6
     functional_tol: float = 1e-9
     degree_cap: int = 24
     budget: int = 10**9
@@ -148,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         help=(
-            "working digits for root finding: weight separation and the witness "
-            "of a failed moduli check; verdicts are exact, and lfun, check serre "
-            "and check beilinson do not use it"
+            "working digits for root finding, used only for the witness of a "
+            "failed moduli check; verdicts and weight separation are exact, and "
+            "lfun, check serre and check beilinson do not use it"
         ),
     )
     common.add_argument("--prime-cutoff", type=int, dest="prime_cutoff")
@@ -276,14 +275,7 @@ def _decomposition_for(args, config):
         raise _UsageError("--betti must list all weights 0..2d (odd length)")
     counts = _counts_for(args, config, spec, q, betti)
     Z = zeta_rational(counts.counts, betti, degree_cap=config.degree_cap)
-    dec = weight_factorize(
-        Z,
-        q,
-        (len(betti) - 1) // 2,
-        betti,
-        precision=config.precision,
-        cluster_tol=config.cluster_tol,
-    )
+    dec = weight_factorize(Z, q, (len(betti) - 1) // 2, betti)
     return dec, f"{name} over F_{q.q}"
 
 

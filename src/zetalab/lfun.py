@@ -610,8 +610,11 @@ def serre_bounds_certificate(
     The traces use the unshifted weight-w inverse roots; C is the
     largest observed weight-w Betti number.  The partial product at the
     sample point (default Re(s) = w/2 + 1.5) carries the same style of
-    tail bound as the parity L-functions.
+    tail bound as the parity L-functions.  A negative weight raises
+    ValueError.
     """
+    if w < 0:
+        raise ValueError(f"weight must be non-negative, got {w}")
     per_prime = {}
     violations = []
     excluded = []

@@ -5,12 +5,14 @@ and so is linear algebra: row reduction runs fraction-free on integers
 (Bareiss) and only the reduced rows come back as Fractions.  Whether
 every root of an integer polynomial lies on the circle |z| = Q^{1/2}
 is decided exactly as well (roots_on_circle), by a palindrome test and
-a Sturm count, so floats never decide a Weil verdict.  Floating point
-enters only at root extraction (roots_with_moduli, polynomial_roots),
-which runs at a configurable decimal precision (default 50 digits) and
-serves weight separation, failure witnesses and approximate roots in
-reports.  There a root multiset takes its multiplicities from exact gcd
-computations, never from numerical multiplicity guessing.
+a Sturm count, so floats never decide a Weil verdict or a weight
+separation; the same fraction-free remainder chain gives exact integer
+gcds.  Floating point enters only at root extraction (roots_with_moduli,
+polynomial_roots), which runs at a configurable decimal precision
+(default 50 digits) and serves failure witnesses, approximate roots in
+reports and numeric orders.  There a root multiset takes its
+multiplicities from exact gcd computations, never from numerical
+multiplicity guessing.
 
 Polynomials are coefficient tuples, low degree first.
 """
@@ -612,7 +614,7 @@ def roots_on_circle(poly, Q: int) -> bool:
     for k in range(1, m + 1):
         h = poly_add(h, [E[m + k] * c for c in s_cur])
         s_prev, s_cur = s_cur, poly_add((0,) + s_cur, [-Q * c for c in s_prev])
-    chain = _sturm_chain(h)
+    chain = _sturm_chain(h, poly_deriv(h))
     distinct = len(h) - len(chain[-1])  # deg h - deg gcd(h, h')
     return _sign_changes(chain, -1, Q) - _sign_changes(chain, 1, Q) == distinct
 
@@ -640,11 +642,12 @@ def _int_poly_divmod_monic(a, b):
     return q, a[:db]
 
 
-def _sturm_chain(h):
-    """h, h', then negated remainders, each scaled by a positive integer
+def _sturm_chain(a, b):
+    """a, b, then negated remainders, each scaled by a positive integer
     (pseudo-division by |lead|, division by the content), which keeps
-    every sign the Sturm count reads.  The last entry is gcd(h, h')."""
-    chain = [h, [i * c for i, c in enumerate(h)][1:]]
+    every sign a Sturm count reads.  The last entry is gcd(a, b) up to
+    a nonzero integer factor."""
+    chain = [a, b]
     while len(chain[-1]) > 1:
         a, b = list(chain[-2]), chain[-1]
         lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
@@ -662,6 +665,14 @@ def _sturm_chain(h):
         g = math.gcd(*a)
         chain.append([-c // g for c in a])
     return chain
+
+
+def _int_poly_gcd(a, b):
+    """Primitive gcd of two nonzero trimmed integer polynomials, with a
+    positive leading coefficient (so monic when it divides a monic a)."""
+    g = _sturm_chain(a, b)[-1]
+    content = math.gcd(*g) * (1 if g[-1] > 0 else -1)
+    return [c // content for c in g]
 
 
 def _sign_changes(chain, side, Q):
@@ -710,21 +721,6 @@ class RootCluster:
 
     def total_multiplicity(self):
         return sum(m for _, m, _ in self.roots)
-
-
-def poly_from_roots(roots, precision):
-    """prod (1 - t/root)^mult over (root, mult) pairs, as mpmath
-    coefficients computed at precision + 10 digits."""
-    with mpmath.workdps(precision + 10):
-        poly = [mpmath.mpc(1)]
-        for root, mult in roots:
-            for _ in range(mult):
-                nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-                for i, co in enumerate(poly):
-                    nxt[i] += co
-                    nxt[i + 1] -= co / root
-                poly = nxt
-        return poly
 
 
 def _mp_exact(c):

@@ -8,11 +8,13 @@ integer weight factors, then the per-weight checks: inverse-root
 moduli, algebraic-integrality certificates, the functional equation
 relating s and d-s, and exact pole/zero orders.
 
-The factorization never trusts floats: clusters are rounded to integer
-polynomials and the exact product must reproduce the input rational
-function, otherwise the factorization fails loudly.  The moduli check
-takes its verdict from the exact certificate series.roots_on_circle;
-numeric roots are computed only to give a failing factor its witness.
+The factorization uses no floats: each weight factor is an integer gcd
+of a side with its q^w-mirror, certified on its circle by
+series.roots_on_circle and divided out exactly, and the exact product
+must reproduce the input rational function, otherwise the factorization
+fails loudly.  The moduli check takes its verdict from the same
+certificate; numeric roots are computed only to give a failing factor
+its witness.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .series import (
     PadeError,
     PowerSeries,
     RationalFunction,
+    _int_poly_divmod_monic,
+    _int_poly_gcd,
     exp_series,
     pade_reconstruct,
     poly_deg,
-    poly_divmod,
     poly_eval,
-    poly_from_roots,
     poly_mul,
     poly_trim,
     power_sums_inverse_roots,
@@ -46,7 +48,6 @@ from .series import (
 )
 
 __all__ = [
-    "AmbiguousClusterError",
     "HypothesisWarning",
     "OrdResult",
     "ReconstructionError",
@@ -80,10 +81,6 @@ class ReconstructionError(ValueError):
 
 class SeparationError(RuntimeError):
     """Weil-type separation failed: possible non-smooth input."""
-
-
-class AmbiguousClusterError(SeparationError):
-    """A root modulus sits within tolerance of two ladder rungs."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,125 +255,55 @@ def _side_int(coeffs, what):
     return tuple(out)
 
 
-def _try_ladder_division(side, rungs, q):
-    """Peel off rational ladder factors (1 -+ q^{w/2} t); only possible
-    when every rung value is an integer.  Returns the factor dict or
-    None when this shortcut does not apply."""
-    factors = {}
-    rest = side
-    for w, beta in sorted(rungs, reverse=True):
-        if w % 2 != 0:
-            return None
-        val = q.q ** (w // 2)
-        got = (1,)
-        for _ in range(beta):
-            done = False
-            for s in (-val, val):
-                quo, rem = poly_divmod(rest, (1, s))
-                if not rem:
-                    rest = tuple(int(c) for c in quo)
-                    got = poly_mul(got, (1, s))
-                    done = True
-                    break
-            if not done:
-                return None
-        factors[w] = tuple(int(c) for c in got)
-    if poly_deg(rest) != 0:
-        return None
-    return factors
-
-
-def _rebuild_integer_polynomial(members, residual_tol, precision):
-    """Multiply (1 - t/root)^mult over a cluster and round to integers;
-    the rounding residual is the separation quality gate."""
-    poly = poly_from_roots(members, precision)
-    with mpmath.workdps(precision + 10):
-        out = []
-        worst = mpmath.mpf(0)
-        for co in poly:
-            nearest = mpmath.nint(mpmath.re(co))
-            dev = max(abs(mpmath.re(co) - nearest), abs(mpmath.im(co)))
-            worst = max(worst, dev)
-            if dev > residual_tol:
-                raise SeparationError(
-                    f"Weil-type separation failed: possible non-smooth input "
-                    f"(rounding residual {mpmath.nstr(dev, 3)} above {residual_tol})"
-                )
-            out.append(int(nearest))
-        return tuple(out), float(worst)
-
-
-def _factor_side(side, rungs, q, precision, cluster_tol, residual_tol):
+def _factor_side(side, rungs, q):
     """Split one side (numerator or denominator) into per-weight integer
-    factors.  rungs: [(w, beta)] with beta > 0 for this parity."""
+    factors.  rungs: [(w, beta)] in ascending w, beta > 0, one parity.
+
+    A single rung takes the whole side, uncertified, so a non-Weil side
+    still reaches weil_check as a FAIL with a witness.  Otherwise, with
+    E the monic eigenvalue polynomial of the side (degree n), the rung-w
+    part is gcd(E, x^n E(q^w/x)): a root x on |x| = q^{w/2} has its
+    conjugate q^w/x among the roots too, and once the lower rungs are
+    divided out no higher rung pairs down into q^w.  Each part must be certified
+    on its circle (roots_on_circle) with degree beta and is divided out
+    exactly; the last rung takes the rest, certified the same way.
+    """
     deg = poly_deg(side)
     total = sum(b for _, b in rungs)
     if total != deg:
         raise SeparationError(
-            f"cluster count mismatch with betti: side degree {deg}, "
+            f"Weil-type separation failed: side degree {deg} against "
             f"betti total {total}"
         )
-    if not rungs:
-        return {}
-    if len(rungs) == 1:
-        w, beta = rungs[0]
-        return {w: side}
-    forced = _try_ladder_division(side, rungs, q)
-    if forced is not None:
-        return forced
-    cluster = roots_with_moduli(side, precision)
-    with mpmath.workdps(precision + 10):
-        targets = {w: mpmath.power(q.q, mpmath.mpf(w) / 2) for w, _ in rungs}
-        assigned = {w: [] for w, _ in rungs}
-        for root, mult, modulus in cluster.roots:
-            inv_mod = 1 / modulus
-            matches, near = [], []
-            for w, _ in rungs:
-                dev = abs(inv_mod - targets[w]) / targets[w]
-                if dev < cluster_tol:
-                    matches.append(w)
-                if dev < 2 * cluster_tol:
-                    near.append(w)
-            if len(near) > 1:
-                raise AmbiguousClusterError(
-                    f"ambiguous clustering: inverse-root modulus "
-                    f"{mpmath.nstr(inv_mod, 10)} sits near rungs {sorted(near)}"
-                )
-            if not matches:
-                raise SeparationError(
-                    f"Weil-type separation failed: possible non-smooth input "
-                    f"(inverse-root modulus {mpmath.nstr(inv_mod, 10)} is off "
-                    f"the ladder for weights {[w for w, _ in rungs]})"
-                )
-            assigned[matches[0]].append((root, mult))
+    if len(rungs) <= 1:
+        return {w: side for w, _ in rungs}
+    E = side[::-1]
     out = {}
-    for w, beta in rungs:
-        got = sum(m for _, m in assigned[w])
-        if got != beta:
+    for i, (w, beta) in enumerate(rungs):
+        Q = q.q**w
+        part = E
+        if i < len(rungs) - 1:
+            n = len(E) - 1
+            part = _int_poly_gcd(E, [E[n - k] * Q ** (n - k) for k in range(n + 1)])
+            E = _int_poly_divmod_monic(E, part)[0]
+        if len(part) - 1 != beta or not roots_on_circle(part, Q):
             raise SeparationError(
-                f"cluster count mismatch with betti at weight {w}: "
-                f"found {got} inverse roots, expected {beta}"
+                f"Weil-type separation failed: possible non-smooth input "
+                f"(the weight-{w} part has degree {len(part) - 1} against "
+                f"beta {beta}, or roots off |x| = q^{{{w}/2}})"
             )
-        poly, _ = _rebuild_integer_polynomial(assigned[w], residual_tol, precision)
-        out[w] = poly
+        out[w] = tuple(part[::-1])
     return out
 
 
-def weight_factorize(
-    Z: RationalFunction,
-    q: PrimePower,
-    d: int,
-    betti,
-    *,
-    precision: int = DEFAULT_PRECISION,
-    cluster_tol: float = 1e-6,
-    residual_tol: float = 1e-4,
-) -> WeightDecomposition:
-    """Separate Z into weight factors along the ladder q^{w/2}.
+def weight_factorize(Z: RationalFunction, q: PrimePower, d: int, betti) -> WeightDecomposition:
+    """Separate Z into weight factors along the ladder q^{w/2}, exactly.
 
     Odd weights live in the numerator, even weights in the denominator.
     The returned factors are integer polynomials whose exact alternating
-    product reproduces Z; anything short of that exact identity raises.
+    product reproduces Z; anything short of that exact identity raises,
+    and so does a side spread over several weights whose parts are not
+    on their circles with their Betti degrees (SeparationError).
     """
     betti = tuple(int(b) for b in betti)
     if len(betti) != 2 * d + 1:
@@ -385,8 +312,8 @@ def weight_factorize(
     den = _side_int(Z.den, "denominator")
     odd_rungs = [(w, b) for w, b in enumerate(betti) if w % 2 == 1 and b > 0]
     even_rungs = [(w, b) for w, b in enumerate(betti) if w % 2 == 0 and b > 0]
-    odd_factors = _factor_side(num, odd_rungs, q, precision, cluster_tol, residual_tol)
-    even_factors = _factor_side(den, even_rungs, q, precision, cluster_tol, residual_tol)
+    odd_factors = _factor_side(num, odd_rungs, q)
+    even_factors = _factor_side(den, even_rungs, q)
     factors = []
     for w in range(2 * d + 1):
         src = odd_factors if w % 2 == 1 else even_factors
@@ -395,7 +322,7 @@ def weight_factorize(
     rebuilt = dec.to_rational()
     if poly_trim(rebuilt.num) != poly_trim(Z.num) or poly_trim(rebuilt.den) != poly_trim(Z.den):
         raise SeparationError(
-            "Weil-type separation failed: the exact product of the rounded "
+            "Weil-type separation failed: the exact product of the "
             "factors does not reproduce the zeta function"
         )
     return dec

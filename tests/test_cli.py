@@ -53,6 +53,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config_file(path)
 
+    def test_cluster_tol_is_no_longer_a_key(self, capsys, tmp_path):
+        # the weight split is exact and has no tolerance left to set
+        path = tmp_path / "cfg"
+        path.write_text("cluster_tol = 1e-6\n")
+        with pytest.raises(ValueError, match="unknown config key 'cluster_tol'"):
+            load_config_file(path)
+        code, out, err = run(capsys, "count", "--spec", P1, "--p", "3", "--degrees", "1", "--config", str(path))
+        assert code == 1 and not out and "cluster_tol" in err
+
 
 class TestCount:
     def test_projective_line(self, capsys):
@@ -134,6 +143,36 @@ class TestCheckSubcommand:
             "--prime-cutoff", "100", "--n-cutoff", "4",
         )
         assert code == 0 and doc["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("weight", ["-1", "-2"])
+    def test_serre_negative_weight_exits_one(self, capsys, weight):
+        code, out, err = run(
+            capsys,
+            "check", "serre", "--model", ELLIPTIC, "--weight", weight,
+            "--prime-cutoff", "30", "--n-cutoff", "2",
+        )
+        assert code == 1 and not out
+        assert "non-negative" in err
+
+    def test_weil_on_product_splits_every_weight(self, capsys, tmp_path):
+        # P^1 x E over F_3: betti (1,2,2,2,1) inferred from the product, and
+        # both sides of Z split across more than one weight
+        spec = tmp_path / "prod.vty"
+        spec.write_text("product { projective 1; vars x, y } { elliptic a=[0,0,0,1,0] }\n")
+        argv = ["--spec", str(spec), "--p", "3", "--cache-dir", str(tmp_path)]
+        code, doc = run_json(capsys, "check", "weil", *argv)
+        assert code == 0 and doc["verdict"] == "PASS"
+        betti = {c["data"]["weight"]: c["data"]["beta"] for c in doc["checks"] if c["name"].startswith("weil.")}
+        assert betti == {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
+        code, doc = run_json(capsys, "nc", *argv)
+        assert code == 0
+        factors = {}
+        for block in doc["even"] + doc["odd"]:
+            # a weight-w block holds the eigenvalues divided by q^(w//2)
+            k, coeffs = block["weight"] // 2, [int(c) for c in block["poly"]]
+            beta = len(coeffs) - 1
+            factors[block["weight"]] = tuple(reversed([c * 3 ** (k * (beta - i)) for i, c in enumerate(coeffs)]))
+        assert factors == {0: (1, -1), 1: (1, 0, 3), 2: (1, -6, 9), 3: (1, 0, 27), 4: (1, -9)}
 
     def test_serre_report_ignores_precision(self, capsys):
         # the verdict is exact: --precision shows only in the config block

@@ -244,6 +244,12 @@ class TestBoundsCertificates:
         middle = serre_bounds_certificate(ell, 1, 200, 5)
         assert middle.ok and middle.C == 2
 
+    @pytest.mark.parametrize("w", [-1, -2])
+    def test_serre_rejects_negative_weight(self, ell, w):
+        # a negative index would pick another weight's factor
+        with pytest.raises(ValueError, match="non-negative"):
+            serre_bounds_certificate(ell, w, 30, 2)
+
 
 class TestContinuation:
     def test_riemann_oracles(self):

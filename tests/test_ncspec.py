@@ -91,6 +91,14 @@ class TestSpectrumChecks:
         _, spec = e5
         assert all(c.verdict == "PASS" for c in nc_weil_check(spec))
 
+    def test_weil_fail_names_the_worst_eigenvalue(self):
+        # x^2 - 7x + 5 over F_5: roots (7 +- 29^(1/2))/2, far off |x| = 5^(1/2)
+        bad = NcSpectrum(q=PrimePower(5), odd=(EigenvalueBlock(poly=(5, -7, 1)),))
+        odd = next(c for c in nc_weil_check(bad) if c.name == "nc_weil.odd")
+        assert odd.verdict == "FAIL"
+        assert odd.data["max_rel_deviation"] > 0.5
+        assert abs(odd.data["worst_eigenvalue"] - (7 + 29**0.5) / 2) < 1e-9
+
     def test_l_adic(self, e5):
         _, spec = e5
         assert all(c.verdict == "PASS" for c in nc_l_adic_check(spec))

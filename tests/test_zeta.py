@@ -1,11 +1,12 @@
 """Zeta series from counts, rational reconstruction, weight
 factorization, and the per-weight conjecture checkers."""
 
+import math
 import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetalab.arith import PrimePower
@@ -14,6 +15,7 @@ from zetalab.series import RationalFunction, poly_mul
 from zetalab.zeta import (
     HypothesisWarning,
     ReconstructionError,
+    SeparationError,
     WeightDecomposition,
     WeightFactor,
     hasse_weil_functional_check,
@@ -139,6 +141,107 @@ class TestWeightFactorization:
         dec = weight_factorize(Z, PrimePower(p), 1, (1, 2, 1))
         counts = lefschetz_counts(dec, 4)
         assert zeta_rational(counts, betti=(1, 2, 1)) == Z
+
+
+def _weil_piece(q, w):
+    """A factor with constant term 1 whose inverse roots all have modulus
+    q^{w/2}: 1 - a t + q^w t^2 with a^2 <= 4 q^w (non-ladder roots such
+    as +-i q^{w/2} included), 1 - q^w t^2, and for even w the ladder
+    factors 1 -+ q^{w/2} t."""
+    bound = math.isqrt(4 * q**w)
+    pieces = [
+        st.integers(-bound, bound).map(lambda a: (1, -a, q**w)),
+        st.just((1, 0, -(q**w))),
+    ]
+    if w % 2 == 0:
+        pieces.append(st.sampled_from([(1, -(q ** (w // 2))), (1, q ** (w // 2))]))
+    return st.one_of(pieces)
+
+
+@st.composite
+def _weil_sides(draw):
+    """(q, {w: factor}) with weights 1 and 3 in the numerator and two or
+    three of 0, 2, 4 in the denominator, some factors repeated."""
+    q = draw(st.sampled_from([PrimePower(2), PrimePower(3), PrimePower(2, 2), PrimePower(5), PrimePower(7)]))
+    weights = (1, 3) + draw(st.sampled_from([(0, 2), (0, 4), (2, 4), (0, 2, 4)]))
+    factors = {}
+    for w in weights:
+        pieces = draw(st.lists(_weil_piece(q.q, w), min_size=1, max_size=3))
+        pieces += pieces[: draw(st.integers(0, 1))]
+        f = (1,)
+        for piece in pieces:
+            f = poly_mul(f, piece)
+        factors[w] = f
+    return q, factors
+
+
+def _assemble(factors):
+    """Z with odd-weight factors above and even-weight ones below, and
+    the Betti numbers of weights 0..4."""
+    num = den = (1,)
+    for w, f in factors.items():
+        if w % 2:
+            num = poly_mul(num, f)
+        else:
+            den = poly_mul(den, f)
+    betti = [len(factors.get(w, (1,))) - 1 for w in range(5)]
+    return RationalFunction(num, den, reduce=False), betti
+
+
+class TestExactSeparation:
+    @given(_weil_sides())
+    @settings(max_examples=150)
+    def test_returns_the_factors_it_was_built_from(self, drawn):
+        q, factors = drawn
+        Z, betti = _assemble(factors)
+        dec = weight_factorize(Z, q, 2, betti)
+        assert [f.poly for f in dec.factors] == [factors.get(w, (1,)) for w in range(5)]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_projective_space_ladders(self, n, q):
+        den = (1,)
+        for k in range(n + 1):
+            den = poly_mul(den, (1, -(q**k)))
+        betti = tuple(1 - w % 2 for w in range(2 * n + 1))
+        dec = weight_factorize(RationalFunction((1,), den), PrimePower(q), n, betti)
+        assert [f.poly for f in dec.factors] == [
+            (1, -(q ** (w // 2))) if w % 2 == 0 else (1,) for w in range(2 * n + 1)
+        ]
+
+    @given(_weil_sides(), st.data())
+    @settings(max_examples=100)
+    def test_root_off_its_circle_raises(self, drawn, data):
+        q, factors = drawn
+        w = data.draw(st.sampled_from(sorted(factors)))
+        Q = q.q**w
+        bound = math.isqrt(4 * Q)
+        bad = data.draw(
+            st.one_of(
+                # a real pair x * x' = Q off the circle: the mirror gcd keeps
+                # it, only the circle certificate rejects it
+                st.integers(bound + 1, bound + 50).map(lambda a: (1, -a, Q)),
+                # modulus (Q + 1)^{1/2}: the mirror gcd leaves it behind
+                st.integers(-bound, bound).map(lambda a: (1, -a, Q + 1)),
+            )
+        )
+        factors[w] = poly_mul(factors[w], bad)
+        Z, betti = _assemble(factors)
+        with pytest.raises(SeparationError):
+            weight_factorize(Z, q, 2, betti)
+
+    @given(_weil_sides(), st.data())
+    @settings(max_examples=100)
+    def test_betti_off_by_one_raises(self, drawn, data):
+        q, factors = drawn
+        Z, betti = _assemble(factors)
+        src = data.draw(st.sampled_from(sorted(factors)))
+        dst = data.draw(st.sampled_from([w for w in factors if w != src and w % 2 == src % 2]))
+        assume(betti[src] >= 2)
+        betti[src] -= 1
+        betti[dst] += 1
+        with pytest.raises(SeparationError):
+            weight_factorize(Z, q, 2, betti)
 
 
 class TestWeilCheck:

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .arith import BigRational, PrimePower, make_extension_field, primes_up_to
 from .counting import PointCounts, VarietySpec, count_points, count_series, parse_variety
-from .series import PowerSeries, RationalFunction, RootCluster
+from .series import PowerSeries, RationalFunction
 from .zeta import WeightDecomposition, WeightFactor, zeta_from_counts, zeta_rational, weight_factorize
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .lfun import ArithmeticModel, DirichletSeries, dirichlet_expand, euler_product_value
@@ -28,7 +28,6 @@ __all__ = [
     "parse_variety",
     "PowerSeries",
     "RationalFunction",
-    "RootCluster",
     "WeightDecomposition",
     "WeightFactor",
     "zeta_from_counts",

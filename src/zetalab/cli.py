@@ -51,6 +51,7 @@ from .report import (
     exit_code,
 )
 from .zeta import (
+    SeparationError,
     hasse_weil_functional_check,
     l_adic_check,
     weight_factorize,
@@ -429,6 +430,7 @@ _USER_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
+    SeparationError,
     ValueError,
 )
 

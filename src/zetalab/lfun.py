@@ -205,8 +205,8 @@ def _fiber_counts(spec: VarietySpec, p: int, m: int):
     return list(count_series(spec, PrimePower(p), m).counts)
 
 
-# Local results (decomposition, spectrum) by (fiber fingerprint, p,
-# degrees, betti), least recently used first.  The bound holds several
+# Local results (decomposition, spectrum) by (fiber spec, p, degrees,
+# betti), least recently used first.  The bound holds several
 # global models of a few hundred primes each.
 LOCAL_CACHE_SIZE = 2048
 _LOCAL_CACHE: OrderedDict = OrderedDict()
@@ -219,7 +219,7 @@ def _local_entry(model: ArithmeticModel, p: int, degrees=None):
     fiber = _fiber_spec(model, p)
     if degrees is None:
         degrees = max(2, sum(model.betti))
-    key = (fiber.fingerprint(), p, degrees, model.betti)
+    key = (fiber, p, degrees, model.betti)
     hit = _LOCAL_CACHE.get(key)
     if hit is not None:
         _LOCAL_CACHE.move_to_end(key)

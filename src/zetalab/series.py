@@ -7,12 +7,12 @@ every root of an integer polynomial lies on the circle |z| = Q^{1/2}
 is decided exactly as well (roots_on_circle), by a palindrome test and
 a Sturm count, so floats never decide a Weil verdict or a weight
 separation; the same fraction-free remainder chain gives exact integer
-gcds.  Floating point enters only at root extraction (roots_with_moduli,
-polynomial_roots), which runs at a configurable decimal precision
+gcds.  Floating point enters only at root extraction (polynomial_roots,
+on mpmath.polyroots), which runs at a configurable decimal precision
 (default 50 digits) and serves failure witnesses, approximate roots in
 reports and numeric orders.  There a root multiset takes its
-multiplicities from exact gcd computations, never from numerical
-multiplicity guessing.
+multiplicities from the exact square-free decomposition, never from
+numerical multiplicity guessing.
 
 Polynomials are coefficient tuples, low degree first.
 """
@@ -20,16 +20,13 @@ Polynomials are coefficient tuples, low degree first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 __all__ = [
     "PowerSeries",
     "RationalFunction",
-    "RootCluster",
     "PadeError",
     "RootFindingError",
     "exp_series",
@@ -38,7 +35,6 @@ __all__ = [
     "pade_reconstruct",
     "polynomial_roots",
     "roots_on_circle",
-    "roots_with_moduli",
     "power_sums_inverse_roots",
     "squarefree_decomposition",
 ]
@@ -171,8 +167,7 @@ def squarefree_decomposition(P):
 
     Returns [(part, mult)] with parts pairwise coprime and squarefree,
     omitting trivial (constant) parts.  The constant content is dropped:
-    callers here always feed polynomials with constant term 1 and rebuild
-    from roots, so only the root structure matters.
+    callers here need only the root structure.
     """
     P = poly_trim(P)
     if poly_deg(P) < 1:
@@ -711,18 +706,6 @@ def _sign_plus_sqrt(A, B, Q):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RootCluster:
-    """All complex roots of an integer polynomial with exact multiplicities."""
-
-    polynomial: tuple
-    roots: list  # (approximation mpc, multiplicity int, modulus mpf)
-    precision: int
-
-    def total_multiplicity(self):
-        return sum(m for _, m, _ in self.roots)
-
-
 def _mp_exact(c):
     """mpmath value from an int or Fraction without float round-off."""
     if isinstance(c, Fraction):
@@ -730,129 +713,34 @@ def _mp_exact(c):
     return mpmath.mpf(c)
 
 
-def _newton_polish(sf_coeffs, x0, precision):
-    """Refine a simple root of the square-free factor by Newton iteration."""
-    d = [mpmath.mpc(_mp_exact(c)) for c in sf_coeffs]
-    dp = [mpmath.mpc(_mp_exact(i * c)) for i, c in enumerate(sf_coeffs)][1:]
-    x = mpmath.mpc(x0)
-    target = mpmath.mpf(10) ** (-(precision + 5))
-    for _ in range(200):
-        fx = mpmath.polyval(list(reversed(d)), x)
-        fpx = mpmath.polyval(list(reversed(dp)), x)
-        if fpx == 0:
-            break
-        step = fx / fpx
-        x = x - step
-        if abs(step) <= target * max(1, abs(x)):
-            return x
-    return x
-
-
-def _cluster_with_retry(P, precision):
-    for attempt, prec in enumerate((precision, 2 * precision)):
-        try:
-            return _roots_attempt(P, prec, report_precision=precision)
-        except RootFindingError:
-            if attempt == 1:
-                raise
-    raise AssertionError("unreachable")
-
-
-def roots_with_moduli(P, precision: int = DEFAULT_PRECISION) -> RootCluster:
-    """All complex roots of P (integer coefficients, P(0) = 1), with moduli.
-
-    Multiplicities are exact (Yun decomposition over Q); approximations
-    start from companion-matrix eigenvalues (numpy) and are polished by
-    Newton iteration on the square-free part at the working precision.
-    Non-real roots are paired with their conjugates by construction.
-    Raises RootFindingError if the residual check fails after escalation.
-    """
-    P = poly_trim(P)
-    if poly_deg(P) < 1:
-        raise ValueError("degree must be >= 1")
-    if P[0] != 1:
-        raise ValueError("normalized polynomial with P(0) = 1 expected")
-    return _cluster_with_retry(P, precision)
-
-
 def polynomial_roots(P, precision: int = DEFAULT_PRECISION):
-    """Roots of an arbitrary rational-coefficient polynomial.
+    """Roots of a rational-coefficient polynomial, [(approximation, multiplicity)].
 
-    Same machinery as roots_with_moduli without the P(0) = 1
-    normalization requirement.  Returns [(approximation, multiplicity)];
-    roots at 0 are split off exactly before the numeric stage.
+    Roots at 0 are split off exactly and multiplicities come from the
+    exact square-free decomposition (Yun), so no multiplicity is guessed
+    numerically.  Each square-free part goes to mpmath.polyroots at
+    precision + 15 digits; its roots come back real ones first, then each
+    conjugate pair with its upper root first.  Raises RootFindingError
+    when the iteration does not converge.
     """
     P = poly_trim(tuple(Fraction(c) for c in P))
     if poly_deg(P) < 1:
         raise ValueError("degree must be >= 1")
     zeros = 0
-    while P and P[0] == 0:
+    while P[0] == 0:
         P = P[1:]
         zeros += 1
-    out = []
-    if zeros:
-        out.append((mpmath.mpc(0), zeros))
-    if poly_deg(P) >= 1:
-        cluster = _cluster_with_retry(P, precision)
-        out.extend((x, m) for x, m, _ in cluster.roots)
-    return out
-
-
-def _roots_attempt(P, prec, report_precision):
-    degree = poly_deg(P)
-    maxc = max(abs(Fraction(c)) for c in P)
-    residual_bound = mpmath.mpf(10) ** (-(report_precision) + degree) * max(1, float(maxc))
-    roots = []
-    with mpmath.workdps(prec + 15):
+    out = [(mpmath.mpc(0), zeros)] if zeros else []
+    with mpmath.workdps(precision + 15):
         for part, mult in squarefree_decomposition(P):
-            part = poly_trim(part)
-            d = poly_deg(part)
-            if d == 1:
-                exact = -Fraction(part[0]) / Fraction(part[1])
-                roots.append((mpmath.mpc(_mp_exact(exact)), mult))
-                continue
-            seeds = np.roots([float(c) for c in reversed(part)])
-            polished = []
-            for seed in seeds:
-                x = _newton_polish(part, complex(seed), prec)
-                polished.append(x)
-            # conjugate symmetry: snap near-real roots, average conjugate pairs
-            snap = mpmath.mpf(10) ** (-(prec // 2))
-            cleaned = []
-            used = [False] * len(polished)
-            for i, x in enumerate(polished):
-                if used[i]:
-                    continue
-                if abs(mpmath.im(x)) < snap * max(1, abs(x)):
-                    cleaned.append(mpmath.mpc(mpmath.re(x)))
-                    used[i] = True
-                    continue
-                best, bestd = None, None
-                for j in range(i + 1, len(polished)):
-                    if used[j]:
-                        continue
-                    dist = abs(mpmath.conj(polished[j]) - x)
-                    if bestd is None or dist < bestd:
-                        best, bestd = j, dist
-                if best is not None and bestd < mpmath.mpf("1e-3") * max(1, abs(x)):
-                    used[i] = used[best] = True
-                    z = (x + mpmath.conj(polished[best])) / 2
-                    cleaned.append(z)
-                    cleaned.append(mpmath.conj(z))
-                else:
-                    used[i] = True
-                    cleaned.append(x)
-            for x in cleaned:
-                roots.append((x, mult))
-        # residual verification on the full polynomial
-        Pm = [_mp_exact(c) for c in reversed(P)]
-        for x, _ in roots:
-            if abs(mpmath.polyval(Pm, x)) > residual_bound:
-                raise RootFindingError(
-                    f"residual {mpmath.nstr(abs(mpmath.polyval(Pm, x)), 5)} above bound at precision {prec}"
-                )
-        out = [(x, m, abs(x)) for x, m in roots]
-    cluster = RootCluster(polynomial=P, roots=out, precision=report_precision)
-    if cluster.total_multiplicity() != degree:
-        raise RootFindingError("root multiplicities do not sum to the degree")
-    return cluster
+            coeffs = [_mp_exact(c) for c in reversed(part)]
+            try:
+                roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * precision)
+            except mpmath.mp.NoConvergence as exc:
+                raise RootFindingError(f"{exc} (precision {precision})") from exc
+            roots = sorted(
+                map(mpmath.mpc, roots),
+                key=lambda x: (abs(x.imag), x.real, -x.imag),
+            )
+            out.extend((x, mult) for x in roots)
+    return out

@@ -41,10 +41,10 @@ from .series import (
     poly_eval,
     poly_mul,
     poly_trim,
+    polynomial_roots,
     power_sums_inverse_roots,
     root_multiplicity,
     roots_on_circle,
-    roots_with_moduli,
 )
 
 __all__ = [
@@ -370,10 +370,10 @@ def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
 
 def _max_modulus_deviation(f: WeightFactor, q: PrimePower, precision):
     """max |(|inverse root| / q^{w/2}) - 1| over the factor, numerically."""
-    cluster = roots_with_moduli(f.poly, precision)
+    roots = polynomial_roots(f.poly, precision)
     with mpmath.workdps(precision + 10):
         target = mpmath.power(q.q, mpmath.mpf(f.w) / 2)
-        return float(max(abs((1 / mod) / target - 1) for _, _, mod in cluster.roots))
+        return float(max(abs(1 / abs(x) / target - 1) for x, _ in roots))
 
 
 def _strip_prime(n, p):
@@ -530,11 +530,11 @@ def _rational_point(q: PrimePower, z):
 def _numeric_multiplicity(poly, x0, precision, match_tol):
     if poly_deg(poly) < 1:
         return 0, False
-    cluster = roots_with_moduli(poly, precision)
+    roots = polynomial_roots(poly, precision)
     mult = 0
     marginal = False
     with mpmath.workdps(precision + 10):
-        for root, m, _ in cluster.roots:
+        for root, m in roots:
             dist = abs(root - x0) / max(1, abs(x0))
             if dist < match_tol:
                 mult += m

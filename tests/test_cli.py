@@ -154,6 +154,14 @@ class TestCheckSubcommand:
         assert code == 1 and not out
         assert "non-negative" in err
 
+    def test_wrong_betti_exits_one(self, capsys):
+        # (2,0,2) does not fit the elliptic curve: a user error, not a crash
+        code, out, err = run(
+            capsys, "check", "weil", "--spec", E5, "--p", "5", "--betti", "2,0,2"
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "internal error" not in err
+
     def test_weil_on_product_splits_every_weight(self, capsys, tmp_path):
         # P^1 x E over F_3: betti (1,2,2,2,1) inferred from the product, and
         # both sides of Z split across more than one weight

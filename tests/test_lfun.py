@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from zetalab import lfun
 from zetalab.arith import PrimePower
-from zetalab.counting import count_points, parse_variety
+from zetalab.counting import VarietySpec, count_points, parse_variety
 from zetalab.lfun import (
     ArithmeticModel,
     BadPrimeError,
@@ -127,6 +127,25 @@ class TestLocalSpectra:
         spec = local_spectrum(ell, 5)
         spec.provenance["weil"] = "EDITED"
         assert local_spectrum(ell, 5).provenance["weil"] == "PASS"
+
+    def test_equal_models_share_one_entry(self, monkeypatch):
+        # the key is the value-equal fiber spec, so a separately parsed
+        # copy of a model hits the first one's entry without recounting
+        # or hashing the fiber's text
+        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        first, second = (load_model(fixture_path("elliptic.json")) for _ in range(2))
+        assert first.family == second.family and first.family is not second.family
+        counted = []
+        fiber_counts = lfun._fiber_counts
+        monkeypatch.setattr(
+            lfun, "_fiber_counts", lambda *a: counted.append(a) or fiber_counts(*a)
+        )
+        spectrum = local_spectrum(first, 7)
+        monkeypatch.setattr(
+            VarietySpec, "fingerprint", lambda self: pytest.fail("fingerprint on a hit")
+        )
+        assert local_spectrum(second, 7) == spectrum
+        assert len(counted) == 1 and len(lfun._LOCAL_CACHE) == 1
 
     def test_recomputed_after_eviction_equals_original(self, ell, monkeypatch):
         monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())

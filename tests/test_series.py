@@ -13,6 +13,7 @@ from zetalab.series import (
     PadeError,
     PowerSeries,
     RationalFunction,
+    RootFindingError,
     det_identity_minus_t,
     exp_series,
     log_det_series,
@@ -28,7 +29,6 @@ from zetalab.series import (
     polynomial_roots,
     power_sums_inverse_roots,
     roots_on_circle,
-    roots_with_moduli,
     squarefree_decomposition,
 )
 
@@ -271,30 +271,30 @@ class TestBareissRref:
 
 class TestRootClustering:
     def test_weight_one_moduli(self):
-        rc = roots_with_moduli((1, -2, 5), precision=50)
-        assert rc.total_multiplicity() == 2
+        roots = polynomial_roots((1, -2, 5), precision=50)
+        assert sum(m for _, m in roots) == 2
         with mpmath.workdps(60):
             target = 1 / mpmath.sqrt(5)
-            for _, _, modulus in rc.roots:
-                assert abs(modulus - target) < mpmath.mpf(10) ** -45
+            for x, _ in roots:
+                assert abs(abs(x) - target) < mpmath.mpf(10) ** -45
 
     def test_conjugate_pair_symmetry(self):
-        rc = roots_with_moduli((1, -2, 5), precision=50)
-        lo, hi = sorted((r[0] for r in rc.roots), key=mpmath.im)
+        roots = polynomial_roots((1, -2, 5), precision=50)
+        lo, hi = sorted((x for x, _ in roots), key=mpmath.im)
         assert mpmath.im(lo) + mpmath.im(hi) == 0
         assert mpmath.re(lo) == mpmath.re(hi)
 
     def test_triple_root(self):
-        rc = roots_with_moduli((1, -3, 3, -1), precision=50)
-        assert len(rc.roots) == 1 and rc.roots[0][1] == 3
-        assert abs(rc.roots[0][0] - 1) < mpmath.mpf(10) ** -40
+        roots = polynomial_roots((1, -3, 3, -1), precision=50)
+        assert len(roots) == 1 and roots[0][1] == 3
+        assert abs(roots[0][0] - 1) < mpmath.mpf(10) ** -40
 
     def test_reconstruction(self):
-        rc = roots_with_moduli((1, -2, 5), precision=50)
+        roots = polynomial_roots((1, -2, 5), precision=50)
         with mpmath.workdps(60):
             # prod (1 - t/root)^mult, multiplied out
             rebuilt = [mpmath.mpc(1)]
-            for x, m, _ in rc.roots:
+            for x, m in roots:
                 for _ in range(m):
                     rebuilt = [
                         a - b / x for a, b in zip(rebuilt + [0], [0] + rebuilt)
@@ -306,6 +306,119 @@ class TestRootClustering:
         poly = poly_mul(poly_mul((1, -1), (1, -1)), poly_mul((1, -1), (1, -2)))
         degrees = {m: poly_deg(p) for p, m in squarefree_decomposition(poly)}
         assert degrees == {1: 1, 3: 1}
+
+
+# Phi_n for n <= 12, low degree first
+CYCLOTOMIC = {
+    1: (-1, 1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    8: (1, 0, 0, 0, 1),
+    9: (1, 0, 0, 1, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    11: (1,) * 11,
+    12: (1, 0, -1, 0, 1),
+}
+
+
+@st.composite
+def known_factor(draw):
+    """(coefficients, its roots as 80-digit mpc, how many are real):
+    b x - a, x^2 - a x + q with a^2 - 4q of either sign, or Phi_n."""
+    kind = draw(st.sampled_from(["linear", "quadratic", "cyclotomic"]))
+    with mpmath.workdps(80):
+        if kind == "linear":
+            a = draw(st.integers(min_value=-6, max_value=6))
+            b = draw(st.integers(min_value=1, max_value=4))
+            return (-a, b), [mpmath.mpc(a) / b], 1
+        if kind == "quadratic":
+            a = draw(st.integers(min_value=-6, max_value=6))
+            q = draw(st.integers(min_value=-5, max_value=9))
+            disc = mpmath.sqrt(mpmath.mpc(a * a - 4 * q))
+            return (q, -a, 1), [(a + disc) / 2, (a - disc) / 2], 2 * (a * a >= 4 * q)
+        n = draw(st.integers(min_value=1, max_value=12))
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n) if math.gcd(k, n) == 1]
+        return CYCLOTOMIC[n], roots, int(n <= 2)
+
+
+@st.composite
+def known_products(draw):
+    """(P, [(root, multiplicity)], real root count): a product of one to
+    three known factors, each to the power 1..3, times an optional x^k."""
+    P, expected, real = (1,), [], 0
+    for coeffs, roots, nreal in draw(st.lists(known_factor(), min_size=1, max_size=3)):
+        mult = draw(st.integers(min_value=1, max_value=3))
+        for _ in range(mult):
+            P = poly_mul(P, coeffs)
+        expected += [(r, mult) for r in roots]
+        real += nreal * mult
+    k = draw(st.integers(min_value=0, max_value=2))
+    if k:
+        P = (0,) * k + P
+        expected.append((mpmath.mpc(0), k))
+        real += k
+    return P, expected, real
+
+
+def assert_part_order(block):
+    """Real roots first and ascending, then conjugate pairs, upper root first."""
+    reals = [x for x in block if x.imag == 0]
+    assert block[: len(reals)] == reals
+    assert reals == sorted(reals, key=lambda x: x.real)
+    pairs = block[len(reals):]
+    assert len(pairs) % 2 == 0
+    with mpmath.workdps(80):  # conj rounds to the working precision
+        for upper, lower in zip(pairs[::2], pairs[1::2]):
+            assert upper.imag > 0 and lower == mpmath.conj(upper)
+
+
+class TestPolynomialRoots:
+    @given(known_products())
+    @settings(max_examples=150)
+    def test_known_factorizations(self, case):
+        P, expected, real = case
+        for precision in (16, 50):
+            roots = polynomial_roots(P, precision)
+            assert sum(m for _, m in roots) == len(P) - 1
+            tol = mpmath.mpf(10) ** -(precision - 5)
+            with mpmath.workdps(80):
+                for x, m in roots:
+                    # every root sits on a constructed root, with its multiplicity
+                    assert sum(e for r, e in expected if abs(x - r) < tol) == m
+                # the multiset is exactly closed under conjugation
+                assert sorted((x.real, x.imag, m) for x, m in roots) == sorted(
+                    (x.real, -x.imag, m) for x, m in roots
+                )
+            assert sum(m for x, m in roots if x.imag == 0) == real
+            if P[0] == 0:
+                x, _ = roots.pop(0)
+                assert x == 0
+            # one square-free part per multiplicity, each in one run
+            runs = [m for i, (_, m) in enumerate(roots) if i == 0 or roots[i - 1][1] != m]
+            assert len(runs) == len(set(runs))
+            for mult in runs:
+                assert_part_order([x for x, m in roots if m == mult])
+
+    @pytest.mark.parametrize("precision", [16, 50])
+    def test_close_real_roots(self, precision):
+        # square-free, with two real roots 1e-5 apart: mpmath's default
+        # extra precision does not converge on it at 16 digits
+        P = (9, -54, 57, 18, 214, -6, -39, -202, -87, 33, 73, 57, -9, -15, -9)
+        roots = polynomial_roots(P, precision)
+        assert len(roots) == 14 and all(m == 1 for _, m in roots)
+        assert_part_order([x for x, _ in roots])
+
+    def test_no_convergence_is_a_root_finding_error(self, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise mpmath.mp.NoConvergence("no convergence")
+
+        monkeypatch.setattr(mpmath, "polyroots", stuck)
+        with pytest.raises(RootFindingError):
+            polynomial_roots((1, 0, 1), 16)
 
 
 class TestLinearAlgebra:

@@ -6,8 +6,9 @@ least irreducible monic polynomial of the right degree (constant
 coefficient varying fastest), so field construction is deterministic
 across runs and machines and cached point counts stay reproducible.
 No Zech-log tables: the fields used for counting are too large for table
-precomputation to pay off, and plain modular polynomial arithmetic keeps
-the enumeration loops predictable.
+precomputation to pay off, and plain modular polynomial arithmetic
+(poly.mulmod) keeps the enumeration loops predictable.  Polynomials over
+F_p themselves live in zetalab.poly; this module keeps primes and fields.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .poly import fp_gcd, mulmod, powmod, sub
 
 # Exact rational numbers.  fractions.Fraction already maintains the two
 # invariants we need (lowest terms, positive denominator), so it *is* our
@@ -31,12 +34,6 @@ __all__ = [
     "is_prime",
     "primes_up_to",
     "make_extension_field",
-    "fp_poly_mulmod",
-    "fp_poly_gcd",
-    "fp_poly_powmod",
-    "fp_poly_powmod_x",
-    "fp_squarefree_part",
-    "fp_factor_degree_pattern",
 ]
 
 DEFAULT_DEGREE_CAP = 24
@@ -107,88 +104,6 @@ class PrimePower:
         return f"PrimePower(p={self.p}, r={self.r})"
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p.  Coefficient tuples, low degree first.
-# These helpers also serve the distinct-degree factor pattern used by the
-# L-function layer, so they live here rather than inside FiniteField.
-# ---------------------------------------------------------------------------
-
-
-def _fp_trim(a):
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return tuple(a[: d + 1])
-
-
-def fp_poly_mulmod(a, b, mod, p):
-    """(a*b) mod (mod) over F_p; mod monic, low-first coefficient tuples."""
-    deg = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(len(res) - 1, deg - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(deg):
-                res[i - deg + j] = (res[i - deg + j] - c * mod[j]) % p
-    res = res[:deg]
-    while len(res) < deg:
-        res.append(0)
-    return tuple(res)
-
-
-def fp_poly_divmod(a, b, p):
-    """Quotient and remainder of a by b over F_p (b nonzero)."""
-    a = list(a)
-    b = _fp_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = c * inv % p
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _fp_trim(q), _fp_trim(a)
-
-
-def fp_poly_gcd(a, b, p):
-    """Monic gcd over F_p."""
-    a, b = _fp_trim(a), _fp_trim(b)
-    while b:
-        a, b = b, fp_poly_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
-def fp_poly_powmod(base, e, mod, p):
-    """base^e mod (mod) over F_p by square and multiply."""
-    result = (1,) + (0,) * (len(mod) - 2)
-    while e:
-        if e & 1:
-            result = fp_poly_mulmod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = fp_poly_mulmod(base, base, mod, p)
-    return result
-
-
-def fp_poly_powmod_x(e, mod, p):
-    """x^e mod (mod) over F_p."""
-    return fp_poly_powmod((0, 1), e, mod, p)
-
-
 def _fp_is_irreducible(mod, p):
     # Monic f of degree d is irreducible over F_p iff x^(p^d) = x (mod f)
     # and gcd(x^(p^(d/t)) - x, f) = 1 for every prime t dividing d.
@@ -199,7 +114,7 @@ def _fp_is_irreducible(mod, p):
         return False
 
     x_poly = (0, 1) + (0,) * (d - 2)
-    if fp_poly_powmod_x(p**d, mod, p) != x_poly:
+    if powmod((0, 1), p**d, mod, p) != x_poly:
         return False
     t = d
     prime_divs = set()
@@ -213,9 +128,8 @@ def _fp_is_irreducible(mod, p):
     if t > 1:
         prime_divs.add(t)
     for t in prime_divs:
-        g = fp_poly_powmod_x(p ** (d // t), mod, p)
-        diff = tuple((gi - (1 if i == 1 else 0)) % p for i, gi in enumerate(g))
-        if len(fp_poly_gcd(diff, mod, p)) - 1 > 0:
+        g = powmod((0, 1), p ** (d // t), mod, p)
+        if len(fp_gcd(sub(g, (0, 1), p), mod, p)) > 1:
             return False
     return True
 
@@ -237,67 +151,6 @@ def _lex_least_irreducible(p, d):
         if _fp_is_irreducible(mod, p):
             return mod
     raise AssertionError(f"no irreducible of degree {d} over F_{p}")  # unreachable
-
-
-def fp_squarefree_part(f, p):
-    """Squarefree part of f over F_p (product of distinct irreducible factors).
-
-    Handles the char-p pitfall f' = 0 (f a polynomial in x^p) by taking
-    p-th roots, which over F_p is the coefficient-index division x^p -> x.
-    """
-    f = _fp_trim(f)
-    if len(f) <= 1:
-        return f
-    deriv = _fp_trim(tuple(c * i % p for i, c in enumerate(f))[1:])
-    if not deriv:
-        # f = g(x^p) = (p-th power of the root-coefficient polynomial)
-        root = tuple(f[i] for i in range(0, len(f), p))
-        return fp_squarefree_part(root, p)
-    g = fp_poly_gcd(f, deriv, p)
-    sf = fp_poly_divmod(f, g, p)[0]
-    # the quotient may still share factors with g when multiplicities are >= p
-    extra = fp_squarefree_part(g, p)
-    h = fp_poly_gcd(sf, extra, p)
-    rest = fp_poly_divmod(extra, h, p)[0]
-    out = tuple(sf)
-    if len(rest) > 1:
-        prod = [0] * (len(out) + len(rest) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(rest):
-                prod[i + j] = (prod[i + j] + a * b) % p
-        out = _fp_trim(prod)
-    inv = pow(out[-1], p - 2, p)
-    return tuple(c * inv % p for c in out)
-
-
-def fp_factor_degree_pattern(f, p):
-    """Degrees of the distinct irreducible factors of f over F_p.
-
-    Returns {degree: count} for the squarefree part of f, by
-    distinct-degree factorization: gcd(x^(p^k) - x, f) collects exactly
-    the irreducible factors of degree dividing k.  x^(p^k) mod f comes
-    from the previous one by one more Frobenius step h -> h^p, taken
-    mod whatever part of f is left.  Root counts over extensions follow:
-    f has sum(k * count[k] for k | n) roots in F_{p^n}.
-    """
-    f = fp_squarefree_part(f, p)
-    pattern: dict[int, int] = {}
-    h = (0, 1)
-    k = 0
-    while len(f) - 1 > 0:
-        k += 1
-        if 2 * k > len(f) - 1:
-            # what is left is a single irreducible factor
-            pattern[len(f) - 1] = pattern.get(len(f) - 1, 0) + 1
-            break
-        h = fp_poly_powmod(h, p, f, p)
-        diff = tuple((c - (1 if i == 1 else 0)) % p for i, c in enumerate(h))
-        g = fp_poly_gcd(diff, f, p)
-        dg = len(g) - 1
-        if dg > 0:
-            pattern[k] = dg // k
-            f = fp_poly_divmod(f, g, p)[0]
-    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +207,10 @@ class FiniteField:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return fp_poly_mulmod(a, b, self.modulus, self.p)
+        return mulmod(a, b, self.modulus, self.p)
 
     def square(self, a):
-        return fp_poly_mulmod(a, a, self.modulus, self.p)
+        return mulmod(a, a, self.modulus, self.p)
 
     def pow(self, a, e: int):
         if e < 0:

@@ -37,9 +37,9 @@ from .arith import (
     DEFAULT_DEGREE_CAP,
     FiniteField,
     PrimePower,
-    fp_factor_degree_pattern,
     make_extension_field,
 )
+from .poly import fp_degree_pattern
 
 __all__ = [
     "BudgetError",
@@ -612,7 +612,7 @@ def _point_counter(spec: VarietySpec, q: PrimePower, budget, degree_cap):
         # distinct roots in F_{q^n}: the irreducible factors mod p whose
         # degree divides r*n contribute their degree each
         p = q.p
-        pattern = fp_factor_degree_pattern(tuple(c % p for c in spec.zero_poly), p)
+        pattern = fp_degree_pattern(spec.zero_poly, p)
         return lambda n: sum(d * cnt for d, cnt in pattern.items() if (q.r * n) % d == 0)
     return lambda n: _count_over_extension(spec, q, n, budget, degree_cap)
 

@@ -24,11 +24,12 @@ from functools import lru_cache
 
 import mpmath
 
+from . import poly
 from .arith import PrimePower, primes_up_to
 from .counting import VarietySpec, count_series, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
-from .series import poly_eval, power_sums_inverse_roots
+from .series import power_sums_inverse_roots
 from .zeta import weight_factorize, weil_check, zeta_rational
 
 __all__ = [
@@ -207,7 +208,9 @@ def _fiber_counts(spec: VarietySpec, p: int, m: int):
 
 # Local results (decomposition, spectrum) by (fiber spec, p, degrees,
 # betti), least recently used first.  The bound holds several
-# global models of a few hundred primes each.
+# global models of a few hundred primes each.  A replacement fiber's
+# result does not depend on the model's Betti numbers, and keys with
+# betti None keep it apart from a model whose family is that fiber.
 LOCAL_CACHE_SIZE = 2048
 _LOCAL_CACHE: OrderedDict = OrderedDict()
 
@@ -215,11 +218,11 @@ _LOCAL_CACHE: OrderedDict = OrderedDict()
 def _local_entry(model: ArithmeticModel, p: int, degrees=None):
     """(weight decomposition, spectrum) of the fiber at p, cached per
     (fiber, p, degrees, betti): the Betti numbers fix the reconstruction
-    degrees and the weight separation."""
+    degrees and the weight separation of the model's own fibers."""
     fiber = _fiber_spec(model, p)
     if degrees is None:
         degrees = max(2, sum(model.betti))
-    key = (fiber, p, degrees, model.betti)
+    key = (fiber, p, degrees, model.betti if fiber is model.family else None)
     hit = _LOCAL_CACHE.get(key)
     if hit is not None:
         _LOCAL_CACHE.move_to_end(key)
@@ -352,7 +355,7 @@ def euler_product_value(
                 continue
             den = nc_zeta(spec, parity).den
             x = mpmath.power(p, -s_mp)
-            total = total / poly_eval(den, x)
+            total = total / poly.evaluate(den, x)
             used += 1
         z_eff = s.real if parity == "even" else s.real - 0.5
         log_tail = _tail_bound(constant, prime_cutoff, z_eff)
@@ -622,17 +625,17 @@ def serre_bounds_certificate(
     factors = {}
     for p in primes_up_to(prime_cutoff):
         try:
-            poly = _weight_factor_at(model, p, w)
+            factor = _weight_factor_at(model, p, w)
         except BadPrimeError:
             excluded.append(p)
             continue
         covered += 1
-        beta = len(poly) - 1
+        beta = len(factor) - 1
         per_prime[p] = beta
-        factors[p] = poly
+        factors[p] = factor
         if beta == 0:
             continue
-        traces = power_sums_inverse_roots(poly, n_cutoff)
+        traces = power_sums_inverse_roots(factor, n_cutoff)
         for n, t in enumerate(traces, start=1):
             if t * t > Fraction(beta * beta) * Fraction(p) ** (w * n):
                 violations.append({"p": p, "n": n, "trace": str(t), "chi": beta})
@@ -643,10 +646,10 @@ def serre_bounds_certificate(
     with mpmath.workdps(dps):
         s_mp = mpmath.mpc(sample_s)
         total = mpmath.mpf(1)
-        for p, poly in factors.items():
-            if len(poly) <= 1:
+        for p, factor in factors.items():
+            if len(factor) <= 1:
                 continue
-            total = total / poly_eval(poly, mpmath.power(p, -s_mp))
+            total = total / poly.evaluate(factor, mpmath.power(p, -s_mp))
         z_eff = sample_s.real - w / 2
         log_tail = _tail_bound(C, prime_cutoff, z_eff) if C else 0.0
         tail = float(abs(total) * mpmath.expm1(log_tail)) if C else 0.0
@@ -840,77 +843,34 @@ def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
     rows = []
     for parity in ("even", "odd"):
         fn = closed_form_l_function(model, parity)
-        key = (j, parity)
-        rank_name, sign = _DASHBOARD_EQUALITIES.get(key, (None, None))
+        rank_name, sign = _DASHBOARD_EQUALITIES.get((j, parity), (None, None))
+        base = {
+            "j": j,
+            "parity": parity,
+            "ord_computed": None,
+            "rank_name": rank_name,
+            "rank_supplied": ranks.get(rank_name) if rank_name else None,
+        }
         if fn is None:
             rows.append(
-                {
-                    "j": j,
-                    "parity": parity,
-                    "ord_computed": None,
-                    "rank_name": rank_name,
-                    "rank_supplied": ranks.get(rank_name) if rank_name else None,
-                    "verdict": UNSUPPORTED,
-                    "note": "no closed-form continuation for this model",
-                }
+                dict(base, verdict=UNSUPPORTED, note="no closed-form continuation for this model")
             )
             continue
         order, residual = winding_order(fn, j)
+        base["residual"] = residual
         if order is None:
-            rows.append(
-                {
-                    "j": j,
-                    "parity": parity,
-                    "ord_computed": None,
-                    "rank_name": rank_name,
-                    "rank_supplied": ranks.get(rank_name) if rank_name else None,
-                    "verdict": INDETERMINATE,
-                    "residual": residual,
-                    "note": "winding count failed to snap to an integer",
-                }
-            )
-            continue
-        if rank_name is None:
-            rows.append(
-                {
-                    "j": j,
-                    "parity": parity,
-                    "ord_computed": order,
-                    "rank_name": None,
-                    "rank_supplied": None,
-                    "verdict": INFO,
-                    "residual": residual,
-                    "note": "no stated equality at this point",
-                }
-            )
-            continue
-        if rank_name not in ranks:
-            rows.append(
-                {
-                    "j": j,
-                    "parity": parity,
-                    "ord_computed": order,
-                    "rank_name": rank_name,
-                    "rank_supplied": None,
-                    "verdict": UNSUPPORTED,
-                    "residual": residual,
-                    "note": f"rank fixture {rank_name} not supplied",
-                }
-            )
-            continue
-        expected = sign * ranks[rank_name]
-        rows.append(
-            {
-                "j": j,
-                "parity": parity,
-                "ord_computed": order,
-                "rank_name": rank_name,
-                "rank_supplied": ranks[rank_name],
-                "verdict": PASS if order == expected else FAIL,
-                "residual": residual,
-                "note": f"conjectural value {expected} (sign {sign})",
-            }
-        )
+            verdict, note = INDETERMINATE, "winding count failed to snap to an integer"
+        else:
+            base["ord_computed"] = order
+            if rank_name is None:
+                verdict, note = INFO, "no stated equality at this point"
+            elif rank_name not in ranks:
+                verdict, note = UNSUPPORTED, f"rank fixture {rank_name} not supplied"
+            else:
+                expected = sign * ranks[rank_name]
+                verdict = PASS if order == expected else FAIL
+                note = f"conjectural value {expected} (sign {sign})"
+        rows.append(dict(base, verdict=verdict, note=note))
     rows.append(
         {
             "j": j,

@@ -6,38 +6,34 @@ and an odd one whose eigenvalues should have modulus q^{1/2}.  Starting
 from a weight decomposition the eigenvalues are the inverse roots of
 the weight factors rescaled by exact integer powers of q, so everything
 here stays at the level of integer polynomials: a spectrum is a
-multiset of polynomial blocks, and all structural verdicts
+multiset of primitive polynomial blocks, and all structural verdicts
 (multiplicities, determinants, functional-equation symmetry, closure
-under reciprocity, root moduli) are exact.  Floats appear only in
+under reciprocity, root moduli) are exact, on zetalab.poly's integer
+arithmetic (an eigenvalue's multiplicity is the exact power of its
+primitive linear factor).  Floats appear only in
 pointwise sampling, approximate roots for reports, and the witness of a
 failed modulus check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 
+from . import poly
 from .arith import PrimePower
 from .report import FAIL, PASS, Check
 from .series import (
     DEFAULT_PRECISION,
     RationalFunction,
-    _mp_exact,
     det_identity_minus_t,
     mat_mul,
     mat_nullspace,
     mat_rank,
     mat_rref,
-    poly_deg,
-    poly_eval,
-    poly_mul,
-    poly_trim,
     polynomial_roots,
-    root_multiplicity,
     roots_on_circle,
 )
 from .zeta import WeightDecomposition, ord_at
@@ -66,25 +62,6 @@ __all__ = [
 DEFAULT_NC_SAMPLE_POINTS = (0.8, 1.3 + 0.2j, -0.6)
 
 
-def _primitive_int_poly(coeffs):
-    """Clear denominators, divide by the content, make the leading
-    coefficient positive.  Roots are unchanged."""
-    coeffs = poly_trim(tuple(Fraction(c) for c in coeffs))
-    if not coeffs:
-        raise ValueError("zero polynomial")
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
 @dataclass(frozen=True)
 class EigenvalueBlock:
     """A conjugacy block of eigenvalues: the roots of one primitive
@@ -102,18 +79,18 @@ class EigenvalueBlock:
     def __post_init__(self):
         if self.mult < 1:
             raise ValueError("multiplicity must be >= 1")
-        if poly_deg(self.poly) < 1:
+        if poly.deg(self.poly) < 1:
             raise ValueError("a block needs at least one eigenvalue")
         if any(not isinstance(c, int) for c in self.poly):
             raise ValueError("block polynomials are exact integer polynomials")
 
     @classmethod
     def from_coeffs(cls, coeffs, mult=1, weight=None):
-        return cls(poly=_primitive_int_poly(coeffs), mult=mult, weight=weight)
+        return cls(poly=poly.primitive(coeffs), mult=mult, weight=weight)
 
     @property
     def degree(self):
-        return poly_deg(self.poly)
+        return poly.deg(self.poly)
 
     def dimension(self):
         return self.degree * self.mult
@@ -125,7 +102,8 @@ class EigenvalueBlock:
         return single**self.mult
 
     def multiplicity_of(self, value):
-        return self.mult * root_multiplicity(self.poly, value)[0]
+        """Multiplicity of the rational eigenvalue value, exact."""
+        return self.mult * poly.multiplicity(self.poly, poly.primitive((-value, 1)))[0]
 
     def approximate_roots(self, precision=30):
         """[(root approximation, total multiplicity)] including mult."""
@@ -217,7 +195,7 @@ def nc_spectrum_from_weights(dec: WeightDecomposition) -> NcSpectrum:
     Even weights w contribute eigenvalues lambda / q^{w/2} to the even
     part; odd weights contribute lambda / q^{(w-1)/2} to the odd part.
     Both shifts divide by integer powers of q, so the block polynomials
-    stay exact: the roots of E_w(q^a t) are the shifted eigenvalues.
+    stay integral: the roots of E_w(q^a t) are the shifted eigenvalues.
     """
     even, odd = [], []
     for f in dec.factors:
@@ -226,7 +204,7 @@ def nc_spectrum_from_weights(dec: WeightDecomposition) -> NcSpectrum:
         a = f.w // 2 if f.w % 2 == 0 else (f.w - 1) // 2
         scale = dec.q.q**a
         eig = f.eigenvalue_polynomial()
-        shifted = [c * Fraction(scale) ** i for i, c in enumerate(eig)]
+        shifted = [c * scale**i for i, c in enumerate(eig)]
         block = EigenvalueBlock.from_coeffs(shifted, mult=1, weight=f.w)
         (even if f.w % 2 == 0 else odd).append(block)
     return NcSpectrum(
@@ -246,7 +224,7 @@ def nc_zeta(spec: NcSpectrum, parity: str) -> RationalFunction:
     for b in spec.blocks(parity):
         rev = tuple(Fraction(c, b.poly[-1]) for c in reversed(b.poly))
         for _ in range(b.mult):
-            den = poly_mul(den, rev)
+            den = poly.mul(den, rev)
     return RationalFunction((1,), den, reduce=False)
 
 
@@ -348,11 +326,6 @@ def nc_l_adic_check(spec: NcSpectrum, C: int = None):
     return checks
 
 
-def _det_denominator(spec, parity):
-    """det(1 - x F_parity) as an exact coefficient tuple (constant 1)."""
-    return nc_zeta(spec, parity).den
-
-
 def _coefficient_symmetry(spec, parity):
     """The functional equation as an exact statement about coefficients.
 
@@ -361,7 +334,7 @@ def _coefficient_symmetry(spec, parity):
     """
     chi = spec.chi(parity)
     det = spec.det(parity)
-    D = _det_denominator(spec, parity)
+    D = nc_zeta(spec, parity).den
     r = list(D) + [Fraction(0)] * (chi + 1 - len(D))
     bad = []
     for k in range(chi + 1):
@@ -382,7 +355,7 @@ def _pointwise_functional(spec, parity, sample_points, tol, dps):
     q = spec.q.q
     used, skipped, bad = [], [], []
     with mpmath.workdps(dps):
-        det_mp = _mp_exact(det)
+        det_mp = mpmath.mpf(det.numerator) / det.denominator
         for s in sample_points:
             s = mpmath.mpc(s)
             x1 = mpmath.power(q, -s)
@@ -392,8 +365,8 @@ def _pointwise_functional(spec, parity, sample_points, tol, dps):
             else:
                 x2 = mpmath.power(q, -(1 - s))
                 prefactor = (-1) ** chi * mpmath.power(q, -chi * (1 - s)) * det_mp
-            d1 = poly_eval(R.den, x1)
-            d2 = poly_eval(R.den, x2)
+            d1 = poly.evaluate(R.den, x1)
+            d2 = poly.evaluate(R.den, x2)
             if abs(d1) < mpmath.mpf("1e-20") or abs(d2) < mpmath.mpf("1e-20"):
                 skipped.append(str(s))
                 continue
@@ -529,8 +502,8 @@ def _parity_polynomial(spec, parity):
     prod = (1,)
     for b in spec.blocks(parity):
         for _ in range(b.mult):
-            prod = poly_mul(prod, b.poly)
-    return _primitive_int_poly(prod)
+            prod = poly.mul(prod, b.poly)
+    return poly.primitive(prod)
 
 
 def spectrum_reciprocity_check(spec: NcSpectrum):
@@ -559,13 +532,13 @@ def spectrum_reciprocity_check(spec: NcSpectrum):
                 )
             )
             continue
-        m = poly_deg(prod)
+        m = poly.deg(prod)
         if parity == "even":
             transformed = tuple(reversed(prod))
         else:
             q = spec.q.q
             transformed = tuple(prod[m - i] * q ** (m - i) for i in range(m + 1))
-        transformed = _primitive_int_poly(transformed)
+        transformed = poly.primitive(transformed)
         ok = transformed == prod
         checks.append(
             Check(
@@ -765,8 +738,7 @@ def strong_tate_check(spec: NcSpectrum, k0_num_rank: int, F0_matrix=None):
     """
     mult_blocks = spec.multiplicity_of(1, "even")
     R = nc_zeta(spec, "even")
-    res = ord_at(R, spec.q, 0)
-    mult_order = -res.order if res.order is not None else None
+    mult_order = -ord_at(R, spec.q, 0).order
     routes_agree = mult_order == mult_blocks
     ok = routes_agree and mult_blocks == k0_num_rank
     checks = [
@@ -805,7 +777,7 @@ def semisimplicity_criterion(M) -> Check:
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
     char = det_identity_minus_t(M)
-    alg, _ = root_multiplicity(char, 1)
+    alg = poly.multiplicity(poly.primitive(char), (-1, 1))[0]
     diff = [
         [(Fraction(1) if i == j else Fraction(0)) - M[i][j] for j in range(n)]
         for i in range(n)
@@ -864,7 +836,7 @@ def spectrum_strip_exceptional(spec: NcSpectrum, count: int) -> NcSpectrum:
     need = count
     new_blocks = []
     for b in spec.even:
-        per_copy, cofactor = root_multiplicity(b.poly, 1)
+        per_copy, cofactor = poly.multiplicity(b.poly, (-1, 1))
         for _ in range(b.mult):
             take = min(need, per_copy)
             if take == 0:
@@ -874,8 +846,8 @@ def spectrum_strip_exceptional(spec: NcSpectrum, count: int) -> NcSpectrum:
             # keep the per_copy - take factors (t - 1) not stripped
             reduced = cofactor
             for _ in range(per_copy - take):
-                reduced = poly_mul(reduced, (-1, 1))
-            if poly_deg(reduced) >= 1:
+                reduced = poly.mul(reduced, (-1, 1))
+            if poly.deg(reduced) >= 1:
                 new_blocks.append(
                     EigenvalueBlock.from_coeffs(reduced, mult=1, weight=b.weight)
                 )

@@ -1,0 +1,341 @@
+"""Univariate polynomials over Z and over F_p: zetalab's one polynomial layer.
+
+A polynomial is a tuple of ints, low degree first; the zero polynomial
+is the empty tuple.  Operations with one algorithm over both rings take
+an optional prime modulus p (None means over Z): trim, add, sub, mul,
+deriv, evaluate, and divrem, division with remainder, which over Z
+answers only when the quotient is integral (always for a monic
+divisor).  trim, add, sub, mul and evaluate over Z also accept
+Fraction or mpmath values, which is how the rest of zetalab keeps exact
+rational coefficients without a second polynomial layer.
+
+Operations whose algorithm differs by ring come once per ring:
+
+- over F_p (p prime): fp_gcd (monic Euclid), fp_squarefree_part (with
+  p-th roots when f' = 0), fp_degree_pattern (distinct-degree
+  factorization), and mulmod/powmod modulo a monic polynomial;
+- over Z: sturm_chain (the fraction-free pseudo-remainder sequence),
+  gcd (its last entry, primitive), primitive (clear denominators,
+  divide by the content, positive leading coefficient), multiplicity
+  (the exact power of a factor, with its cofactor) and squarefree
+  (Yun's decomposition).
+
+A rational polynomial enters the Z side through primitive(), which
+reads only .numerator and .denominator.  By Gauss's lemma a primitive
+divisor over Q divides over Z as well, so every gcd, exact division and
+multiplicity over Q is the same computation on primitive parts, in
+integers.  Only the standard library is imported.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import zip_longest
+
+__all__ = [
+    "add",
+    "deg",
+    "deriv",
+    "divrem",
+    "evaluate",
+    "fp_degree_pattern",
+    "fp_gcd",
+    "fp_squarefree_part",
+    "gcd",
+    "mul",
+    "mulmod",
+    "multiplicity",
+    "powmod",
+    "primitive",
+    "squarefree",
+    "sturm_chain",
+    "sub",
+    "trim",
+]
+
+
+# ---------------------------------------------------------------------------
+# Both rings
+# ---------------------------------------------------------------------------
+
+
+def trim(a, p=None):
+    """a as a tuple without trailing zeros, reduced mod p when p is given."""
+    a = tuple(a) if p is None else tuple([c % p for c in a])
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def deg(a):
+    """Degree of a; -1 for the zero polynomial."""
+    return len(trim(a)) - 1
+
+
+def add(a, b, p=None):
+    return trim((x + y for x, y in zip_longest(a, b, fillvalue=0)), p)
+
+
+def sub(a, b, p=None):
+    return trim((x - y for x, y in zip_longest(a, b, fillvalue=0)), p)
+
+
+def mul(a, b, p=None):
+    a, b = trim(a, p), trim(b, p)
+    if not a or not b:
+        return ()
+    res = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                res[i + j] += x * y
+    return trim(res, p)
+
+
+def deriv(a, p=None):
+    return trim([i * c for i, c in enumerate(a)][1:], p)
+
+
+def evaluate(a, x, p=None):
+    """a(x) by Horner's rule; x may be an int, Fraction, complex or mpmath
+    number (over Z), or an int taken mod p."""
+    acc = 0 * x if a else 0
+    for c in reversed(a):
+        acc = acc * x + c if p is None else (acc * x + c) % p
+    return acc
+
+
+def divrem(a, b, p=None):
+    """(quotient, remainder) of a by a nonzero b, over F_p or over Z.
+
+    Over Z the result is None unless the quotient is integral, so a
+    remainder () from a non-None result means b divides a in Z[x].
+    """
+    b = trim(b, p)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a, db = list(a), len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    if p is None:
+        lead = b[-1]
+        for i in range(len(a) - 1, db - 1, -1):
+            if a[i]:
+                f, r = divmod(a[i], lead)
+                if r:
+                    return None
+                quo[i - db] = f
+                for j, bj in enumerate(b):
+                    a[i - db + j] -= f * bj
+    else:
+        # a is reduced only where a leading coefficient is read
+        inv = pow(b[-1], -1, p)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] % p
+            if c:
+                f = c * inv % p
+                quo[i - db] = f
+                for j, bj in enumerate(b):
+                    a[i - db + j] -= f * bj
+    return trim(quo), trim(a[:db], p)
+
+
+# ---------------------------------------------------------------------------
+# Over F_p
+# ---------------------------------------------------------------------------
+
+
+def mulmod(a, b, mod, p):
+    """(a*b) mod (mod) over F_p; mod monic, the result padded to deg mod."""
+    n = len(mod) - 1
+    res = [0] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    res[i + j] = (res[i + j] + ai * bj) % p
+    for i in range(len(res) - 1, n - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for j in range(n):
+                res[i - n + j] = (res[i - n + j] - c * mod[j]) % p
+    res = res[:n]
+    while len(res) < n:
+        res.append(0)
+    return tuple(res)
+
+
+def powmod(base, e, mod, p):
+    """base^e mod (mod) over F_p by square and multiply."""
+    result = (1,) + (0,) * (len(mod) - 2)
+    while e:
+        if e & 1:
+            result = mulmod(result, base, mod, p)
+        e >>= 1
+        if e:
+            base = mulmod(base, base, mod, p)
+    return result
+
+
+def fp_gcd(a, b, p):
+    """Monic gcd over F_p; () only when both are zero."""
+    a, b = trim(a, p), trim(b, p)
+    while b:
+        a, b = b, divrem(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = tuple(c * inv % p for c in a)
+    return a
+
+
+def fp_squarefree_part(f, p):
+    """Monic square-free part of f over F_p (the product of its distinct
+    irreducible factors).
+
+    Handles the char-p pitfall f' = 0 (f a polynomial in x^p) by taking
+    p-th roots, which over F_p is the coefficient-index division x^p -> x.
+    """
+    f = trim(f, p)
+    if len(f) <= 1:
+        return f
+    df = deriv(f, p)
+    if not df:
+        # f = g(x^p) = (p-th power of the root-coefficient polynomial)
+        return fp_squarefree_part(f[::p], p)
+    g = fp_gcd(f, df, p)
+    sf = divrem(f, g, p)[0]
+    # the quotient may still share factors with g when multiplicities are >= p
+    extra = fp_squarefree_part(g, p)
+    rest = divrem(extra, fp_gcd(sf, extra, p), p)[0]
+    out = mul(sf, rest, p) if len(rest) > 1 else sf
+    inv = pow(out[-1], -1, p)
+    return tuple(c * inv % p for c in out)
+
+
+def fp_degree_pattern(f, p):
+    """Degrees of the distinct irreducible factors of f over F_p.
+
+    Returns {degree: count} for the squarefree part of f, by
+    distinct-degree factorization: gcd(x^(p^k) - x, f) collects exactly
+    the irreducible factors of degree dividing k.  x^(p^k) mod f comes
+    from the previous one by one more Frobenius step h -> h^p, taken
+    mod whatever part of f is left.  Root counts over extensions follow:
+    f has sum(k * count[k] for k | n) roots in F_{p^n}.
+    """
+    f = fp_squarefree_part(f, p)
+    pattern: dict[int, int] = {}
+    h = (0, 1)
+    k = 0
+    while len(f) - 1 > 0:
+        k += 1
+        if 2 * k > len(f) - 1:
+            # what is left is a single irreducible factor
+            pattern[len(f) - 1] = pattern.get(len(f) - 1, 0) + 1
+            break
+        h = powmod(h, p, f, p)
+        g = fp_gcd(sub(h, (0, 1), p), f, p)
+        dg = len(g) - 1
+        if dg > 0:
+            pattern[k] = dg // k
+            f = divrem(f, g, p)[0]
+    return pattern
+
+
+# ---------------------------------------------------------------------------
+# Over Z
+# ---------------------------------------------------------------------------
+
+
+def sturm_chain(a, b):
+    """a, b, then negated remainders, each scaled by a positive integer
+    (pseudo-division by |lead|, division by the content), which keeps
+    every sign a Sturm count reads.  a and b are nonzero integer
+    polynomials; the last entry is gcd(a, b) up to a nonzero integer
+    factor."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        a, b = list(chain[-2]), chain[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b):
+            f = sign * a[-1]
+            shift = len(a) - len(b)
+            a = [lead * c for c in a]
+            for j, c in enumerate(b):
+                a[shift + j] -= f * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            break
+        g = math.gcd(*a)
+        chain.append([-c // g for c in a])
+    return chain
+
+
+def primitive(a):
+    """The primitive integer polynomial with the roots of a, whose
+    coefficients may be ints or Fractions: denominators cleared, content
+    divided out, leading coefficient positive."""
+    a = trim(a)
+    if not a:
+        raise ValueError("zero polynomial")
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return tuple(c // g for c in ints)
+
+
+def gcd(a, b):
+    """Primitive gcd over Z with a positive leading coefficient, so monic
+    when it divides a monic polynomial; () only when both are zero."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return primitive(a or b) if a or b else ()
+    return primitive(sturm_chain(a, b)[-1])
+
+
+def multiplicity(a, m):
+    """(k, cofactor) with a = m^k * cofactor over Z and m not dividing
+    the cofactor.  a is a nonzero integer polynomial and m a primitive
+    one of degree >= 1; by Gauss's lemma k is then the power of m that
+    divides a over Q as well."""
+    a = trim(a)
+    if not a or len(trim(m)) < 2:
+        raise ValueError("need a nonzero polynomial and a nonconstant factor")
+    k = 0
+    while True:
+        qr = divrem(a, m)
+        if qr is None or qr[1]:
+            return k, a
+        a, k = qr[0], k + 1
+
+
+def squarefree(a):
+    """Yun's square-free decomposition over Z: [(part, k)] with the parts
+    primitive, square-free, pairwise coprime and nonconstant, k
+    ascending, and a equal to the product of part^k up to a constant."""
+    a = trim(a)
+    if len(a) < 2:
+        return []
+    d = gcd(a, deriv(a))
+    if len(d) == 1:
+        return [(primitive(a), 1)]
+    # d is primitive, so these quotients and the ones below are integral
+    b = divrem(a, d)[0]
+    c = divrem(deriv(a), d)[0]
+    out = []
+    k = 1
+    while len(b) > 1:
+        z = sub(c, deriv(b))
+        g = gcd(b, z)
+        if len(g) > 1:
+            out.append((g, k))
+        b = divrem(b, g)[0]
+        if len(b) == 1:
+            break
+        c = divrem(z, g)[0]
+        k += 1
+    return out

@@ -1,16 +1,18 @@
-"""Exact truncated power series over Q, polynomial algebra, and root extraction.
+"""Exact truncated power series and rational functions over Q, Pade
+reconstruction, exact linear algebra, and root extraction.
 
-All series and polynomial arithmetic is exact (Fraction coefficients),
-and so is linear algebra: row reduction runs fraction-free on integers
-(Bareiss) and only the reduced rows come back as Fractions.  Whether
-every root of an integer polynomial lies on the circle |z| = Q^{1/2}
-is decided exactly as well (roots_on_circle), by a palindrome test and
-a Sturm count, so floats never decide a Weil verdict or a weight
-separation; the same fraction-free remainder chain gives exact integer
-gcds.  Floating point enters only at root extraction (polynomial_roots,
-on mpmath.polyroots), which runs at a configurable decimal precision
-(default 50 digits) and serves failure witnesses, approximate roots in
-reports and numeric orders.  There a root multiset takes its
+Series and rational functions keep Fraction coefficients, and so does
+linear algebra: row reduction runs fraction-free on integers (Bareiss)
+and only the reduced rows come back as Fractions.  Polynomial
+arithmetic itself (gcds, exact division, square-free parts) is
+zetalab.poly's, on primitive integer parts.  Whether every root of an
+integer polynomial lies on the circle |z| = Q^{1/2} is decided exactly
+(roots_on_circle), by a palindrome test and a Sturm count on
+poly.sturm_chain, so floats never decide a Weil verdict or a weight
+separation.  Floating point enters only at root extraction
+(polynomial_roots, on mpmath.polyroots), which runs at a configurable
+decimal precision (default 50 digits) and serves failure witnesses and
+approximate roots in reports.  There a root multiset takes its
 multiplicities from the exact square-free decomposition, never from
 numerical multiplicity guessing.
 
@@ -24,6 +26,8 @@ from fractions import Fraction
 
 import mpmath
 
+from . import poly
+
 __all__ = [
     "PowerSeries",
     "RationalFunction",
@@ -36,7 +40,6 @@ __all__ = [
     "polynomial_roots",
     "roots_on_circle",
     "power_sums_inverse_roots",
-    "squarefree_decomposition",
 ]
 
 DEFAULT_PRECISION = 50
@@ -51,145 +54,8 @@ class RootFindingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over Q (tuples, low degree first)
+# Power sums
 # ---------------------------------------------------------------------------
-
-
-def _frac(x):
-    """x as a Fraction; Fractions pass through without a new object."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def poly_trim(c):
-    c = tuple(c)
-    d = len(c) - 1
-    while d >= 0 and c[d] == 0:
-        d -= 1
-    return c[: d + 1]
-
-
-def poly_deg(c):
-    c = poly_trim(c)
-    return len(c) - 1  # -1 for the zero polynomial
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return poly_trim(x + y for x, y in zip(a, b))
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return poly_trim(x - y for x, y in zip(a, b))
-
-
-def poly_mul(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        return ()
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] += x * y
-    return tuple(res)
-
-
-def poly_eval(a, x):
-    acc = 0 * x if a else 0
-    for c in reversed(tuple(a)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(a):
-    return poly_trim(tuple(i * c for i, c in enumerate(a))[1:])
-
-
-def poly_divmod(a, b):
-    """Exact division with remainder over Q."""
-    a = [_frac(x) for x in a]
-    b = [_frac(x) for x in poly_trim(b)]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over Q (1 for coprime inputs, () only if both are 0)."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = Fraction(a[-1])
-        a = tuple(Fraction(c) / lead for c in a)
-    return a
-
-
-def root_multiplicity(poly, value):
-    """Exact multiplicity of (t - value) in a rational polynomial.
-
-    Returns (mult, cofactor) with poly = (t - value)^mult * cofactor.
-    """
-    poly = tuple(Fraction(c) for c in poly_trim(poly))
-    value = Fraction(value)
-    mult = 0
-    while poly_eval(poly, value) == 0:
-        poly, rem = poly_divmod(poly, (-value, Fraction(1)))
-        if rem:
-            raise AssertionError("exact division left a remainder")
-        mult += 1
-    return mult, poly
-
-
-def _poly_exact_div(a, b):
-    q, r = poly_divmod(a, b)
-    if r:
-        raise ValueError("division is not exact")
-    return q
-
-
-def squarefree_decomposition(P):
-    """Yun's algorithm over Q: P = prod of part^mult with squarefree parts.
-
-    Returns [(part, mult)] with parts pairwise coprime and squarefree,
-    omitting trivial (constant) parts.  The constant content is dropped:
-    callers here need only the root structure.
-    """
-    P = poly_trim(P)
-    if poly_deg(P) < 1:
-        return []
-    d = poly_gcd(P, poly_deriv(P))
-    if poly_deg(d) == 0:
-        return [(P, 1)]
-    b = _poly_exact_div(P, d)
-    c = _poly_exact_div(poly_deriv(P), d)
-    out = []
-    i = 1
-    while poly_deg(b) > 0:
-        z = poly_sub(c, poly_deriv(b))
-        a = poly_gcd(b, z)
-        if poly_deg(a) > 0:
-            out.append((a, i))
-        b = _poly_exact_div(b, a)
-        if poly_deg(b) == 0:
-            break
-        c = _poly_exact_div(z, a)
-        i += 1
-    return out
 
 
 def power_sums_inverse_roots(P, m):
@@ -199,7 +65,7 @@ def power_sums_inverse_roots(P, m):
     p_n = -n P_n - sum_{i<n} P_i p_{n-i}.  Exact: for an integral P the
     recurrence runs on Python integers and returns integers.
     """
-    P = poly_trim(P)
+    P = poly.trim(P)
     if not P or P[0] != 1:
         raise ValueError("normalized polynomial with constant term 1 expected")
     P = [_int_if_integral(c) for c in P]
@@ -265,7 +131,6 @@ def mat_rref(rows):
 
 def _integer_row(row):
     """The row times the lcm of its denominators (same row space)."""
-    row = [_frac(x) for x in row]
     den = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 
@@ -318,7 +183,7 @@ def det_identity_minus_t(mat):
             A = mat_mul(M, B)
         c = -sum(A[i][i] for i in range(n)) / k
         coeffs.append(c)
-    return poly_trim(coeffs) if coeffs[-1] == 0 else tuple(coeffs)
+    return poly.trim(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +201,7 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_frac(c) for c in coeffs)
+        self.coeffs = tuple(map(Fraction, coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
@@ -442,26 +307,25 @@ def log_det_series(mat, M: int) -> PowerSeries:
 
 
 class RationalFunction:
-    """num/den with both constant terms 1 and gcd(num, den) = 1 over Q."""
+    """num/den with both constant terms 1 and gcd(num, den) = 1 over Q.
+
+    The gcd is taken on the primitive integer parts of both sides (Gauss's
+    lemma), so reduction never does polynomial arithmetic in Fractions.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den, reduce=True):
-        num = poly_trim(tuple(_frac(c) for c in num))
-        den = poly_trim(tuple(_frac(c) for c in den))
+        num, den = poly.trim(num), poly.trim(den)
         if not num or not den or num[0] == 0 or den[0] == 0:
             raise ValueError("numerator and denominator need nonzero constant terms")
         if reduce:
-            g = poly_gcd(num, den)
-            if poly_deg(g) > 0:
-                num = _poly_exact_div(num, g)
-                den = _poly_exact_div(den, g)
-        if num[0] != 1:
-            num = tuple(c / num[0] for c in num)
-        if den[0] != 1:
-            den = tuple(c / den[0] for c in den)
-        self.num = num
-        self.den = den
+            num, den = poly.primitive(num), poly.primitive(den)
+            g = poly.gcd(num, den)
+            if len(g) > 1:
+                num, den = poly.divrem(num, g)[0], poly.divrem(den, g)[0]
+        self.num = _unit_constant(num)
+        self.den = _unit_constant(den)
 
     def __eq__(self, other):
         return (
@@ -497,7 +361,7 @@ class RationalFunction:
 
     def eval(self, x):
         """Evaluate at x (Fraction for exact, complex/mpmath for numeric)."""
-        return poly_eval(self.num, x) / poly_eval(self.den, x)
+        return poly.evaluate(self.num, x) / poly.evaluate(self.den, x)
 
     def substitute_scaled(self, c):
         """t -> c*t with c an exact rational scalar."""
@@ -507,7 +371,7 @@ class RationalFunction:
         return RationalFunction(num, den)
 
     def __mul__(self, other):
-        return RationalFunction(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        return RationalFunction(poly.mul(self.num, other.num), poly.mul(self.den, other.den))
 
     def reciprocal(self):
         return RationalFunction(self.den, self.num, reduce=False)
@@ -515,6 +379,15 @@ class RationalFunction:
     @classmethod
     def one(cls):
         return cls((1,), (1,))
+
+
+def _unit_constant(a):
+    """a divided by its constant term, as Fractions (a itself when it
+    already is that)."""
+    c0 = a[0]
+    if c0 == 1 and all(type(c) is Fraction for c in a):
+        return a
+    return tuple(Fraction(c, c0) for c in a)
 
 
 def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunction:
@@ -557,7 +430,7 @@ def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunc
     num = []
     for n in range(deg_num + 1):
         num.append(sum(den[j] * c[n - j] for j in range(min(n, deg_den) + 1)))
-    num = poly_trim(num) or (Fraction(0),)
+    num = poly.trim(num) or (Fraction(0),)
     if num[0] == 0:
         raise PadeError("no solution at the stated degrees")
     cand = RationalFunction(num, den)
@@ -572,7 +445,7 @@ def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunc
 # ---------------------------------------------------------------------------
 
 
-def roots_on_circle(poly, Q: int) -> bool:
+def roots_on_circle(P, Q: int) -> bool:
     """Whether every complex root of the integer polynomial has modulus
     Q^{1/2}, decided exactly (no root finding).
 
@@ -585,15 +458,12 @@ def roots_on_circle(poly, Q: int) -> bool:
     with signs at the irrational endpoints decided in Q(Q^{1/2})
     (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
     """
-    E = [_int_if_integral(c) for c in poly_trim(poly)]
+    E = tuple(_int_if_integral(c) for c in poly.trim(P))
     if Q < 1 or not E or not all(isinstance(c, int) for c in E):
         raise ValueError("need a positive Q and a nonzero integer polynomial")
     root = math.isqrt(Q)
-    if root * root == Q:
-        E = _divide_out(E, (-root, 1))
-        E = _divide_out(E, (root, 1))
-    else:
-        E = _divide_out(E, (-Q, 0, 1))
+    for m in ((-root, 1), (root, 1)) if root * root == Q else ((-Q, 0, 1),):
+        E = poly.multiplicity(E, m)[1]
     n = len(E) - 1
     if n == 0:
         return True
@@ -607,76 +477,20 @@ def roots_on_circle(poly, Q: int) -> bool:
     h = (E[m],)
     s_prev, s_cur = (2,), (0, 1)
     for k in range(1, m + 1):
-        h = poly_add(h, [E[m + k] * c for c in s_cur])
-        s_prev, s_cur = s_cur, poly_add((0,) + s_cur, [-Q * c for c in s_prev])
-    chain = _sturm_chain(h, poly_deriv(h))
+        h = poly.add(h, [E[m + k] * c for c in s_cur])
+        s_prev, s_cur = s_cur, poly.add((0,) + s_cur, [-Q * c for c in s_prev])
+    chain = poly.sturm_chain(h, poly.deriv(h))
     distinct = len(h) - len(chain[-1])  # deg h - deg gcd(h, h')
     return _sign_changes(chain, -1, Q) - _sign_changes(chain, 1, Q) == distinct
-
-
-def _divide_out(E, factor):
-    """E with every power of the monic integer factor divided out."""
-    while True:
-        quo, rem = _int_poly_divmod_monic(E, factor)
-        if any(rem):
-            return E
-        E = quo
-
-
-def _int_poly_divmod_monic(a, b):
-    """Quotient and remainder of integer a by monic integer b (exact in Z)."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        f = a[i]
-        if f:
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db]
-
-
-def _sturm_chain(a, b):
-    """a, b, then negated remainders, each scaled by a positive integer
-    (pseudo-division by |lead|, division by the content), which keeps
-    every sign a Sturm count reads.  The last entry is gcd(a, b) up to
-    a nonzero integer factor."""
-    chain = [a, b]
-    while len(chain[-1]) > 1:
-        a, b = list(chain[-2]), chain[-1]
-        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        while len(a) >= len(b):
-            f = sign * a[-1]
-            shift = len(a) - len(b)
-            a = [lead * c for c in a]
-            for j, c in enumerate(b):
-                a[shift + j] -= f * c
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        if not a:
-            break
-        g = math.gcd(*a)
-        chain.append([-c // g for c in a])
-    return chain
-
-
-def _int_poly_gcd(a, b):
-    """Primitive gcd of two nonzero trimmed integer polynomials, with a
-    positive leading coefficient (so monic when it divides a monic a)."""
-    g = _sturm_chain(a, b)[-1]
-    content = math.gcd(*g) * (1 if g[-1] > 0 else -1)
-    return [c // content for c in g]
 
 
 def _sign_changes(chain, side, Q):
     """Sign changes along the chain at y = side * 2 Q^{1/2}."""
     changes, last = 0, 0
-    for poly in chain:
-        # poly(y) = A + B Q^{1/2}: even powers of y feed A, odd ones B
+    for entry in chain:
+        # entry(y) = A + B Q^{1/2}: even powers of y feed A, odd ones B
         A = B = 0
-        for i, c in enumerate(poly):
+        for i, c in enumerate(entry):
             term = c * side**i * 2**i * Q ** (i // 2)
             if i % 2:
                 B += term
@@ -706,13 +520,6 @@ def _sign_plus_sqrt(A, B, Q):
 # ---------------------------------------------------------------------------
 
 
-def _mp_exact(c):
-    """mpmath value from an int or Fraction without float round-off."""
-    if isinstance(c, Fraction):
-        return mpmath.mpf(c.numerator) / c.denominator
-    return mpmath.mpf(c)
-
-
 def polynomial_roots(P, precision: int = DEFAULT_PRECISION):
     """Roots of a rational-coefficient polynomial, [(approximation, multiplicity)].
 
@@ -723,8 +530,8 @@ def polynomial_roots(P, precision: int = DEFAULT_PRECISION):
     conjugate pair with its upper root first.  Raises RootFindingError
     when the iteration does not converge.
     """
-    P = poly_trim(tuple(Fraction(c) for c in P))
-    if poly_deg(P) < 1:
+    P = poly.trim(map(Fraction, P))
+    if len(P) < 2:
         raise ValueError("degree must be >= 1")
     zeros = 0
     while P[0] == 0:
@@ -732,8 +539,8 @@ def polynomial_roots(P, precision: int = DEFAULT_PRECISION):
         zeros += 1
     out = [(mpmath.mpc(0), zeros)] if zeros else []
     with mpmath.workdps(precision + 15):
-        for part, mult in squarefree_decomposition(P):
-            coeffs = [_mp_exact(c) for c in reversed(part)]
+        for part, mult in poly.squarefree(poly.primitive(P)):
+            coeffs = [mpmath.mpf(c) for c in reversed(part)]
             try:
                 roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * precision)
             except mpmath.mp.NoConvergence as exc:

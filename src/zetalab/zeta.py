@@ -6,7 +6,7 @@ from Betti numbers when supplied, scanned otherwise), separation of
 numerator/denominator roots along the modulus ladder q^{w/2} into
 integer weight factors, then the per-weight checks: inverse-root
 moduli, algebraic-integrality certificates, the functional equation
-relating s and d-s, and exact pole/zero orders.
+relating s and d-s, and exact pole/zero orders at every real point.
 
 The factorization uses no floats: each weight factor is an integer gcd
 of a side with its q^w-mirror, certified on its circle by
@@ -14,18 +14,20 @@ series.roots_on_circle and divided out exactly, and the exact product
 must reproduce the input rational function, otherwise the factorization
 fails loudly.  The moduli check takes its verdict from the same
 certificate; numeric roots are computed only to give a failing factor
-its witness.
+its witness.  Orders need no roots either: the minimal polynomial of
+q^{-z} over Q is a binomial (Capelli), and its exact power in each side
+of Z is the order (ord_at).  All polynomial arithmetic is zetalab.poly's.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
+from . import poly
 from .arith import PrimePower
 from .report import FAIL, PASS, Check
 from .series import (
@@ -33,17 +35,10 @@ from .series import (
     PadeError,
     PowerSeries,
     RationalFunction,
-    _int_poly_divmod_monic,
-    _int_poly_gcd,
     exp_series,
     pade_reconstruct,
-    poly_deg,
-    poly_eval,
-    poly_mul,
-    poly_trim,
     polynomial_roots,
     power_sums_inverse_roots,
-    root_multiplicity,
     roots_on_circle,
 )
 
@@ -143,9 +138,9 @@ class WeightDecomposition:
         num, den = (1,), (1,)
         for w, f in enumerate(self.factors):
             if w % 2 == 1:
-                num = poly_mul(num, f.poly)
+                num = poly.mul(num, f.poly)
             else:
-                den = poly_mul(den, f.poly)
+                den = poly.mul(den, f.poly)
         return RationalFunction(num, den, reduce=False)
 
 
@@ -242,19 +237,6 @@ def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> Rational
 # ---------------------------------------------------------------------------
 
 
-def _side_int(coeffs, what):
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise SeparationError(
-                f"Weil-type separation failed: {what} has non-integer "
-                f"coefficient {c}"
-            )
-        out.append(int(c))
-    return tuple(out)
-
-
 def _factor_side(side, rungs, q):
     """Split one side (numerator or denominator) into per-weight integer
     factors.  rungs: [(w, beta)] in ascending w, beta > 0, one parity.
@@ -268,7 +250,7 @@ def _factor_side(side, rungs, q):
     on its circle (roots_on_circle) with degree beta and is divided out
     exactly; the last rung takes the rest, certified the same way.
     """
-    deg = poly_deg(side)
+    deg = len(side) - 1
     total = sum(b for _, b in rungs)
     if total != deg:
         raise SeparationError(
@@ -284,8 +266,8 @@ def _factor_side(side, rungs, q):
         part = E
         if i < len(rungs) - 1:
             n = len(E) - 1
-            part = _int_poly_gcd(E, [E[n - k] * Q ** (n - k) for k in range(n + 1)])
-            E = _int_poly_divmod_monic(E, part)[0]
+            part = poly.gcd(E, [E[n - k] * Q ** (n - k) for k in range(n + 1)])
+            E = poly.divrem(E, part)[0]
         if len(part) - 1 != beta or not roots_on_circle(part, Q):
             raise SeparationError(
                 f"Weil-type separation failed: possible non-smooth input "
@@ -308,8 +290,11 @@ def weight_factorize(Z: RationalFunction, q: PrimePower, d: int, betti) -> Weigh
     betti = tuple(int(b) for b in betti)
     if len(betti) != 2 * d + 1:
         raise ValueError(f"need Betti numbers for weights 0..{2 * d}")
-    num = _side_int(Z.num, "numerator")
-    den = _side_int(Z.den, "denominator")
+    if any(c.denominator != 1 for c in Z.num + Z.den):
+        raise SeparationError(
+            "Weil-type separation failed: the zeta function has non-integer coefficients"
+        )
+    num, den = tuple(map(int, Z.num)), tuple(map(int, Z.den))
     odd_rungs = [(w, b) for w, b in enumerate(betti) if w % 2 == 1 and b > 0]
     even_rungs = [(w, b) for w, b in enumerate(betti) if w % 2 == 0 and b > 0]
     odd_factors = _factor_side(num, odd_rungs, q)
@@ -320,7 +305,7 @@ def weight_factorize(Z: RationalFunction, q: PrimePower, d: int, betti) -> Weigh
         factors.append(WeightFactor(w=w, poly=src.get(w, (1,))))
     dec = WeightDecomposition(d=d, q=q, factors=tuple(factors))
     rebuilt = dec.to_rational()
-    if poly_trim(rebuilt.num) != poly_trim(Z.num) or poly_trim(rebuilt.den) != poly_trim(Z.den):
+    if rebuilt.num != Z.num or rebuilt.den != Z.den:
         raise SeparationError(
             "Weil-type separation failed: the exact product of the "
             "factors does not reproduce the zeta function"
@@ -439,13 +424,13 @@ def hasse_weil_functional_check(
             s = mpmath.mpc(s)
             x1 = mpmath.power(q, -s)
             x2 = mpmath.power(q, -(d - s))
-            den1 = poly_eval(Z.den, x1)
-            den2 = poly_eval(Z.den, x2)
-            num2 = poly_eval(Z.num, x2)
+            den1 = poly.evaluate(Z.den, x1)
+            den2 = poly.evaluate(Z.den, x2)
+            num2 = poly.evaluate(Z.num, x2)
             if abs(den1) < mpmath.mpf("1e-20") or abs(den2) < mpmath.mpf("1e-20") or abs(num2) < mpmath.mpf("1e-20"):
                 skipped.append(str(s))
                 continue
-            lhs = poly_eval(Z.num, x1) / den1
+            lhs = poly.evaluate(Z.num, x1) / den1
             rhs = mpmath.power(q, chi * s - mpmath.mpf(chi * d) / 2) * num2 / den2
             ratio = lhs / rhs
             point_sign = None
@@ -482,7 +467,7 @@ def hasse_weil_functional_check(
 
 
 # ---------------------------------------------------------------------------
-# Orders at ladder points
+# Exact orders at real points
 # ---------------------------------------------------------------------------
 
 
@@ -490,8 +475,9 @@ def hasse_weil_functional_check(
 class OrdResult:
     """Order of the zeta rational function (in x = q^{-s}) at s = z.
 
-    order: multiplicity (negative at poles), None when indeterminate.
-    exact: whether the multiplicity came from exact division.
+    order: multiplicity (negative at poles).  Every order is decided by
+    exact division, so exact is always True and indeterminate always
+    False; both fields stay for the reports that print them.
     """
 
     z: object
@@ -501,93 +487,43 @@ class OrdResult:
     note: str
 
     def __int__(self):
-        if self.order is None:
-            raise ValueError("indeterminate order")
         return self.order
 
 
-def _rational_point(q: PrimePower, z):
-    """q^{-z} as an exact Fraction when that is possible.
+def ord_at(Z: RationalFunction, q: PrimePower, z) -> OrdResult:
+    """ord_{s=z} of Z(q^{-s}) at a real z (int, Fraction or float; a
+    float is the dyadic rational it stores): positive at zeros, negative
+    at poles, always exact.
 
-    Only z that is exactly k/2 qualifies (ints, Fractions, and floats
-    with that exact value); a float merely close to k/2 goes the numeric
-    route, so an exact claim never rests on snapping.
-    """
-    two_z = 2 * Fraction(z)
-    if two_z.denominator != 1:
-        return None
-    k = int(two_z)  # z = k/2
-    if k % 2 == 0:
-        base, expo = q.q, k // 2
-    else:
-        root = math.isqrt(q.q)
-        if root * root != q.q:
-            return None
-        base, expo = root, k
-    return Fraction(1, base**expo) if expo >= 0 else Fraction(base ** (-expo))
-
-
-def _numeric_multiplicity(poly, x0, precision, match_tol):
-    if poly_deg(poly) < 1:
-        return 0, False
-    roots = polynomial_roots(poly, precision)
-    mult = 0
-    marginal = False
-    with mpmath.workdps(precision + 10):
-        for root, m in roots:
-            dist = abs(root - x0) / max(1, abs(x0))
-            if dist < match_tol:
-                mult += m
-            elif dist < 10 * match_tol:
-                marginal = True
-    return mult, marginal
-
-
-def ord_at(
-    Z: RationalFunction,
-    q: PrimePower,
-    z,
-    *,
-    precision: int = DEFAULT_PRECISION,
-    match_tol: float = 1e-9,
-) -> OrdResult:
-    """ord_{s=z} of Z(q^{-s}): positive at zeros, negative at poles.
-
-    Exact (repeated division) whenever q^{-z} is rational: z integer,
-    or half-integer with q a perfect square.  Otherwise numeric root
-    matching with an indeterminate band: a root within 10x of the match
-    tolerance but not inside it yields no silent 0.
+    Write q = p^r and r*z = A/B in lowest terms.  Then x0 = q^{-z} =
+    p^{-A/B} is a root of the primitive m = p^A x^B - 1 (x^B - p^{-A}
+    when A < 0), which is irreducible over Q by Capelli's theorem (Lang,
+    Algebra, VI 9.1): p^{-A} is positive and, as gcd(A, B) = 1, no l-th
+    power for any prime l dividing B.  A rational polynomial vanishes to
+    the same order at every root of an irreducible factor, so the order
+    at z is the exact power of m dividing the numerator minus the power
+    dividing the denominator.  Without building m the order is 0 when B
+    exceeds the degree of both sides, or when x0 lies outside the Cauchy
+    bounds 1/(1 + H) < |x| < 1 + H on the nonzero roots (H the largest
+    coefficient of the primitive sides): |A| (bitlen(p) - 1) >
+    B bitlen(1 + H) gives p^|A| > (1 + H)^B, so p^|A| is never built for
+    a far-off z.
     """
     note = (
         f"orders repeat along s -> s + 2*pi*i*k/log({q.q}); reported on the real axis"
     )
-    x0 = _rational_point(q, z)
-    if x0 is not None:
-        order = root_multiplicity(Z.num, x0)[0] - root_multiplicity(Z.den, x0)[0]
-        return OrdResult(z=z, order=order, exact=True, indeterminate=False, note=note)
-    with mpmath.workdps(precision + 10):
-        if isinstance(z, Fraction):
-            zf = mpmath.mpf(z.numerator) / z.denominator
-        else:
-            zf = mpmath.mpf(z)
-        x0f = mpmath.power(q.q, -zf)
-    mult_num, marg_num = _numeric_multiplicity(Z.num, x0f, precision, match_tol)
-    mult_den, marg_den = _numeric_multiplicity(Z.den, x0f, precision, match_tol)
-    if marg_num or marg_den:
-        return OrdResult(
-            z=z,
-            order=None,
-            exact=False,
-            indeterminate=True,
-            note=note + "; a root sits in the marginal band around q^{-z}",
-        )
-    return OrdResult(
-        z=z,
-        order=mult_num - mult_den,
-        exact=False,
-        indeterminate=False,
-        note=note,
-    )
+    num, den = poly.primitive(Z.num), poly.primitive(Z.den)
+    rz = q.r * Fraction(z)
+    A, B = rz.numerator, rz.denominator
+    height = max(map(abs, num + den))
+    far = abs(A) * (q.p.bit_length() - 1) > B * (1 + height).bit_length()
+    if far or B >= max(len(num), len(den)):
+        order = 0
+    else:
+        gap = (0,) * (B - 1)
+        m = (-1,) + gap + (q.p**A,) if A >= 0 else (-(q.p**-A),) + gap + (1,)
+        order = poly.multiplicity(num, m)[0] - poly.multiplicity(den, m)[0]
+    return OrdResult(z=z, order=order, exact=True, indeterminate=False, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +534,7 @@ def ord_at(
 def lefschetz_counts(dec: WeightDecomposition, m: int):
     """Recover N_n = sum_w (-1)^w (power sums of inverse roots of P_w)
     for n = 1..m, exactly, from the factor polynomials alone."""
-    totals = [Fraction(0)] * m
+    totals = [0] * m
     for f in dec.factors:
         if f.beta == 0:
             continue
@@ -606,7 +542,4 @@ def lefschetz_counts(dec: WeightDecomposition, m: int):
         sign = (-1) ** f.w
         for i in range(m):
             totals[i] += sign * sums[i]
-    out = []
-    for v in totals:
-        out.append(int(v) if v.denominator == 1 else v)
-    return out
+    return totals

@@ -48,8 +48,8 @@ from zetalab.series import (
     det_identity_minus_t,
     log_det_series,
     log_series,
-    poly_mul,
 )
+from zetalab.poly import mul
 from zetalab.zeta import (
     WeightDecomposition,
     WeightFactor,
@@ -244,7 +244,7 @@ def test_01_zeta_from_brute_force_counts():
         assert counts.counts == (13, 91, 757)
         Z = zeta_rational(counts, (1, 0, 1, 0, 1))
         expected = RationalFunction(
-            (1,), poly_mul(poly_mul((1, -1), (1, -3)), (1, -9))
+            (1,), mul(mul((1, -1), (1, -3)), (1, -9))
         )
         assert Z == expected
 
@@ -252,7 +252,7 @@ def test_01_zeta_from_brute_force_counts():
         e_counts = count_series(curve, PrimePower(5, 1), 4)
         assert e_counts.counts == (4, 32, 148, 640)
         ZE = zeta_rational(e_counts, (1, 2, 1))
-        assert ZE == RationalFunction((1, -2, 5), poly_mul((1, -1), (1, -5)))
+        assert ZE == RationalFunction((1, -2, 5), mul((1, -1), (1, -5)))
 
 
 def test_02_riemann_hypothesis_moduli(corpus):

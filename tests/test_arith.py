@@ -10,15 +10,11 @@ from zetalab.arith import (
     _fp_is_irreducible,
     FiniteField,
     PrimePower,
-    fp_factor_degree_pattern,
-    fp_poly_divmod,
-    fp_poly_gcd,
-    fp_poly_mulmod,
-    fp_squarefree_part,
     is_prime,
     make_extension_field,
     primes_up_to,
 )
+from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part
 
 
 def trial_division(n: int) -> bool:
@@ -88,7 +84,7 @@ class TestFpPolynomials:
     def test_divmod_roundtrip(self):
         # (x^2 + 1)(x + 2) + 3 over F_7
         f = (5, 1, 2, 1)
-        quo, rem = fp_poly_divmod(f, (1, 0, 1), 7)
+        quo, rem = divrem(f, (1, 0, 1), 7)
         assert quo == (2, 1)
         assert rem == (3,)
 
@@ -97,7 +93,7 @@ class TestFpPolynomials:
         shared = (1, 1)  # x + 1
         a = pmul(shared, (1, 0, 1), p)
         b = pmul(shared, (2, 1), p)
-        assert fp_poly_gcd(a, b, p) == shared
+        assert fp_gcd(a, b, p) == shared
 
     def test_squarefree_part(self):
         # (x+1)^2 (x+2) over F_5 -> squarefree part (x+1)(x+2)
@@ -106,12 +102,12 @@ class TestFpPolynomials:
 
     def test_degree_pattern_split(self):
         # x^2 + 1 splits over F_5 (roots 2, 3), stays irreducible over F_7
-        assert fp_factor_degree_pattern((1, 0, 1), 5) == {1: 2}
-        assert fp_factor_degree_pattern((1, 0, 1), 7) == {2: 1}
+        assert fp_degree_pattern((1, 0, 1), 5) == {1: 2}
+        assert fp_degree_pattern((1, 0, 1), 7) == {2: 1}
 
     def test_degree_pattern_root_counts(self):
         # x^3 - x has all three roots in F_p for every p > 3
-        assert fp_factor_degree_pattern((0, -1 % 11, 0, 1), 11) == {1: 3}
+        assert fp_degree_pattern((0, -1 % 11, 0, 1), 11) == {1: 3}
 
     @given(st.integers(min_value=0, max_value=6), st.data())
     @settings(max_examples=40)
@@ -120,7 +116,7 @@ class TestFpPolynomials:
         deg = data.draw(st.integers(min_value=1, max_value=6))
         coeffs = [data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(deg)]
         f = tuple(coeffs) + (1,)
-        pattern = fp_factor_degree_pattern(f, p)
+        pattern = fp_degree_pattern(f, p)
         total = sum(k * count for k, count in pattern.items())
         assert total == len(fp_squarefree_part(f, p)) - 1
 
@@ -133,7 +129,7 @@ class TestFpPolynomials:
         for k in range(1, d // 2 + 1):
             for idx in range(p**k):
                 g = tuple(idx // p**i % p for i in range(k)) + (1,)
-                if not fp_poly_divmod(f, g, p)[1]:
+                if not divrem(f, g, p)[1]:
                     has_factor = True
         assert _fp_is_irreducible(f, p) == (not has_factor)
 

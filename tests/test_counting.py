@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.arith import (
-    PrimePower,
-    fp_factor_degree_pattern,
-    fp_poly_divmod,
-    fp_poly_gcd,
-    fp_poly_powmod_x,
-    fp_squarefree_part,
-)
+from zetalab.arith import PrimePower
 from zetalab.counting import (
     BudgetError,
     ParseError,
@@ -23,6 +16,7 @@ from zetalab.counting import (
     count_series,
     parse_variety,
 )
+from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part, powmod
 
 
 class TestParser:
@@ -157,12 +151,12 @@ def pattern_from_scratch(f, p):
         if 2 * k > len(f) - 1:
             pattern[len(f) - 1] = pattern.get(len(f) - 1, 0) + 1
             break
-        xpk = fp_poly_powmod_x(p**k, f, p)
+        xpk = powmod((0, 1), p**k, f, p)
         diff = tuple((c - (1 if i == 1 else 0)) % p for i, c in enumerate(xpk))
-        g = fp_poly_gcd(diff, f, p)
+        g = fp_gcd(diff, f, p)
         if len(g) > 1:
             pattern[k] = (len(g) - 1) // k
-            f = fp_poly_divmod(f, g, p)[0]
+            f = divrem(f, g, p)[0]
     return pattern
 
 
@@ -195,7 +189,7 @@ class TestZeroDimensionalCounts:
         want = per_degree_counts(f, q, 6)
         assert list(count_series(spec, q, 6).counts) == want
         assert [count_points(spec, q, n) for n in range(1, 7)] == want
-        assert fp_factor_degree_pattern(tuple(c % p for c in f), p) == pattern_from_scratch(
+        assert fp_degree_pattern(tuple(c % p for c in f), p) == pattern_from_scratch(
             tuple(c % p for c in f), p
         )
         both = VarietySpec(kind="product", left=spec, right=spec)

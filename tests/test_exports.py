@@ -1,6 +1,8 @@
-"""Every name a zetalab module exports through __all__ exists, and
-importing zetalab pulls in nothing beyond its declared dependencies."""
+"""Every name a zetalab module exports through __all__ exists,
+importing zetalab pulls in nothing beyond its declared dependencies, and
+zetalab.poly stays the one polynomial layer."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -31,3 +33,35 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+SRC = Path(zetalab.__file__).resolve().parent
+
+
+def _tree(module_file):
+    return ast.parse(module_file.read_text(), filename=str(module_file))
+
+
+def test_poly_imports_only_the_standard_library():
+    # zetalab.poly is the bottom layer: no zetalab module, and no
+    # fractions either (rational input enters through primitive())
+    imported = set()
+    for node in ast.walk(_tree(SRC / "poly.py")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert imported <= {"__future__", "math", "itertools"}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "poly.py"))
+def test_one_polynomial_layer(path):
+    # polynomial division, gcds, trimming and square-free parts live in
+    # zetalab.poly only, so a second polynomial layer cannot grow back
+    names = [
+        node.name
+        for node in ast.walk(_tree(SRC / path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    banned = ("divmod", "gcd", "trim", "squarefree")
+    assert [n for n in names if any(w in n.lower() for w in banned)] == []

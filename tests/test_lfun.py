@@ -3,8 +3,10 @@ bounds, Dirichlet expansions, trace-bound certificates, analytic
 continuation, and the order dashboard."""
 
 import collections
+import functools
 import math
 import random
+from unittest import mock
 from fractions import Fraction as F
 
 import mpmath
@@ -162,6 +164,69 @@ class TestLocalSpectra:
             fast = _elliptic_counts((0, 0, 0, 1, 0), p, 3)
             brute = [count_points(spec, PrimePower(p), n) for n in range(1, 4)]
             assert fast == brute
+
+
+# Models that share fibers: Spec Q's family is Z[i]'s replacement fiber
+# at 2, and Spec Q and the elliptic curve come twice, the second time
+# with other Betti numbers (as `--betti` would give them).
+_SHARED_FIBER_MODELS = [
+    ArithmeticModel.from_dict(data)
+    for data in (
+        {"family": "zerodim x", "betti": [1]},
+        {"family": "zerodim x", "betti": [2]},
+        {
+            "family": "zerodim x^2 + 1",
+            "bad_primes": [{"p": 2, "replacement": "zerodim x"}],
+            "betti": [2],
+        },
+        {"family": "elliptic a=[0,0,0,1,0]", "bad_primes": [{"p": 2}], "betti": [1, 2, 1]},
+        {"family": "elliptic a=[0,0,0,1,0]", "bad_primes": [{"p": 2}], "betti": [2, 0, 2]},
+    )
+]
+_SHARED_FIBER_CALLS = [(m, p) for m in _SHARED_FIBER_MODELS for p in (2, 3, 5)]
+
+
+def _spectrum_or_error(model, p):
+    try:
+        return local_spectrum(model, p)
+    except (BadPrimeError, SeparationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_outcomes():
+    """Each call's outcome computed with an empty cache."""
+    out = []
+    for model, p in _SHARED_FIBER_CALLS:
+        with mock.patch.object(lfun, "_LOCAL_CACHE", collections.OrderedDict()):
+            out.append(_spectrum_or_error(model, p))
+    return out
+
+
+class TestLocalCacheCallOrder:
+    @given(
+        st.permutations(range(len(_SHARED_FIBER_CALLS))),
+        st.integers(min_value=0, max_value=len(_SHARED_FIBER_CALLS)),
+        st.sampled_from([1, 3, 2048]),
+    )
+    @settings(max_examples=30)
+    def test_any_call_order_gives_fresh_outcomes(self, order, repeats, size):
+        # a cache of 1 or 3 entries evicts along the way, 2048 never does
+        fresh = _fresh_outcomes()
+        with mock.patch.object(lfun, "_LOCAL_CACHE", collections.OrderedDict()), \
+                mock.patch.object(lfun, "LOCAL_CACHE_SIZE", size):
+            for k in order + order[:repeats]:
+                assert _spectrum_or_error(*_SHARED_FIBER_CALLS[k]) == fresh[k]
+
+    def test_replacement_fiber_does_not_answer_for_a_family(self):
+        # Spec Q with Betti numbers (2) fails at 2, also after Z[i] has
+        # cached its replacement fiber "zerodim x" at 2
+        fresh = _fresh_outcomes()
+        wrong, zi_at_2 = _SHARED_FIBER_CALLS[3], _SHARED_FIBER_CALLS[6]
+        assert fresh[3][0] == "SeparationError"
+        with mock.patch.object(lfun, "_LOCAL_CACHE", collections.OrderedDict()):
+            assert _spectrum_or_error(*zi_at_2) == fresh[6]
+            assert _spectrum_or_error(*wrong) == fresh[3]
 
 
 class TestEulerProducts:

@@ -1,0 +1,340 @@
+"""The integer polynomial layer over Z and F_p, against a small Fraction
+reference over Q, and the exact orders built on it."""
+
+import math
+import time
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zetalab import poly
+from zetalab.arith import PrimePower
+from zetalab.series import RationalFunction, polynomial_roots
+from zetalab.zeta import ord_at
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic over Q (Fractions, schoolbook), kept independent of
+# zetalab
+# ---------------------------------------------------------------------------
+
+
+def q_trim(a):
+    a = [F(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def q_mul(a, b):
+    a, b = q_trim(a), q_trim(b)
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def q_divmod(a, b):
+    a, b = q_trim(a), q_trim(b)
+    quo = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        f = a[i + len(b) - 1] / b[-1]
+        quo[i] = f
+        for j, c in enumerate(b):
+            a[i + j] -= f * c
+    return q_trim(quo), q_trim(a)
+
+
+def q_monic_gcd(a, b):
+    a, b = q_trim(a), q_trim(b)
+    while b:
+        a, b = b, q_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def q_sub(a, b):
+    a, b = q_trim(a), q_trim(b)
+    n = max(len(a), len(b))
+    return q_trim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
+
+
+def q_deriv(a):
+    return q_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def q_yun(a):
+    """Yun over Q with monic gcds: [(monic part, multiplicity)]."""
+    d = q_monic_gcd(a, q_deriv(a))
+    b, c = q_divmod(a, d)[0], q_divmod(q_deriv(a), d)[0]
+    out, k = [], 1
+    while len(b) > 1:
+        z = q_sub(c, q_deriv(b))
+        g = q_monic_gcd(b, z)
+        if len(g) > 1:
+            out.append((g, k))
+        b = q_divmod(b, g)[0]
+        c = q_divmod(z, g)[0]
+        k += 1
+    return out
+
+
+def monic(a):
+    return [F(c, a[-1]) for c in a]
+
+
+small_int_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(
+    lambda a: a[-1] != 0
+)
+nonconstant_int_polys = small_int_polys.filter(lambda a: len(a) >= 2)
+
+
+# ---------------------------------------------------------------------------
+# Both rings
+# ---------------------------------------------------------------------------
+
+
+class TestRingOperations:
+    @given(small_int_polys, small_int_polys, st.sampled_from([None, 2, 3, 7]))
+    @settings(max_examples=100)
+    def test_mul_add_sub_deriv_evaluate(self, a, b, p):
+        def red(v):
+            return tuple(int(c) for c in q_trim(v if p is None else [int(c) % p for c in v]))
+
+        assert poly.mul(a, b, p) == red(q_mul(a, b))
+        assert poly.add(a, b, p) == red(q_sub(a, [-c for c in b]))
+        assert poly.sub(a, b, p) == red(q_sub(a, b))
+        assert poly.deriv(a, p) == red(q_deriv(a))
+        want = sum(c * 3**i for i, c in enumerate(a))
+        assert poly.evaluate(a, 3, p) == (want if p is None else want % p)
+
+    @given(small_int_polys, nonconstant_int_polys)
+    @settings(max_examples=200)
+    def test_divrem_over_z_answers_exactly_when_the_quotient_is_integral(self, a, b):
+        quo, rem = q_divmod(a, b)
+        got = poly.divrem(a, b)
+        if all(c.denominator == 1 for c in quo):
+            assert got == (tuple(map(int, quo)), tuple(map(int, rem)))
+        else:
+            assert got is None
+
+    @given(small_int_polys, nonconstant_int_polys)
+    @settings(max_examples=100)
+    def test_exact_division_by_a_product(self, a, b):
+        assert poly.divrem(poly.mul(a, b), b) == (tuple(a), ())
+
+    @given(small_int_polys, nonconstant_int_polys, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=100)
+    def test_divrem_over_fp(self, a, b, p):
+        if not poly.trim(b, p):
+            with pytest.raises(ZeroDivisionError):
+                poly.divrem(a, b, p)
+            return
+        quo, rem = poly.divrem(a, b, p)
+        assert len(rem) < len(poly.trim(b, p))
+        assert poly.add(poly.mul(quo, b, p), rem, p) == poly.trim(a, p)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            poly.divrem((1, 2), (0,))
+
+
+# ---------------------------------------------------------------------------
+# Over F_p
+# ---------------------------------------------------------------------------
+
+
+class TestOverFp:
+    @given(small_int_polys, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=100)
+    def test_unreduced_input_is_reduced_first(self, low, p):
+        # (-8, -4, 1) over F_2 is x^2: an unreduced copy once looped forever
+        f = tuple(low) + (1,)
+        reduced = tuple(c % p for c in f)
+        assert poly.fp_degree_pattern(f, p) == poly.fp_degree_pattern(reduced, p)
+        assert poly.fp_squarefree_part(f, p) == poly.fp_squarefree_part(reduced, p)
+        assert poly.fp_gcd(f, low, p) == poly.fp_gcd(reduced, low, p)
+
+    def test_square_over_f2(self):
+        assert poly.fp_degree_pattern((-8, -4, 1), 2) == {1: 1}
+
+
+# ---------------------------------------------------------------------------
+# Over Z
+# ---------------------------------------------------------------------------
+
+
+class TestOverZ:
+    @given(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=6
+        ).filter(lambda a: a[-1] != 0)
+    )
+    @settings(max_examples=150)
+    def test_primitive_of_fractions(self, a):
+        prim = poly.primitive(a)
+        assert all(type(c) is int for c in prim)
+        assert prim[-1] > 0
+        assert poly.primitive(prim) == prim
+        assert math.gcd(*prim) == 1
+        # the same line through the origin: a proportional to prim
+        ratio = F(a[-1]) / prim[-1]
+        assert [F(c) for c in a] == [ratio * c for c in prim]
+
+    @given(nonconstant_int_polys, small_int_polys, small_int_polys)
+    @settings(max_examples=150)
+    def test_gcd_matches_monic_gcd_up_to_a_scalar(self, g, u, v):
+        a, b = poly.mul(g, u), poly.mul(g, v)
+        got = poly.gcd(a, b)
+        want = q_monic_gcd(a, b)
+        assert monic(got) == want
+        assert got == poly.primitive(got)
+
+    def test_gcd_with_zero(self):
+        assert poly.gcd((), ()) == ()
+        assert poly.gcd((0, 2, 4), ()) == (0, 1, 2)
+        assert poly.gcd((), (-3,)) == (1,)
+
+    @given(
+        st.lists(
+            st.tuples(nonconstant_int_polys, st.integers(1, 3)), min_size=1, max_size=3
+        ),
+        st.integers(-3, 3).filter(bool),
+    )
+    @settings(max_examples=100)
+    def test_yun_parts_and_multiplicities(self, factors, scale):
+        P = (scale,)
+        for f, k in factors:
+            for _ in range(k):
+                P = poly.mul(P, f)
+        got = poly.squarefree(P)
+        want = q_yun(P)
+        assert [k for _, k in got] == [k for _, k in want]
+        assert [monic(part) for part, _ in got] == [part for part, _ in want]
+        rebuilt = (1,)
+        for part, k in got:
+            assert part == poly.primitive(part) and len(part) > 1
+            for _ in range(k):
+                rebuilt = poly.mul(rebuilt, part)
+        assert monic(rebuilt) == monic(P)
+
+    @given(
+        st.integers(-6, 6),
+        st.integers(1, 6),
+        st.integers(0, 4),
+        small_int_polys,
+    )
+    @settings(max_examples=200)
+    def test_multiplicity_of_linear_factors(self, a, b, k, cofactor):
+        # b*t - a to the k, times a cofactor that may hold it again
+        m = poly.primitive((-a, b))
+        P = tuple(cofactor)
+        for _ in range(k):
+            P = poly.mul(P, (-a, b))
+        power, rest = poly.multiplicity(P, m)
+        # reference: divide by t - a/b over Q while a/b is a root
+        value, want, Q = F(a, b), 0, q_trim(P)
+        while sum(c * value**i for i, c in enumerate(Q)) == 0:
+            Q, _ = q_divmod(Q, [-value, F(1)])
+            want += 1
+        assert power == want >= k
+        rebuilt = rest
+        for _ in range(power):
+            rebuilt = poly.mul(rebuilt, m)
+        assert rebuilt == tuple(P)
+        assert poly.divrem(rest, m) is None or poly.divrem(rest, m)[1]
+
+    def test_multiplicity_needs_a_nonconstant_factor(self):
+        with pytest.raises(ValueError):
+            poly.multiplicity((1, 1), (2,))
+        with pytest.raises(ValueError):
+            poly.multiplicity((), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Exact orders (zeta.ord_at) on products of 1 - q^k t^j
+# ---------------------------------------------------------------------------
+
+_QS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2)}
+_factor = st.tuples(st.integers(0, 3), st.integers(1, 3))  # (k, j): 1 - q^k t^j
+
+
+def _side(q, factors):
+    out = (1,)
+    for k, j in factors:
+        out = poly.mul(out, (1,) + (0,) * (j - 1) + (-(q**k),))
+    return out
+
+
+def _numeric_multiplicity(side, x0):
+    if len(side) < 2:
+        return 0
+    return sum(m for x, m in polynomial_roots(side, 60) if abs(x - x0) < mpmath.mpf(10) ** -40)
+
+
+@st.composite
+def _points(draw, factors):
+    kind = draw(st.sampled_from(["factor", "factor as float", "fraction", "dyadic"]))
+    if kind.startswith("factor") and factors:
+        k, j = draw(st.sampled_from(factors))
+        # k/1 and k/2 are dyadic, so a float holds them exactly
+        return k / j if kind == "factor as float" and j != 3 else F(k, j)
+    if kind == "dyadic":
+        return draw(st.integers(-16, 16)) / 2 ** draw(st.integers(0, 3))
+    return F(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+
+
+class TestOrdAtCapelli:
+    @given(
+        st.sampled_from(sorted(_QS)),
+        st.lists(_factor, max_size=3),
+        st.lists(_factor, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=60)
+    def test_order_matches_roots_and_hand_count(self, q, num_factors, den_factors, data):
+        p, r = _QS[q]
+        z = data.draw(_points(num_factors + den_factors))
+        Z = RationalFunction(_side(q, num_factors), _side(q, den_factors))
+        res = ord_at(Z, PrimePower(p, r), z)
+        assert res.exact and not res.indeterminate
+        # by hand: 1 - q^k t^j has the one positive root q^(-k/j), simple
+        zf = F(z)
+        hand = sum(F(k, j) == zf for k, j in num_factors) - sum(
+            F(k, j) == zf for k, j in den_factors
+        )
+        assert res.order == hand
+        with mpmath.workdps(70):
+            x0 = mpmath.power(q, -mpmath.mpf(zf.numerator) / zf.denominator)
+            numeric = _numeric_multiplicity(Z.num, x0) - _numeric_multiplicity(Z.den, x0)
+        assert res.order == numeric
+
+    def test_integer_points_by_hand(self):
+        # Z = (1 - 9t)^2 / ((1 - t)(1 - 3t)^3) over F_3
+        Z = RationalFunction(_side(9, [(1, 1), (1, 1)]), _side(3, [(0, 1), (1, 1), (1, 1), (1, 1)]))
+        q = PrimePower(3)
+        orders = {z: ord_at(Z, q, z).order for z in (-1, 0, 1, 2, 3, 0.5, F(3, 2))}
+        assert orders == {-1: 0, 0: -1, 1: -3, 2: 2, 3: 0, 0.5: 0, F(3, 2): 0}
+
+    def test_binomial_not_monic_in_x(self):
+        # over F_4 = F_(2^2) at z = 1/4: r z = 1/2, so x0 = 2^(-1/2) is a
+        # root of 2 x^2 - 1, which divides 1 - 2 t^2 twice
+        Z = RationalFunction(poly.mul((1, 0, -2), (1, 0, -2)), (1, -1))
+        assert ord_at(Z, PrimePower(2, 2), F(1, 4)).order == 2
+        assert ord_at(Z, PrimePower(2, 2), 0.25).order == 2
+        assert ord_at(Z, PrimePower(2, 2), F(1, 2)).order == 0
+
+    @pytest.mark.parametrize("z", [10**6, -(10**6), F(10**6 + 1, 2)])
+    def test_far_points_never_build_the_power(self, z):
+        Z = RationalFunction((1, -2, 5), (1, -6, 5))
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            res = ord_at(Z, PrimePower(5), z)
+            best = min(best, time.perf_counter() - start)
+        assert res.exact and res.order == 0
+        assert best < 0.01

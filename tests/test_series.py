@@ -23,14 +23,11 @@ from zetalab.series import (
     mat_rank,
     mat_rref,
     pade_reconstruct,
-    poly_deg,
-    poly_eval,
-    poly_mul,
     polynomial_roots,
     power_sums_inverse_roots,
     roots_on_circle,
-    squarefree_decomposition,
 )
+from zetalab.poly import deg, evaluate, mul, squarefree
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -48,7 +45,7 @@ class TestExpLog:
         assert log_series(exp_series(src)) == src
 
     def test_log_of_rational_expansion(self):
-        rf = RationalFunction((1,), poly_mul((1, -1), (1, -3)))
+        rf = RationalFunction((1,), mul((1, -1), (1, -3)))
         lg = log_series(rf.expand(3))
         assert lg.coeffs == (F(0), F(4), F(5), F(28, 3))
 
@@ -90,12 +87,12 @@ class TestDeterminants:
 
 class TestPade:
     def test_recovers_rational(self):
-        rf = RationalFunction((1,), poly_mul((1, -1), (1, -3)))
+        rf = RationalFunction((1,), mul((1, -1), (1, -3)))
         p = pade_reconstruct(rf.expand(4), 0, 2)
         assert p.num == (F(1),) and p.den == (F(1), F(-4), F(3))
 
     def test_minimal_data(self):
-        zs = RationalFunction((1,), poly_mul((1, -1), (1, -3))).expand(2)
+        zs = RationalFunction((1,), mul((1, -1), (1, -3))).expand(2)
         assert pade_reconstruct(zs, 0, 2).den == (F(1), F(-4), F(3))
 
     def test_degenerate_degrees_still_verify(self):
@@ -123,7 +120,7 @@ class TestPowerSums:
     @settings(max_examples=40)
     def test_linear_pair_newton_identities(self, a, b):
         # P = (1 - at)(1 - bt): power sums must be a^n + b^n
-        P = poly_mul((1, -a), (1, -b))
+        P = mul((1, -a), (1, -b))
         ps = power_sums_inverse_roots(P, 5)
         assert ps == [F(a**n + b**n) for n in range(1, 6)]
 
@@ -187,16 +184,16 @@ def weil_candidates(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         a = draw(st.integers(min_value=-bound - 2, max_value=bound + 2))
         for _ in range(draw(st.integers(min_value=1, max_value=2))):
-            P = poly_mul(P, (1, -a, Q))
+            P = mul(P, (1, -a, Q))
     if draw(st.booleans()):
         c = draw(st.integers(min_value=-2, max_value=3))
-        P = poly_mul(P, (1, 0, 2 * Q + c, 0, Q * Q))
+        P = mul(P, (1, 0, 2 * Q + c, 0, Q * Q))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        P = poly_mul(P, (1, 0, -Q))
+        P = mul(P, (1, 0, -Q))
     root = math.isqrt(Q)
     if root * root == Q:
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            P = poly_mul(P, (1, draw(st.sampled_from([root, -root]))))
+            P = mul(P, (1, draw(st.sampled_from([root, -root]))))
     if len(P) == 1:
         P = (1, -root) if root * root == Q else (1, 0, -Q)
     if draw(st.integers(min_value=0, max_value=2)) == 0:
@@ -303,8 +300,8 @@ class TestRootClustering:
                 assert abs(got - want) < mpmath.mpf(10) ** -25
 
     def test_squarefree_decomposition(self):
-        poly = poly_mul(poly_mul((1, -1), (1, -1)), poly_mul((1, -1), (1, -2)))
-        degrees = {m: poly_deg(p) for p, m in squarefree_decomposition(poly)}
+        poly = mul(mul((1, -1), (1, -1)), mul((1, -1), (1, -2)))
+        degrees = {m: deg(p) for p, m in squarefree(poly)}
         assert degrees == {1: 1, 3: 1}
 
 
@@ -353,7 +350,7 @@ def known_products(draw):
     for coeffs, roots, nreal in draw(st.lists(known_factor(), min_size=1, max_size=3)):
         mult = draw(st.integers(min_value=1, max_value=3))
         for _ in range(mult):
-            P = poly_mul(P, coeffs)
+            P = mul(P, coeffs)
         expected += [(r, mult) for r in roots]
         real += nreal * mult
     k = draw(st.integers(min_value=0, max_value=2))
@@ -468,4 +465,4 @@ class TestRationalFunction:
         assert rf * rf.reciprocal() == RationalFunction.one()
 
     def test_poly_eval_exact(self):
-        assert poly_eval((1, -2, 5), F(1, 2)) == F(5, 4)
+        assert evaluate((1, -2, 5), F(1, 2)) == F(5, 4)

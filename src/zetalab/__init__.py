@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for zeta functions of varieties over finite fields.
 
-Point counts are produced by brute-force enumeration, turned into zeta
-functions by exact power-series arithmetic, split exactly into Frobenius
-weight factors, reassembled into even/odd weight-normalized
-zeta functions, and fed into Euler products and Dirichlet series over Q.
+Point counts are produced exactly (by enumeration, or from one count
+over F_p for an elliptic curve), turned into zeta functions by exact
+power-series arithmetic, split exactly into Frobenius weight factors,
+reassembled into even/odd weight-normalized zeta functions, and fed
+into Euler products and Dirichlet series over Q.
 Every identity or bound that is checkable at desk scale gets a checker.
 """
 

@@ -209,12 +209,7 @@ class FiniteField:
     def mul(self, a, b):
         return mulmod(a, b, self.modulus, self.p)
 
-    def square(self, a):
-        return mulmod(a, a, self.modulus, self.p)
-
     def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         result = self.one
         base = a
         while e:
@@ -223,16 +218,6 @@ class FiniteField:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        # a^(q-2); fine at these sizes and avoids an extended-gcd code path
-        return self.pow(a, self.order - 2)
-
-    def frobenius(self, a):
-        """x -> x^p, the absolute Frobenius."""
-        return self.pow(a, self.p)
 
     def elements(self):
         """All field elements as tuples, fixed lexicographic order."""

@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zetalab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    sub.add_parser("count", parents=[common, variety], help="brute-force point counts")
+    sub.add_parser("count", parents=[common, variety], help="exact point counts")
     sub.add_parser("zeta", parents=[common, variety], help="exact zeta as a rational function")
     sub.add_parser("nc", parents=[common, variety], help="even/odd spectrum from weight factors")
 

@@ -17,10 +17,12 @@ checked anywhere; downstream reports carry a banner saying so.
 Counting is exact brute-force enumeration over the extension field,
 with three shortcuts that stay exact: projective space by the geometric
 series, zero-dimensional schemes by distinct-degree factorization of
-the defining polynomial, and Weierstrass curves in odd characteristic
-by a square table over x alone.  Enumeration walks one normalized
-representative per projective point (first nonzero coordinate = 1)
-so no division by the unit group is ever needed.
+the defining polynomial, and Weierstrass curves by one integer count of
+#E(F_p) (a square table over x at odd p, the four (x, y) pairs at
+p = 2), which fixes det(1 - t Frob | H^1) and with it the count over
+every F_{q^n}.  Enumeration walks one normalized representative per
+projective point (first nonzero coordinate = 1) so no division by the
+unit group is ever needed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .arith import (
     make_extension_field,
 )
 from .poly import fp_degree_pattern
+from .series import power_sums_inverse_roots
 
 __all__ = [
     "BudgetError",
@@ -57,7 +60,7 @@ DEFAULT_BUDGET = 10**9
 
 
 class BudgetError(RuntimeError):
-    """Raised before an enumeration whose candidate space exceeds the budget."""
+    """Raised before a count whose candidate space exceeds the budget."""
 
 
 class ParseError(ValueError):
@@ -542,48 +545,36 @@ def _count_affine(field: FiniteField, nvars, polys, budget):
     return count
 
 
-def _count_elliptic(field: FiniteField, a_inv, budget):
-    """#E(F_{q^n}) for a Weierstrass curve with integer a-invariants.
+def _elliptic_frobenius(a_inv, p, budget):
+    """det(1 - t Frob | H^1) of the Weierstrass curve mod p, from #E(F_p).
 
-    Odd characteristic: complete the square, so for each x the number of
-    y-solutions is the number of square roots of a cubic in x.  One pass
-    builds the square table, one pass sums.  Characteristic 2: the
-    square trick needs 1/2, so fall back to enumerating (x, y) pairs.
+    With a = p + 1 - #E(F_p) this is 1 - a t + p t^2 when the
+    discriminant is a unit mod p (Silverman, AEC V.2).  At singular
+    reduction the nonsingular points form G_a, G_m or a twisted G_m, so
+    a is 0 or +-1 and #E(F_{p^m}) = p^m + 1 - a^m: the factor is 1 - a t
+    (ibid. III.2.5).  Odd p completes the square, (2y + a1 x + a3)^2 =
+    4x^3 + b2 x^2 + 2 b4 x + b6, and reads the y-count of each x off a
+    table of square roots; p = 2 walks the four (x, y) pairs.
     """
     a1, a2, a3, a4, a6 = a_inv
-    qn = field.order
-    if field.p == 2:
-        _check_budget(qn * qn, budget, "elliptic enumeration")
-        elems = list(field.elements())
-        count = 1  # the point at infinity
-        f = field
-        ea = [f.from_int(a) for a in a_inv]
-        for x in elems:
-            x2 = f.square(x)
-            rhs = f.add(f.add(f.mul(x2, x), f.mul(ea[1], x2)), f.add(f.mul(ea[3], x), ea[4]))
-            for y in elems:
-                lhs = f.add(f.square(y), f.add(f.mul(ea[0], f.mul(x, y)), f.mul(ea[2], y)))
-                if lhs == rhs:
-                    count += 1
-        return count
-    _check_budget(qn, budget, "elliptic enumeration")
-    f = field
-    b2 = f.from_int(a1 * a1 + 4 * a2)
-    twob4 = f.from_int(2 * (2 * a4 + a1 * a3))
-    b6 = f.from_int(a3 * a3 + 4 * a6)
-    four = f.from_int(4)
-    sq_table = {}
-    for u in f.elements():
-        key = f.square(u)
-        sq_table[key] = sq_table.get(key, 0) + 1
-    count = 1
-    for x in f.elements():
-        x2 = f.square(x)
-        rhs = f.add(
-            f.add(f.mul(four, f.mul(x2, x)), f.mul(b2, x2)), f.add(f.mul(twob4, x), b6)
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    if p == 2:
+        _check_budget(4, budget, "elliptic count")
+        affine = sum(
+            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
         )
-        count += sq_table.get(rhs, 0)
-    return count
+    else:
+        _check_budget(p, budget, "elliptic count")
+        roots = [0] * p  # roots[v] = #{u : u^2 = v}
+        for u in range(p):
+            roots[u * u % p] += 1
+        affine = sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+    a = p - affine  # p + 1 - #E(F_p), the point at infinity included
+    return (1, -a, p) if disc % p else (1, -a)
 
 
 def count_points(
@@ -594,7 +585,12 @@ def count_points(
     budget: int = DEFAULT_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> int:
-    """Exact #X(F_{q^n}).  Integer-coefficient data is specialized mod p."""
+    """Exact #X(F_{q^n}).  Integer-coefficient data is specialized mod p.
+
+    Every kind but the elliptic curve counts over F_{q^n} itself; an
+    elliptic curve is counted once over F_p and every F_{q^n} follows
+    from its Frobenius polynomial, with no extension field built.
+    """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     return _point_counter(spec, q, budget, degree_cap)(n)
@@ -602,8 +598,12 @@ def count_points(
 
 def _point_counter(spec: VarietySpec, q: PrimePower, budget, degree_cap):
     """n -> #X(F_{q^n}).  What does not depend on n is computed once:
-    a zero-dimensional factor's degree pattern mod p serves every n."""
+    a zero-dimensional factor's degree pattern mod p serves every n,
+    and an elliptic curve's Frobenius polynomial serves every q^n."""
     kind = spec.kind
+    if kind == "elliptic_curve":
+        P = _elliptic_frobenius(spec.a_invariants, q.p, budget)
+        return lambda n: q.q**n + 1 - power_sums_inverse_roots(P, q.r * n)[-1]
     if kind == "product":
         left = _point_counter(spec.left, q, budget, degree_cap)
         right = _point_counter(spec.right, q, budget, degree_cap)
@@ -623,8 +623,6 @@ def _count_over_extension(spec: VarietySpec, q: PrimePower, n, budget, degree_ca
         qn = q.q**n
         return (qn ** (spec.ambient_dim + 1) - 1) // (qn - 1)
     field = make_extension_field(q, n, cap=degree_cap)
-    if kind == "elliptic_curve":
-        return _count_elliptic(field, spec.a_invariants, budget)
     if kind in ("plane_projective_curve", "projective_hypersurface"):
         return _count_projective(field, spec.ambient_dim + 1, spec.equations, budget)
     if kind == "raw_system":

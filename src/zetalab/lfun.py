@@ -30,7 +30,7 @@ from .counting import VarietySpec, count_series, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
 from .series import power_sums_inverse_roots
-from .zeta import weight_factorize, weil_check, zeta_rational
+from .zeta import SeparationError, weight_factorize, weil_check, zeta_rational
 
 __all__ = [
     "ArithmeticModel",
@@ -164,48 +164,6 @@ def _fiber_spec(model: ArithmeticModel, p: int) -> VarietySpec:
     return model.family
 
 
-def _elliptic_counts(a_invariants, p: int, m: int):
-    """Point counts of an elliptic fiber over F_p, F_{p^2}, ..., F_{p^m}.
-
-    The base count walks x once with a quadratic-character table on the
-    completed square (odd p).  Counts over extensions follow from the
-    trace recursion s_n = a*s_{n-1} - p*s_{n-2} of the degree-1 count's
-    quadratic factor; the downstream pipeline re-derives that factor
-    from these counts and checks its root moduli, and the low-degree
-    counts are cross-checked against direct enumeration in the tests.
-    """
-    a1, a2, a3, a4, a6 = a_invariants
-    if p == 2:
-        spec = VarietySpec(kind="elliptic_curve", a_invariants=tuple(a_invariants))
-        return list(count_series(spec, PrimePower(2), m).counts)
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    squares = set()
-    for u in range(p):
-        squares.add(u * u % p)
-    n1 = 1  # the point at infinity
-    for x in range(p):
-        v = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        if v == 0:
-            n1 += 1
-        elif v in squares:
-            n1 += 2
-    a = p + 1 - n1
-    counts = []
-    s_prev, s_cur = 2, a
-    for n in range(1, m + 1):
-        counts.append(p**n + 1 - s_cur)
-        s_prev, s_cur = s_cur, a * s_cur - p * s_prev
-    return counts
-
-
-def _fiber_counts(spec: VarietySpec, p: int, m: int):
-    if spec.kind == "elliptic_curve":
-        return _elliptic_counts(spec.a_invariants, p, m)
-    return list(count_series(spec, PrimePower(p), m).counts)
-
-
 # Local results (decomposition, spectrum) by (fiber spec, p, degrees,
 # betti), least recently used first.  The bound holds several
 # global models of a few hundred primes each.  A replacement fiber's
@@ -227,18 +185,24 @@ def _local_entry(model: ArithmeticModel, p: int, degrees=None):
     if hit is not None:
         _LOCAL_CACHE.move_to_end(key)
         return hit
-    counts = _fiber_counts(fiber, p, degrees)
     q = PrimePower(p)
+    counts = count_series(fiber, q, degrees).counts
     if fiber is model.family:
         Z = zeta_rational(counts, model.betti)
-        dec = weight_factorize(Z, q, model.d, model.betti)
+        d, betti = model.d, model.betti
     else:
         # replacement fibers are zero-dimensional stand-ins; their shape
         # is recovered from the reconstruction itself
         Z = zeta_rational(counts, None)
         if len(Z.num) > 1:
             raise ValueError("replacement fibers must have a polar zeta (dimension 0)")
-        dec = weight_factorize(Z, q, 0, (len(Z.den) - 1,))
+        d, betti = 0, (len(Z.den) - 1,)
+    try:
+        dec = weight_factorize(Z, q, d, betti)
+    except SeparationError as exc:
+        # a singular fiber at a prime the model does not declare bad
+        # lands here, so name the prime
+        raise SeparationError(f"fiber at p={p}: {exc}") from exc
     spectrum = nc_spectrum_from_weights(dec)
     weil = FAIL if any(c.verdict == FAIL for c in weil_check(dec)) else PASS
     spectrum.provenance["p"] = p

@@ -110,6 +110,26 @@ class TestZetaAndSpectrum:
         assert code == 0
         assert abs(doc["value"]["re"] - 1.6449340668) < 1e-2
 
+    def test_lfun_singular_fiber_at_undeclared_prime_exits_one(self, capsys, tmp_path):
+        # y^2 = x^3 + 5 is singular at 5 too, but the model declares only
+        # 2 and 3 bad: the fiber at 5 has no weight-1 factor to report
+        model = tmp_path / "cusp.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "family": "elliptic a=[0,0,0,0,5]",
+                    "bad_primes": [{"p": 2}, {"p": 3}],
+                    "betti": [1, 2, 1],
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "lfun", "--model", str(model), "--parity", "odd", "--s", "3.0",
+            "--prime-cutoff", "30",
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: fiber at p=5: ")
+
 
 class TestCheckSubcommand:
     def test_weil_pass(self, capsys):

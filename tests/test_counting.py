@@ -1,10 +1,10 @@
-"""Variety description parsing and brute-force point counting."""
+"""Variety description parsing and exact point counting."""
 
 import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetalab.arith import PrimePower
@@ -194,6 +194,60 @@ class TestZeroDimensionalCounts:
         )
         both = VarietySpec(kind="product", left=spec, right=spec)
         assert list(count_series(both, q, 6).counts) == [c * c for c in want]
+
+
+def plane_cubic(a):
+    """The Weierstrass equation with invariants a, homogenized in P^2."""
+    a1, a2, a3, a4, a6 = a
+    return parse_variety(
+        f"projective 2; vars x,y,z; eq y^2*z + ({a1})*x*y*z + ({a3})*y*z^2"
+        f" - x^3 - ({a2})*x^2*z - ({a4})*x*z^2 - ({a6})*z^3"
+    )
+
+
+def elliptic(a):
+    return VarietySpec(kind="elliptic_curve", a_invariants=tuple(a))
+
+
+class TestEllipticCounts:
+    # The elliptic counter counts #E(F_p) once and takes every other
+    # count from the Frobenius polynomial; the plane cubic is enumerated
+    # point by point over F_{q^n}.  About a third of the draws reduce to
+    # a singular cubic (a node or a cusp), where the polynomial has
+    # degree 1.  Every field has at most 81 elements.
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]),
+        st.tuples(*[st.integers(min_value=-4, max_value=4)] * 5),
+        st.integers(min_value=1, max_value=6),
+    )
+    @example((5, 1), (0, 0, 0, 0, 5), 2)  # a cusp at 5
+    @example((5, 1), (0, 1, 0, 0, 0), 2)  # y^2 = x^2 (x + 1): a split node
+    @example((3, 1), (0, -1, 0, 0, 0), 4)  # y^2 = x^2 (x - 1): a non-split node
+    @example((2, 2), (1, 0, 0, 0, 0), 3)  # y^2 + xy = x^3: a split node at 2
+    @settings(max_examples=40, deadline=None)
+    def test_matches_plane_cubic_enumeration(self, pr, a, degrees):
+        p, r = pr
+        q = PrimePower(p, r)
+        degrees = min(degrees, max(n for n in range(1, 7) if q.q**n <= 81))
+        want = [count_points(plane_cubic(a), q, n) for n in range(1, degrees + 1)]
+        assert list(count_series(elliptic(a), q, degrees).counts) == want
+
+    def test_known_counts_of_y2_x3_x(self):
+        # #E(F_{p^n}) for y^2 = x^3 + x, n = 1..3, by enumeration of F_{p^n}
+        known = {
+            3: (4, 16, 28),
+            5: (4, 32, 148),
+            7: (8, 64, 344),
+            11: (12, 144, 1332),
+            13: (20, 160, 2180),
+        }
+        for p, counts in known.items():
+            assert count_series(elliptic((0, 0, 0, 1, 0)), PrimePower(p), 3).counts == counts
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_budget_below_p(self, p):
+        with pytest.raises(BudgetError, match="budget"):
+            count_points(elliptic((0, 0, 1, 1, 0)), PrimePower(p), 1, budget=p - 1)
 
 
 class TestBudget:

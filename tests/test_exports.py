@@ -1,6 +1,7 @@
 """Every name a zetalab module exports through __all__ exists,
-importing zetalab pulls in nothing beyond its declared dependencies, and
-zetalab.poly stays the one polynomial layer."""
+importing zetalab pulls in nothing beyond its declared dependencies,
+zetalab.poly stays the one polynomial layer, and zetalab.counting the
+one elliptic point counter."""
 
 import ast
 import importlib
@@ -65,3 +66,15 @@ def test_one_polynomial_layer(path):
     ]
     banned = ("divmod", "gcd", "trim", "squarefree")
     assert [n for n in names if any(w in n.lower() for w in banned)] == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "counting.py"))
+def test_one_elliptic_counter(path):
+    # elliptic curves are counted in zetalab.counting only, so a second
+    # counter (with its own idea of bad reduction) cannot grow back
+    names = [
+        node.name
+        for node in ast.walk(_tree(SRC / path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert [n for n in names if "elliptic" in n.lower()] == []

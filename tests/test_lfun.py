@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 from zetalab import lfun
 from zetalab.arith import PrimePower
-from zetalab.counting import VarietySpec, count_points, parse_variety
+from zetalab.counting import VarietySpec, count_series
 from zetalab.lfun import (
     ArithmeticModel,
     BadPrimeError,
     PoleError,
     _block_power_sums,
-    _elliptic_counts,
     _local_decomposition,
     bounds_certificate,
     dirichlet_beta,
@@ -138,9 +137,9 @@ class TestLocalSpectra:
         first, second = (load_model(fixture_path("elliptic.json")) for _ in range(2))
         assert first.family == second.family and first.family is not second.family
         counted = []
-        fiber_counts = lfun._fiber_counts
+        count_series = lfun.count_series
         monkeypatch.setattr(
-            lfun, "_fiber_counts", lambda *a: counted.append(a) or fiber_counts(*a)
+            lfun, "count_series", lambda *a: counted.append(a) or count_series(*a)
         )
         spectrum = local_spectrum(first, 7)
         monkeypatch.setattr(
@@ -158,12 +157,19 @@ class TestLocalSpectra:
         assert len(lfun._LOCAL_CACHE) == 2
         assert local_spectrum(ell, 7) == first
 
-    def test_elliptic_fast_counts_match_enumeration(self):
-        spec = parse_variety("elliptic a=[0,0,0,1,0]")
-        for p in (3, 5, 7, 11, 13):
-            fast = _elliptic_counts((0, 0, 0, 1, 0), p, 3)
-            brute = [count_points(spec, PrimePower(p), n) for n in range(1, 4)]
-            assert fast == brute
+    def test_singular_fiber_at_undeclared_prime_raises(self):
+        # y^2 = x^3 + 5 has discriminant -10800 = -2^4 3^3 5^2: a cusp at
+        # 5, where #E(F_{5^n}) = 5^n + 1 and no weight-1 factor exists
+        model = ArithmeticModel.from_dict(
+            {
+                "family": "elliptic a=[0,0,0,0,5]",
+                "bad_primes": [{"p": 2}, {"p": 3}],
+                "betti": [1, 2, 1],
+            }
+        )
+        assert count_series(model.family, PrimePower(5), 4).counts == (6, 26, 126, 626)
+        with pytest.raises(SeparationError, match="fiber at p=5: "):
+            local_spectrum(model, 5)
 
 
 # Models that share fibers: Spec Q's family is Z[i]'s replacement fiber

@@ -15,9 +15,10 @@ rather than a fabricated continuation.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -55,8 +56,13 @@ __all__ = [
 DEFAULT_MARGIN = 0.05
 DEFAULT_DPS = 30
 WINDING_RADIUS = 0.25
-WINDING_SAMPLES = 256
-WINDING_SNAP_TOL = 0.1
+WINDING_SAMPLES = 64
+# An arc of the contour is bisected while its end values f(z0), f(z1)
+# have |f(z1)/f(z0) - 1| above WINDING_STEP, and at most WINDING_DEPTH
+# times: an arc still too coarse at 1/1024 of the starting step runs
+# through a zero or pole.
+WINDING_STEP = 0.25
+WINDING_DEPTH = 10
 
 
 class PoleError(ValueError):
@@ -708,31 +714,41 @@ def dirichlet_beta(s, *, dps: int = 40):
         return complex(pref * gamma_ratio * _beta_series(1 - s_mp))
 
 
-def closed_form_l_function(model: ArithmeticModel, parity: str):
-    """The continued L-function as a callable, or None without a tag.
+def _shifted_zeta(j):
+    return lambda s: zeta_continuation(complex(s) - j)
 
-    All shipped closed forms have trivial odd part (the constant 1);
-    the even part is a product of shifted Riemann zetas, or zeta times
-    the mod-4 L-function for the Gaussian case.
+
+def _closed_form_factors(model: ArithmeticModel, parity: str):
+    """The distinct factors of the continued L-function, as
+    ((fn, multiplicity), ...), or None without a tag.
+
+    All shipped closed forms have trivial odd part, the empty product.
+    The even part is zeta(s - j) over the shifts j of a mixed-Tate tag,
+    one factor per distinct shift with its count as multiplicity, or
+    zeta times the mod-4 L-function beta for the Gaussian case.
     """
     tag = model.closed_form
     if tag is None:
         return None
     if parity == "odd":
-        return lambda s: complex(1.0)
+        return ()
     if tag[0] == "mixed_tate":
-        shifts = tag[1]
-
-        def even_value(s):
-            out = complex(1.0)
-            for j in shifts:
-                out *= zeta_continuation(complex(s) - j)
-            return out
-
-        return even_value
+        return tuple((_shifted_zeta(j), m) for j, m in sorted(Counter(tag[1]).items()))
     if tag[0] == "dedekind_qi":
-        return lambda s: zeta_continuation(s) * dirichlet_beta(s)
+        return ((zeta_continuation, 1), (dirichlet_beta, 1))
     raise AssertionError(f"unhandled closed form {tag!r}")
+
+
+def closed_form_l_function(model: ArithmeticModel, parity: str):
+    """The continued L-function as a callable, or None without a tag.
+
+    It is the product of `_closed_form_factors`, each to its
+    multiplicity; the odd part is the constant 1.
+    """
+    factors = _closed_form_factors(model, parity)
+    if factors is None:
+        return None
+    return lambda s: math.prod((fn(s) ** m for fn, m in factors), start=complex(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -746,39 +762,59 @@ def winding_order(
     *,
     radius: float = WINDING_RADIUS,
     samples: int = WINDING_SAMPLES,
-    snap_tol: float = WINDING_SNAP_TOL,
 ):
     """Order of fn at center by the argument principle on a small circle.
 
-    Returns (order, residual): the winding number of fn along the
-    circle, snapped to the nearest integer, with the snap residual.
-    A residual at or above snap_tol returns order None (indeterminate)
-    rather than a made-up integer.  Poles on or near the contour surface
-    as a failed snap, not an exception.
+    The contour starts as `samples` equally spaced points, and an arc
+    is bisected while its end values have |f(z1)/f(z0) - 1| >
+    WINDING_STEP (arc refinement after Ying & Katz, "A reliable
+    argument principle algorithm...", Numer. Math. 53, 1988).  Each
+    accepted arc then turns the phase by less than arcsin(1/4), and a
+    dip in |f| between samples shows as a large ratio, so the arc
+    phases arg(f(z1)/f(z0)) add up to 2*pi times the winding number.
+
+    Returns (order, residual): the winding number, with the distance of
+    the phase sum / 2*pi from it, which is float rounding only.  A zero
+    or pole on or near the contour returns (None, inf), not an
+    exception and not a made-up integer: an arc still too coarse after
+    WINDING_DEPTH bisections, or a sample that is zero, not finite or
+    raises PoleError.
     """
+    center = complex(center)
+
+    def value(theta):
+        z = center + radius * complex(math.cos(theta), math.sin(theta))
+        try:
+            v = complex(fn(z))
+        except PoleError:
+            return None
+        return v if v != 0 and cmath.isfinite(v) else None
+
+    thetas = [2 * math.pi * k / samples for k in range(samples + 1)]
+    values = [value(theta) for theta in thetas[:-1]]
+    if None in values:
+        return None, math.inf
+    values.append(values[0])
     total = 0.0
-    prev = None
-    for k in range(samples + 1):
-        theta = 2 * math.pi * (k % samples) / samples
-        z = complex(center) + radius * complex(math.cos(theta), math.sin(theta))
-        v = fn(z)
-        if v == 0:
-            return None, float("inf")
-        ang = math.atan2(v.imag, v.real)
-        if prev is not None:
-            delta = ang - prev
-            while delta > math.pi:
-                delta -= 2 * math.pi
-            while delta < -math.pi:
-                delta += 2 * math.pi
-            total += delta
-        prev = ang
+    for k in range(samples):
+        arcs = [(thetas[k], values[k], thetas[k + 1], values[k + 1], 0)]
+        while arcs:
+            t0, v0, t1, v1, depth = arcs.pop()
+            ratio = v1 / v0
+            if abs(ratio - 1) <= WINDING_STEP:
+                total += cmath.phase(ratio)
+                continue
+            if depth == WINDING_DEPTH:
+                return None, math.inf
+            tm = (t0 + t1) / 2
+            vm = value(tm)
+            if vm is None:
+                return None, math.inf
+            arcs.append((tm, vm, t1, v1, depth + 1))
+            arcs.append((t0, v0, tm, vm, depth + 1))
     winding = total / (2 * math.pi)
-    snapped = round(winding)
-    residual = abs(winding - snapped)
-    if residual >= snap_tol:
-        return None, residual
-    return snapped, residual
+    order = round(winding)
+    return order, abs(winding - order)
 
 
 _DASHBOARD_EQUALITIES = {
@@ -793,11 +829,14 @@ _DASHBOARD_EQUALITIES = {
 def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
     """Orders of the parity L-functions at s=j against supplied ranks.
 
-    Orders are measured on the continued closed form by winding count;
-    models without a closed form get UNSUPPORTED rows instead of
-    fabricated orders.  Ranks are fixtures (from the model file or the
-    ranks argument) and every row says which rank was supplied.  The
-    known equalities cover j in {1, 0} for both parities and j = -1 for
+    Orders are measured on the continued closed form by winding count,
+    one contour per distinct factor: the order is the sum of
+    multiplicity times factor order, and the residual the same sum of
+    the factor residuals; one failed factor makes the order None
+    (INDETERMINATE).  Models without a closed form get UNSUPPORTED rows
+    instead of fabricated orders.  Ranks are fixtures (from the model
+    file or the ranks argument) and every row says which rank was
+    supplied.  The known equalities cover j in {1, 0} for both parities and j = -1 for
     the even part; other combinations are INFO rows.  The further
     variants involving extension groups are reported as an INFO row
     only, since no rank data exists for them.
@@ -806,7 +845,7 @@ def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
         ranks = model.ranks
     rows = []
     for parity in ("even", "odd"):
-        fn = closed_form_l_function(model, parity)
+        factors = _closed_form_factors(model, parity)
         rank_name, sign = _DASHBOARD_EQUALITIES.get((j, parity), (None, None))
         base = {
             "j": j,
@@ -815,15 +854,22 @@ def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
             "rank_name": rank_name,
             "rank_supplied": ranks.get(rank_name) if rank_name else None,
         }
-        if fn is None:
+        if factors is None:
             rows.append(
                 dict(base, verdict=UNSUPPORTED, note="no closed-form continuation for this model")
             )
             continue
-        order, residual = winding_order(fn, j)
+        order, residual = 0, 0.0
+        for fn, m in factors:
+            factor_order, factor_residual = winding_order(fn, j)
+            if factor_order is None:
+                order, residual = None, math.inf
+                break
+            order += m * factor_order
+            residual += m * factor_residual
         base["residual"] = residual
         if order is None:
-            verdict, note = INDETERMINATE, "winding count failed to snap to an integer"
+            verdict, note = INDETERMINATE, "winding failed: a zero or pole on or near the contour"
         else:
             base["ord_computed"] = order
             if rank_name is None:

@@ -2,6 +2,7 @@
 bounds, Dirichlet expansions, trace-bound certificates, analytic
 continuation, and the order dashboard."""
 
+import cmath
 import collections
 import functools
 import math
@@ -18,12 +19,15 @@ from zetalab import lfun
 from zetalab.arith import PrimePower
 from zetalab.counting import VarietySpec, count_series
 from zetalab.lfun import (
+    WINDING_RADIUS,
+    WINDING_SAMPLES,
     ArithmeticModel,
     BadPrimeError,
     PoleError,
     _block_power_sums,
     _local_decomposition,
     bounds_certificate,
+    closed_form_l_function,
     dirichlet_beta,
     dirichlet_expand,
     euler_product_value,
@@ -58,6 +62,18 @@ def p1():
 @pytest.fixture(scope="module")
 def zi():
     return load_model(fixture_path("speczi.json"))
+
+
+@pytest.fixture(scope="module")
+def p2():
+    return ArithmeticModel.from_dict(
+        {
+            "name": "P2 over Q",
+            "family": "projective 2; vars x, y, z",
+            "betti": [1, 0, 1, 0, 1],
+            "closed_form": {"MixedTate": [0, 0, 0]},
+        }
+    )
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +389,83 @@ class TestContinuation:
         assert abs(dirichlet_beta(-1)) < 1e-10
 
 
+class TestClosedForm:
+    def test_product_of_factors(self, specq, p1, p2, zi, ell):
+        assert abs(closed_form_l_function(specq, "even")(2.0) - ZETA2) < 1e-12
+        assert abs(closed_form_l_function(p1, "even")(2.0) - ZETA2**2) < 1e-12
+        assert abs(closed_form_l_function(p2, "even")(2.0) - ZETA2**3) < 1e-12
+        assert abs(closed_form_l_function(zi, "even")(2.0) - ZETA2 * CATALAN) < 1e-12
+        assert closed_form_l_function(zi, "odd")(2.0) == 1
+        assert closed_form_l_function(ell, "even") is None
+
+    def test_factors_grouped_by_shift(self, p2, zi):
+        assert [m for _, m in lfun._closed_form_factors(p2, "even")] == [3]
+        assert [m for _, m in lfun._closed_form_factors(zi, "even")] == [1, 1]
+        assert lfun._closed_form_factors(p2, "odd") == ()
+        mixed = ArithmeticModel.from_dict(
+            {
+                "name": "mixed",
+                "family": "zerodim x",
+                "betti": [1],
+                "closed_form": {"MixedTate": [1, 0, 1]},
+            }
+        )
+        factors = lfun._closed_form_factors(mixed, "even")
+        assert [m for _, m in factors] == [1, 2]
+        value = factors[1][0](3.0)
+        assert abs(value - ZETA2) < 1e-12
+
+
+def _counted(fn):
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+def _fixed_contour_order(fn, center, samples=256):
+    """The fixed-contour count the adaptive contour replaced: wrapped
+    phase steps between equally spaced samples, rounded.  Returns the
+    order and the largest wrapped step."""
+    total, largest, prev = 0.0, 0.0, None
+    for k in range(samples + 1):
+        theta = 2 * math.pi * (k % samples) / samples
+        ang = cmath.phase(fn(center + WINDING_RADIUS * complex(math.cos(theta), math.sin(theta))))
+        if prev is not None:
+            step = (ang - prev + math.pi) % (2 * math.pi) - math.pi
+            total += step
+            largest = max(largest, abs(step))
+        prev = ang
+    return round(total / (2 * math.pi)), largest
+
+
+_MULTIPLICITY = st.sampled_from((-2, -1, 1, 2, 3))
+_GAP = st.floats(0.01, 0.2)
+
+
+@st.composite
+def _zeros_and_poles(draw):
+    """(center, [(point, multiplicity)]): one to five zeros and poles
+    0.01-0.2 inside or outside the contour, some with a dipole partner
+    of opposite multiplicity at a nearby angle."""
+    center = draw(st.sampled_from((0.0, 1.0, -2.0)))
+    points = []
+
+    def place(angle, m):
+        gap = draw(_GAP)
+        modulus = WINDING_RADIUS - gap if draw(st.booleans()) else WINDING_RADIUS + gap
+        points.append((center + cmath.rect(modulus, angle), m))
+
+    for _ in range(draw(st.integers(1, 5))):
+        angle, m = draw(st.floats(0, 2 * math.pi)), draw(_MULTIPLICITY)
+        place(angle, m)
+        if draw(st.booleans()):
+            place(angle + draw(st.floats(-0.05, 0.05)), -m)
+    return center, points
+
+
 class TestWindingOrder:
     def test_zeta_pole(self):
         order, residual = winding_order(zeta_continuation, 1.0)
@@ -385,6 +478,57 @@ class TestWindingOrder:
     def test_engineered_triple_zero(self):
         order, _ = winding_order(lambda z: (z - 2.0) ** 3, 2.0)
         assert order == 3
+
+    def test_contour_through_pole_is_indeterminate(self):
+        # the sample at theta = pi lands 3e-17 from the pole at s = 1
+        assert winding_order(zeta_continuation, 1.25) == (None, math.inf)
+
+    def test_sample_at_pole_is_indeterminate(self):
+        # the sample at theta = 0 is s = 1 exactly, where zeta raises
+        assert winding_order(zeta_continuation, 0.75) == (None, math.inf)
+
+    def test_refinement_floor_bounds_the_work(self):
+        # a zero 1e-9 outside the contour would need arcs far below
+        # 1/1024 of the starting step
+        fn = _counted(lambda z: z - (WINDING_RADIUS + 1e-9))
+        assert winding_order(fn, 0.0) == (None, math.inf)
+        assert fn.calls <= 2 * WINDING_SAMPLES
+
+    @pytest.mark.parametrize("bad", [0j, complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_zero_or_nonfinite_sample_is_indeterminate(self, bad):
+        def fn(z):
+            return bad if z == WINDING_RADIUS else z
+
+        assert winding_order(fn, 0.0) == (None, math.inf)
+
+    @given(_zeros_and_poles())
+    @settings(max_examples=200)
+    def test_matches_true_order_and_fixed_contour(self, case):
+        center, points = case
+
+        def fn(z):
+            out = complex(1.0)
+            for a, m in points:
+                out *= (z - a) ** m
+            return out
+
+        true = sum(m for a, m in points if abs(a - center) < WINDING_RADIUS)
+        order, residual = winding_order(fn, center)
+        assert order == true
+        assert residual < 1e-9
+        # The fixed route aliases when stacked zeros or poles turn the
+        # phase by more than pi between two of its samples (three double
+        # poles 0.01 outside do); where every step it took stays below
+        # pi/2 it resolved the contour and must agree.
+        fixed, largest_step = _fixed_contour_order(fn, center)
+        if largest_step < math.pi / 2:
+            assert fixed == order
+
+    @pytest.mark.parametrize("j", [1, 0, -1, -2])
+    def test_zeta_evaluation_count(self, j):
+        fn = _counted(zeta_continuation)
+        assert winding_order(fn, j)[0] is not None
+        assert fn.calls <= 2 * WINDING_SAMPLES
 
 
 class TestOrderDashboard:
@@ -417,6 +561,42 @@ class TestOrderDashboard:
         by = {(r["j"], r["parity"]): r for r in order_dashboard(zi, -1)}
         assert by[(-1, "even")]["ord_computed"] == 1
         assert by[(-1, "even")]["verdict"] == "PASS"
+
+    @pytest.mark.parametrize(
+        "name, orders",
+        [
+            ("specq", (-1, 0, 0, 1, 0)),
+            ("zi", (-1, 0, 1, 1, 1)),
+            ("p1", (-2, 0, 0, 2, 0)),
+            ("p2", (-3, 0, 0, 3, 0)),
+        ],
+    )
+    def test_orders_pinned(self, request, name, orders):
+        model = request.getfixturevalue(name)
+        for j, expected in zip((1, 0, -1, -2, -3), orders):
+            by = {r["parity"]: r for r in order_dashboard(model, j)}
+            assert by["even"]["ord_computed"] == expected, j
+            assert by["odd"]["ord_computed"] == 0 and by["odd"]["residual"] == 0.0
+
+    def test_one_contour_per_distinct_factor(self, p2, zi):
+        winds = _counted(winding_order)
+        zeta = _counted(zeta_continuation)
+        with mock.patch.object(lfun, "winding_order", winds), mock.patch.object(
+            lfun, "zeta_continuation", zeta
+        ):
+            order_dashboard(p2, 1)
+            assert winds.calls == 1
+            assert 0 < zeta.calls <= 2 * WINDING_SAMPLES
+            winds.calls = 0
+            order_dashboard(zi, 1)
+            assert winds.calls == 2
+
+    def test_failed_factor_is_indeterminate(self, zi):
+        # j = 0.75 puts a sample on the pole of the zeta factor
+        by = {r["parity"]: r for r in order_dashboard(zi, 0.75)}
+        assert by["even"]["verdict"] == "INDETERMINATE"
+        assert by["even"]["ord_computed"] is None
+        assert by["even"]["residual"] == math.inf
 
 
 class TestKTheoryTable:

@@ -4,13 +4,13 @@ An arithmetic model is a variety presentation with integral
 coefficients; its fiber at a good prime p goes through the full local
 pipeline (count, reconstruct, separate weights, shift onto the two
 circles), producing even/odd eigenvalue multisets per prime.  The
-global objects are Euler products over those local factors, together
-with their multiplicative Dirichlet expansions, trace-bound
-certificates for convergence, and, for models whose L-function has a
-closed form in shifted Riemann zetas (or the Gaussian Dedekind zeta),
-an honest analytic continuation with argument-principle order
-detection.  Everything without a closed form reports UNSUPPORTED
-rather than a fabricated continuation.
+global objects, all read from one scan of local factors over primes,
+are Euler products, their multiplicative Dirichlet expansions,
+trace-bound certificates for convergence, and, for models whose
+L-function has a closed form in shifted Riemann zetas (or the
+Gaussian Dedekind zeta), an honest analytic continuation with
+argument-principle order detection.  Everything without a closed form
+reports UNSUPPORTED rather than a fabricated continuation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .arith import PrimePower, primes_up_to
 from .counting import VarietySpec, count_series, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
-from .series import power_sums_inverse_roots
+from .series import RationalFunction, power_sums_inverse_roots
 from .zeta import SeparationError, weight_factorize, weil_check, zeta_rational
 
 __all__ = [
@@ -219,11 +219,6 @@ def _local_entry(model: ArithmeticModel, p: int, degrees=None):
     return dec, spectrum
 
 
-def _local_decomposition(model: ArithmeticModel, p: int, degrees=None):
-    """The fiber's weight decomposition at p (cached with its spectrum)."""
-    return _local_entry(model, p, degrees)[0]
-
-
 def local_spectrum(model: ArithmeticModel, p: int, degrees=None) -> NcSpectrum:
     """Even/odd eigenvalue multisets of the fiber at p.
 
@@ -238,6 +233,41 @@ def local_spectrum(model: ArithmeticModel, p: int, degrees=None) -> NcSpectrum:
     """
     spectrum = _local_entry(model, p, degrees)[1]
     return replace(spectrum, provenance=dict(spectrum.provenance))
+
+
+# ---------------------------------------------------------------------------
+# Local factors
+# ---------------------------------------------------------------------------
+
+
+def _weight(kind):
+    """The weight e of a kind's local factors, whose inverse roots have
+    modulus p^{e/2}: 0 for "even", 1 for "odd", w for weight w."""
+    return kind if isinstance(kind, int) else int(kind != "even")
+
+
+def _local_factors(model: ArithmeticModel, kind, prime_cutoff: int):
+    """({p: P_p}, excluded primes) over p <= prime_cutoff, with P_p(0) = 1.
+
+    For kind "even" or "odd", P_p = det(1 - t F) over the parity's
+    eigenvalues; for an integer kind w >= 0 it is the unshifted weight-w
+    factor, (1,) when w exceeds twice the fiber's dimension.  This is
+    the module's one scan over primes: every Euler product, Dirichlet
+    expansion and trace certificate reads its local factors here, and
+    bad primes without a replacement fiber land in the excluded list.
+    """
+    factors, excluded = {}, []
+    for p in primes_up_to(prime_cutoff):
+        try:
+            dec, spectrum = _local_entry(model, p)
+        except BadPrimeError:
+            excluded.append(p)
+            continue
+        if isinstance(kind, str):
+            factors[p] = nc_zeta(spectrum, kind).den
+        else:
+            factors[p] = dec.factor(kind).poly if kind <= 2 * dec.d else (1,)
+    return factors, tuple(excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +302,32 @@ class EulerProductResult:
 def _tail_bound(C, P, z_eff):
     """Absolute log-scale tail of the product over primes > P.
 
-    Each local factor has at most C eigenvalues of modulus at most
-    P^{1/2 - parity...} after normalization; on Re(s) = z the log of one
-    factor is bounded by C*p^{-z_eff}/(1 - p^{-z_eff}), and the sum over
-    p > P is bounded by the integral C/(1-P^{-z_eff}) * P^{1-z_eff}/(z_eff-1).
+    Each local factor has at most C inverse roots, of modulus p^{e/2}
+    for weight e; on Re(s) = e/2 + z_eff the log of one factor is then
+    at most C*p^{-z_eff}/(1 - p^{-z_eff}), and the sum over p > P is at
+    most the integral C/(1 - P^{-z_eff}) * P^{1 - z_eff}/(z_eff - 1).
+    Infinite for z_eff <= 1, outside the half-plane of convergence.
     """
     if z_eff <= 1:
         return math.inf
     lead = C / (1 - P ** (-z_eff))
     return lead * P ** (1 - z_eff) / (z_eff - 1)
+
+
+def _euler_product(factors: dict, s: complex, e: int, prime_cutoff: int, dps: int):
+    """(value, tail, C) of the partial product prod_p 1/P_p(p^{-s}) over
+    local factors of weight e: C is the largest degree, and the tail
+    bounds |L(s) - value| through _tail_bound at Re(s) - e/2."""
+    C = max((len(P) - 1 for P in factors.values()), default=0)
+    with mpmath.workdps(dps):
+        s_mp = mpmath.mpc(s)
+        total = mpmath.mpf(1)
+        for p, P in factors.items():
+            if len(P) > 1:
+                total = total / poly.evaluate(P, mpmath.power(p, -s_mp))
+        log_tail = _tail_bound(C, prime_cutoff, s.real - e / 2) if C else 0.0
+        tail = float(abs(total) * mpmath.expm1(log_tail)) if C else 0.0
+        return complex(total), tail, C
 
 
 def euler_product_value(
@@ -300,37 +347,15 @@ def euler_product_value(
     anything there.  Excluded bad primes are listed in the result.
     """
     s = complex(s)
-    threshold = 1.0 if parity == "even" else 1.5
+    e = _weight(parity)
+    threshold = 1 + e / 2
     if s.real <= threshold + margin:
         raise ValueError(
             f"Re(s)={s.real} is outside the guaranteed {parity} half-plane "
             f"Re(s) > {threshold} (margin {margin}); use the continuation path"
         )
-    excluded = []
-    constant = 0
-    used = 0
-    with mpmath.workdps(dps):
-        s_mp = mpmath.mpc(s)
-        total = mpmath.mpf(1)
-        for p in primes_up_to(prime_cutoff):
-            try:
-                spec = local_spectrum(model, p)
-            except BadPrimeError as exc:
-                excluded.append(exc.p)
-                continue
-            chi = spec.chi(parity)
-            constant = max(constant, chi)
-            if chi == 0:
-                used += 1
-                continue
-            den = nc_zeta(spec, parity).den
-            x = mpmath.power(p, -s_mp)
-            total = total / poly.evaluate(den, x)
-            used += 1
-        z_eff = s.real if parity == "even" else s.real - 0.5
-        log_tail = _tail_bound(constant, prime_cutoff, z_eff)
-        tail = float(abs(total) * mpmath.expm1(log_tail)) if constant else 0.0
-        value = complex(total)
+    factors, excluded = _local_factors(model, parity, prime_cutoff)
+    value, tail, constant = _euler_product(factors, s, e, prime_cutoff, dps)
     return EulerProductResult(
         parity=parity,
         s=s,
@@ -338,8 +363,8 @@ def euler_product_value(
         value=value,
         tail_bound=tail,
         constant=constant,
-        primes_used=used,
-        excluded=tuple(excluded),
+        primes_used=len(factors),
+        excluded=excluded,
     )
 
 
@@ -400,27 +425,21 @@ def dirichlet_expand(model: ArithmeticModel, parity: str, N: int) -> DirichletSe
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    spf = _smallest_prime_factors(N)
+    factors, excluded = _local_factors(model, parity, N)
+    if excluded:
+        raise ValueError(
+            "bad primes without replacement inside the expansion range: "
+            + ", ".join(str(p) for p in excluded)
+        )
     local = {}
-    unhandled = []
-    for p in primes_up_to(N):
+    for p, P in factors.items():
         k_max = 0
         pk = p
         while pk <= N:
             k_max += 1
             pk *= p
-        try:
-            spec = local_spectrum(model, p)
-        except BadPrimeError:
-            unhandled.append(p)
-            continue
-        expansion = nc_zeta(spec, parity).expand(k_max)
-        local[p] = expansion.coeffs
-    if unhandled:
-        raise ValueError(
-            "bad primes without replacement inside the expansion range: "
-            + ", ".join(str(p) for p in unhandled)
-        )
+        local[p] = RationalFunction((1,), P, reduce=False).expand(k_max).coeffs
+    spf = _smallest_prime_factors(N)
     b = [Fraction(0)] * (N + 1)
     b[1] = Fraction(1)
     for n in range(2, N + 1):
@@ -490,26 +509,36 @@ class BoundsCertificate:
         return out
 
 
-def _block_power_sums(spec: NcSpectrum, parity: str, m: int):
-    """trace(F^n) for n = 1..m, exact, from the block polynomials.
+def _trace_certificate(model: ArithmeticModel, kind, prime_cutoff: int, n_cutoff: int):
+    """(local factors, certificate) of the trace check for one kind.
 
-    A block B of degree d with leading coefficient L has eigenvalues mu
-    whose multiples L*mu are the inverse roots of the integer polynomial
-    1 + sum_k B_{d-k} L^{k-1} t^k, so Newton's identities give their
-    power sums in integers.  With D the lcm of the leading coefficients,
-    trace(F^n) = (sum of mult * (D/L)^n * p_n(L*mu)) / D^n: one division
-    per n, at the end.
+    The traces at p are the power sums of the inverse roots of P_p
+    (Newton's identities, exact), and trace_n violates the bound when
+    trace_n^2 > (deg P_p)^2 * p^{e n}, compared exactly for weight e.
     """
-    blocks = spec.blocks(parity)
-    D = math.lcm(*(b.poly[-1] for b in blocks))
-    sums = [0] * m
-    for b in blocks:
-        d, L = b.degree, b.poly[-1]
-        P = (1,) + tuple(b.poly[d - k] * L ** (k - 1) for k in range(1, d + 1))
-        ratio = D // L
-        for i, ps in enumerate(power_sums_inverse_roots(P, m)):
-            sums[i] += b.mult * ps * ratio ** (i + 1)
-    return [Fraction(x, D ** (i + 1)) for i, x in enumerate(sums)]
+    factors, excluded = _local_factors(model, kind, prime_cutoff)
+    e = _weight(kind)
+    per_prime = {p: len(P) - 1 for p, P in factors.items()}
+    violations = []
+    for p, P in factors.items():
+        chi = per_prime[p]
+        if chi == 0:
+            continue
+        for n, t in enumerate(power_sums_inverse_roots(P, n_cutoff), start=1):
+            if t * t > chi * chi * p ** (e * n):
+                violations.append({"p": p, "n": n, "trace": str(t), "chi": chi})
+    certificate = BoundsCertificate(
+        kind=kind if isinstance(kind, str) else "weight",
+        C=max(per_prime.values(), default=0),
+        weight=None if isinstance(kind, str) else kind,
+        prime_cutoff=prime_cutoff,
+        n_cutoff=n_cutoff,
+        per_prime_chi=per_prime,
+        primes_covered=len(factors),
+        excluded=excluded,
+        violations=tuple(violations),
+    )
+    return factors, certificate
 
 
 def bounds_certificate(
@@ -519,53 +548,13 @@ def bounds_certificate(
 
     Even traces are bounded by the dimension itself (eigenvalues on the
     unit circle); odd traces by dimension * p^{n/2}.  Traces come from
-    Newton's identities on the exact block polynomials, and the
+    Newton's identities on the exact local factors, and the
     inequalities are checked exactly, so the certificate never rests on
     float rounding.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    per_prime = {}
-    violations = []
-    excluded = []
-    covered = 0
-    for p in primes_up_to(prime_cutoff):
-        try:
-            spec = local_spectrum(model, p)
-        except BadPrimeError:
-            excluded.append(p)
-            continue
-        covered += 1
-        chi = spec.chi(parity)
-        per_prime[p] = chi
-        traces = _block_power_sums(spec, parity, n_cutoff)
-        for n, t in enumerate(traces, start=1):
-            if parity == "even":
-                ok = abs(t) <= chi
-            else:
-                ok = t * t <= chi * chi * p**n
-            if not ok:
-                violations.append({"p": p, "n": n, "trace": str(t), "chi": chi})
-    C = max(per_prime.values(), default=0)
-    return BoundsCertificate(
-        kind=parity,
-        C=C,
-        weight=None,
-        prime_cutoff=prime_cutoff,
-        n_cutoff=n_cutoff,
-        per_prime_chi=per_prime,
-        primes_covered=covered,
-        excluded=tuple(excluded),
-        violations=tuple(violations),
-    )
-
-
-def _weight_factor_at(model: ArithmeticModel, p: int, w: int):
-    """The exact weight-w factor of the fiber at p (constant term 1)."""
-    dec = _local_decomposition(model, p)
-    if w > 2 * dec.d:
-        return (1,)
-    return dec.factor(w).poly
+    return _trace_certificate(model, parity, prime_cutoff, n_cutoff)[1]
 
 
 def serre_bounds_certificate(
@@ -582,62 +571,15 @@ def serre_bounds_certificate(
 
     The traces use the unshifted weight-w inverse roots; C is the
     largest observed weight-w Betti number.  The partial product at the
-    sample point (default Re(s) = w/2 + 1.5) carries the same style of
-    tail bound as the parity L-functions.  A negative weight raises
-    ValueError.
+    sample point (default Re(s) = w/2 + 1.5) carries the same tail bound
+    as the parity L-functions.  A negative weight raises ValueError.
     """
     if w < 0:
         raise ValueError(f"weight must be non-negative, got {w}")
-    per_prime = {}
-    violations = []
-    excluded = []
-    covered = 0
-    factors = {}
-    for p in primes_up_to(prime_cutoff):
-        try:
-            factor = _weight_factor_at(model, p, w)
-        except BadPrimeError:
-            excluded.append(p)
-            continue
-        covered += 1
-        beta = len(factor) - 1
-        per_prime[p] = beta
-        factors[p] = factor
-        if beta == 0:
-            continue
-        traces = power_sums_inverse_roots(factor, n_cutoff)
-        for n, t in enumerate(traces, start=1):
-            if t * t > Fraction(beta * beta) * Fraction(p) ** (w * n):
-                violations.append({"p": p, "n": n, "trace": str(t), "chi": beta})
-    C = max(per_prime.values(), default=0)
-    if sample_s is None:
-        sample_s = w / 2 + 1.5
-    sample_s = complex(sample_s)
-    with mpmath.workdps(dps):
-        s_mp = mpmath.mpc(sample_s)
-        total = mpmath.mpf(1)
-        for p, factor in factors.items():
-            if len(factor) <= 1:
-                continue
-            total = total / poly.evaluate(factor, mpmath.power(p, -s_mp))
-        z_eff = sample_s.real - w / 2
-        log_tail = _tail_bound(C, prime_cutoff, z_eff) if C else 0.0
-        tail = float(abs(total) * mpmath.expm1(log_tail)) if C else 0.0
-        value = complex(total)
-    return BoundsCertificate(
-        kind="weight",
-        C=C,
-        weight=w,
-        prime_cutoff=prime_cutoff,
-        n_cutoff=n_cutoff,
-        per_prime_chi=per_prime,
-        primes_covered=covered,
-        excluded=tuple(excluded),
-        violations=tuple(violations),
-        sample_s=sample_s,
-        sample_value=value,
-        sample_tail=tail,
-    )
+    factors, certificate = _trace_certificate(model, w, prime_cutoff, n_cutoff)
+    sample_s = complex(w / 2 + 1.5 if sample_s is None else sample_s)
+    value, tail, _ = _euler_product(factors, sample_s, w, prime_cutoff, dps)
+    return replace(certificate, sample_s=sample_s, sample_value=value, sample_tail=tail)
 
 
 # ---------------------------------------------------------------------------

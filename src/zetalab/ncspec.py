@@ -35,8 +35,9 @@ from .series import (
     mat_rref,
     polynomial_roots,
     roots_on_circle,
+    worst_modulus,
 )
-from .zeta import WeightDecomposition, ord_at
+from .zeta import WeightDecomposition, _strip_prime, ord_at
 
 __all__ = [
     "EigenvalueBlock",
@@ -255,7 +256,11 @@ def nc_weil_check(spec: NcSpectrum, *, precision: int = DEFAULT_PRECISION):
             )
             continue
         ok = all(roots_on_circle(b.poly, Q) for b in blocks)
-        worst, witness = (0.0, None) if ok else _worst_modulus(blocks, Q, precision)
+        worst, witness = 0.0, None
+        if not ok:
+            worst, witness = max(
+                (worst_modulus(b.poly, Q, precision) for b in blocks), key=lambda r: r[0]
+            )
         checks.append(
             Check(
                 name=f"nc_weil.{parity}",
@@ -275,19 +280,6 @@ def nc_weil_check(spec: NcSpectrum, *, precision: int = DEFAULT_PRECISION):
     return checks
 
 
-def _worst_modulus(blocks, Q, precision):
-    """(max relative deviation of |mu| from Q^{1/2}, that mu), numerically."""
-    worst, witness = mpmath.mpf(0), None
-    with mpmath.workdps(precision + 10):
-        target = mpmath.sqrt(Q)
-        for b in blocks:
-            for root, _ in polynomial_roots(b.poly, precision):
-                dev = abs(abs(root) - target) / target
-                if dev > worst:
-                    worst, witness = dev, complex(root)
-    return float(worst), witness
-
-
 def nc_l_adic_check(spec: NcSpectrum, C: int = None):
     """Clear the q^C denominator from each block and certify that the
     eigenvalue product has prime support {p}.
@@ -304,11 +296,7 @@ def nc_l_adic_check(spec: NcSpectrum, C: int = None):
         offenders = []
         for b in spec.blocks(parity):
             cleared = abs(b.eigenvalue_product() * Fraction(spec.q.q) ** (C * b.degree * b.mult))
-            num, den = cleared.numerator, cleared.denominator
-            while num % p == 0 and num > 1:
-                num //= p
-            while den % p == 0 and den > 1:
-                den //= p
+            num, den = _strip_prime(cleared.numerator, p), _strip_prime(cleared.denominator, p)
             if num != 1 or den != 1:
                 offenders.append({"poly": list(b.poly), "stripped": f"{num}/{den}"})
         checks.append(

@@ -40,6 +40,7 @@ __all__ = [
     "polynomial_roots",
     "roots_on_circle",
     "power_sums_inverse_roots",
+    "worst_modulus",
 ]
 
 DEFAULT_PRECISION = 50
@@ -513,6 +514,25 @@ def _sign_plus_sqrt(A, B, Q):
         return sb
     gap = A * A - B * B * Q
     return sa if gap > 0 else sb if gap < 0 else 0
+
+
+def worst_modulus(P, Q: int, precision: int = DEFAULT_PRECISION):
+    """(largest relative deviation of |x| from Q^{1/2}, that x) over the
+    roots x of P, numerically: the witness of a failed roots_on_circle.
+
+    The roots come from polynomial_roots at the given precision; the
+    first root of largest deviation is the witness, and (0.0, None)
+    means no root deviates.
+    """
+    worst, witness = mpmath.mpf(0), None
+    roots = polynomial_roots(P, precision)
+    with mpmath.workdps(precision + 10):
+        target = mpmath.sqrt(Q)
+        for x, _ in roots:
+            dev = abs(abs(x) - target) / target
+            if dev > worst:
+                worst, witness = dev, complex(x)
+    return float(worst), witness
 
 
 # ---------------------------------------------------------------------------

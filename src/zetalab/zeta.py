@@ -37,9 +37,9 @@ from .series import (
     RationalFunction,
     exp_series,
     pade_reconstruct,
-    polynomial_roots,
     power_sums_inverse_roots,
     roots_on_circle,
+    worst_modulus,
 )
 
 __all__ = [
@@ -331,8 +331,9 @@ def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
         if f.beta == 0:
             continue
         integral = all(isinstance(c, int) for c in f.poly)
-        on_circle = roots_on_circle(f.eigenvalue_polynomial(), dec.q.q**f.w)
-        worst_f = 0.0 if on_circle else _max_modulus_deviation(f, dec.q, precision)
+        eig, Q = f.eigenvalue_polynomial(), dec.q.q**f.w
+        on_circle = roots_on_circle(eig, Q)
+        worst_f = 0.0 if on_circle else worst_modulus(eig, Q, precision)[0]
         ok = integral and on_circle
         checks.append(
             Check(
@@ -351,14 +352,6 @@ def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
             )
         )
     return checks
-
-
-def _max_modulus_deviation(f: WeightFactor, q: PrimePower, precision):
-    """max |(|inverse root| / q^{w/2}) - 1| over the factor, numerically."""
-    roots = polynomial_roots(f.poly, precision)
-    with mpmath.workdps(precision + 10):
-        target = mpmath.power(q.q, mpmath.mpf(f.w) / 2)
-        return float(max(abs(1 / abs(x) / target - 1) for x, _ in roots))
 
 
 def _strip_prime(n, p):

@@ -1,7 +1,8 @@
 """Every name a zetalab module exports through __all__ exists,
 importing zetalab pulls in nothing beyond its declared dependencies,
-zetalab.poly stays the one polynomial layer, and zetalab.counting the
-one elliptic point counter."""
+zetalab.poly stays the one polynomial layer, zetalab.counting the one
+elliptic point counter, lfun._local_factors the one scan over primes
+in zetalab.lfun, and zetalab.series the one home of power sums."""
 
 import ast
 import importlib
@@ -78,3 +79,33 @@ def test_one_elliptic_counter(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     assert [n for n in names if "elliptic" in n.lower()] == []
+
+
+def test_one_prime_scan_in_lfun():
+    # Euler products, Dirichlet expansions and trace certificates read
+    # their local factors from one scan, so a second prime loop (with
+    # its own bad-prime handling) cannot grow back
+    def scans(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "primes_up_to"
+        ]
+
+    tree = _tree(SRC / "lfun.py")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    callers = [fn.name for fn in functions for _ in scans(fn)]
+    assert len(scans(tree)) == 1 and callers == ["_local_factors"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "series.py"))
+def test_one_trace_route(path):
+    # traces are power sums of inverse roots, computed in zetalab.series
+    # only, so a second trace route cannot grow back
+    names = [
+        node.name
+        for node in ast.walk(_tree(SRC / path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert [n for n in names if "power_sums" in n.lower()] == []

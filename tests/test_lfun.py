@@ -15,17 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import lfun
-from zetalab.arith import PrimePower
+from zetalab import lfun, poly
+from zetalab.arith import PrimePower, primes_up_to
 from zetalab.counting import VarietySpec, count_series
 from zetalab.lfun import (
     WINDING_RADIUS,
     WINDING_SAMPLES,
     ArithmeticModel,
     BadPrimeError,
+    BoundsCertificate,
+    EulerProductResult,
     PoleError,
-    _block_power_sums,
-    _local_decomposition,
+    _local_entry,
     bounds_certificate,
     closed_form_l_function,
     dirichlet_beta,
@@ -39,9 +40,9 @@ from zetalab.lfun import (
     winding_order,
     zeta_continuation,
 )
-from zetalab.ncspec import EigenvalueBlock, NcSpectrum
+from zetalab.ncspec import EigenvalueBlock, NcSpectrum, nc_zeta
 from zetalab.series import power_sums_inverse_roots
-from zetalab.zeta import SeparationError
+from zetalab.zeta import SeparationError, WeightDecomposition, WeightFactor
 
 from conftest import fixture_path
 
@@ -138,7 +139,7 @@ class TestLocalSpectra:
         with pytest.raises(SeparationError):
             local_spectrum(wrong, 5)
         with pytest.raises(SeparationError):
-            _local_decomposition(wrong, 5)
+            _local_entry(wrong, 5)[0]
 
     def test_returned_spectrum_does_not_edit_the_cache(self, ell):
         spec = local_spectrum(ell, 5)
@@ -333,8 +334,10 @@ class TestBoundsCertificates:
     )
     @settings(max_examples=60)
     def test_block_traces_match_rational_route(self, shapes, m):
-        # the integer route against Newton's identities on each block's
-        # reversal over Q, summed with multiplicity
+        # the library's traces, power sums of the parity's local factor,
+        # against the per-block integer route they replaced and against
+        # Newton's identities on each block's reversal over Q, summed
+        # with multiplicity
         blocks = tuple(EigenvalueBlock(poly=tuple(low) + (lead,), mult=mult) for low, lead, mult in shapes)
         spec = NcSpectrum(q=PrimePower(5), even=blocks)
         want = [F(0)] * m
@@ -342,7 +345,47 @@ class TestBoundsCertificates:
             rev = tuple(F(c, b.poly[-1]) for c in reversed(b.poly))
             for i, t in enumerate(power_sums_inverse_roots(rev, m)):
                 want[i] += b.mult * t
-        assert _block_power_sums(spec, "even", m) == want
+        got = power_sums_inverse_roots(nc_zeta(spec, "even").den, m)
+        assert got == _block_power_sums(spec, "even", m) == want
+
+    @given(
+        st.lists(
+            st.tuples(
+                # no zero eigenvalue, as in every spectrum built from weights
+                st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3).filter(
+                    lambda c: c[0]
+                ),
+                st.sampled_from([1, 2, 5]),
+                st.integers(min_value=1, max_value=2),
+                st.booleans(),
+            ),
+            max_size=3,
+        ),
+        st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), max_size=3).filter(lambda c: not c or c[-1]),
+            min_size=3,
+            max_size=3,
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_violations_match_reference_loops(self, specq, shapes, weight_polys, m):
+        # one made-up local entry at every prime, most of it off its
+        # circle, so the trace check reports violations
+        blocks = {"even": [], "odd": []}
+        for low, lead, mult, odd in shapes:
+            blocks["odd" if odd else "even"].append(EigenvalueBlock(tuple(low) + (lead,), mult))
+        spec = NcSpectrum(q=PrimePower(5), even=tuple(blocks["even"]), odd=tuple(blocks["odd"]))
+        factors = tuple(WeightFactor(w, (1,) + tuple(c)) for w, c in enumerate(weight_polys))
+        dec = WeightDecomposition(d=1, q=PrimePower(5), factors=factors)
+        with mock.patch.object(lfun, "_local_entry", lambda model, p, degrees=None: (dec, spec)):
+            for parity in ("even", "odd"):
+                got = bounds_certificate(specq, parity, 30, m)
+                assert got.as_dict() == _reference_bounds(specq, parity, 30, m).as_dict()
+            for w in range(4):
+                # an off-circle factor may vanish at the sample point
+                got = _outcome(serre_bounds_certificate, specq, w, 30, m)
+                assert got == _outcome(_reference_serre, specq, w, 30, m)
 
     def test_serre_per_weight(self, p1, ell):
         top = serre_bounds_certificate(p1, 2, 300, 5)
@@ -355,6 +398,187 @@ class TestBoundsCertificates:
         # a negative index would pick another weight's factor
         with pytest.raises(ValueError, match="non-negative"):
             serre_bounds_certificate(ell, w, 30, 2)
+
+    def test_serre_above_top_weight_is_trivial(self, ell):
+        # a curve has no weight-3 factor: every local factor is 1
+        cert = serre_bounds_certificate(ell, 3, 200, 5)
+        assert cert.ok and cert.C == 0
+        assert cert.per_prime_chi and set(cert.per_prime_chi.values()) == {0}
+        assert cert.sample_value == 1 and cert.sample_tail == 0
+
+
+# The per-consumer prime loops that lfun._local_factors replaced, kept
+# as references: each scans the primes itself, reads the spectrum or
+# weight decomposition, and takes traces from the eigenvalue blocks.
+
+
+def _block_power_sums(spec, parity, m):
+    """trace(F^n) for n = 1..m, exact, from the block polynomials.
+
+    A block B of degree d with leading coefficient L has eigenvalues mu
+    whose multiples L*mu are the inverse roots of the integer polynomial
+    1 + sum_k B_{d-k} L^{k-1} t^k, so Newton's identities give their
+    power sums in integers.  With D the lcm of the leading coefficients,
+    trace(F^n) = (sum of mult * (D/L)^n * p_n(L*mu)) / D^n.
+    """
+    blocks = spec.blocks(parity)
+    D = math.lcm(*(b.poly[-1] for b in blocks))
+    sums = [0] * m
+    for b in blocks:
+        d, L = b.degree, b.poly[-1]
+        P = (1,) + tuple(b.poly[d - k] * L ** (k - 1) for k in range(1, d + 1))
+        ratio = D // L
+        for i, ps in enumerate(power_sums_inverse_roots(P, m)):
+            sums[i] += b.mult * ps * ratio ** (i + 1)
+    return [F(x, D ** (i + 1)) for i, x in enumerate(sums)]
+
+
+def _reference_euler(model, parity, s, prime_cutoff, dps=lfun.DEFAULT_DPS):
+    s = complex(s)
+    excluded, constant, used = [], 0, 0
+    with mpmath.workdps(dps):
+        s_mp = mpmath.mpc(s)
+        total = mpmath.mpf(1)
+        for p in primes_up_to(prime_cutoff):
+            try:
+                spec = local_spectrum(model, p)
+            except BadPrimeError as exc:
+                excluded.append(exc.p)
+                continue
+            chi = spec.chi(parity)
+            constant = max(constant, chi)
+            used += 1
+            if chi:
+                total = total / poly.evaluate(nc_zeta(spec, parity).den, mpmath.power(p, -s_mp))
+        z_eff = s.real if parity == "even" else s.real - 0.5
+        log_tail = lfun._tail_bound(constant, prime_cutoff, z_eff)
+        tail = float(abs(total) * mpmath.expm1(log_tail)) if constant else 0.0
+        value = complex(total)
+    return EulerProductResult(parity, s, prime_cutoff, value, tail, constant, used, tuple(excluded))
+
+
+def _reference_dirichlet(model, parity, N):
+    spf = lfun._smallest_prime_factors(N)
+    local, unhandled = {}, []
+    for p in primes_up_to(N):
+        k_max, pk = 0, p
+        while pk <= N:
+            k_max += 1
+            pk *= p
+        try:
+            spec = local_spectrum(model, p)
+        except BadPrimeError:
+            unhandled.append(p)
+            continue
+        local[p] = nc_zeta(spec, parity).expand(k_max).coeffs
+    if unhandled:
+        raise ValueError(
+            "bad primes without replacement inside the expansion range: "
+            + ", ".join(str(p) for p in unhandled)
+        )
+    b = [F(0)] * (N + 1)
+    b[1] = F(1)
+    for n in range(2, N + 1):
+        p, m, k = spf[n], n, 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        b[n] = b[m] * local[p][k]
+    return tuple(b[1:])
+
+
+def _reference_bounds(model, parity, prime_cutoff, n_cutoff):
+    per_prime, violations, excluded = {}, [], []
+    for p in primes_up_to(prime_cutoff):
+        try:
+            spec = local_spectrum(model, p)
+        except BadPrimeError:
+            excluded.append(p)
+            continue
+        chi = spec.chi(parity)
+        per_prime[p] = chi
+        for n, t in enumerate(_block_power_sums(spec, parity, n_cutoff), start=1):
+            ok = abs(t) <= chi if parity == "even" else t * t <= chi * chi * p**n
+            if not ok:
+                violations.append({"p": p, "n": n, "trace": str(t), "chi": chi})
+    return BoundsCertificate(
+        parity, max(per_prime.values(), default=0), None, prime_cutoff, n_cutoff,
+        per_prime, len(per_prime), tuple(excluded), tuple(violations),
+    )
+
+
+def _reference_serre(model, w, prime_cutoff, n_cutoff, dps=lfun.DEFAULT_DPS):
+    per_prime, violations, excluded, factors = {}, [], [], {}
+    for p in primes_up_to(prime_cutoff):
+        try:
+            dec = lfun._local_entry(model, p)[0]
+        except BadPrimeError:
+            excluded.append(p)
+            continue
+        factor = (1,) if w > 2 * dec.d else dec.factor(w).poly
+        beta = len(factor) - 1
+        per_prime[p] = beta
+        factors[p] = factor
+        if beta == 0:
+            continue
+        for n, t in enumerate(power_sums_inverse_roots(factor, n_cutoff), start=1):
+            if t * t > F(beta * beta) * F(p) ** (w * n):
+                violations.append({"p": p, "n": n, "trace": str(t), "chi": beta})
+    C = max(per_prime.values(), default=0)
+    sample_s = complex(w / 2 + 1.5)
+    with mpmath.workdps(dps):
+        s_mp = mpmath.mpc(sample_s)
+        total = mpmath.mpf(1)
+        for p, factor in factors.items():
+            if len(factor) > 1:
+                total = total / poly.evaluate(factor, mpmath.power(p, -s_mp))
+        log_tail = lfun._tail_bound(C, prime_cutoff, sample_s.real - w / 2) if C else 0.0
+        tail = float(abs(total) * mpmath.expm1(log_tail)) if C else 0.0
+        value = complex(total)
+    return BoundsCertificate(
+        "weight", C, w, prime_cutoff, n_cutoff, per_prime, len(per_prime),
+        tuple(excluded), tuple(violations), sample_s, value, tail,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", ["specq", "p1", "zi", "ell"])
+class TestOneLocalFactorScan:
+    """Each consumer of lfun._local_factors against the loop it replaced."""
+
+    def test_parity_certificates(self, request, name):
+        model = request.getfixturevalue(name)
+        for parity in ("even", "odd"):
+            got = bounds_certificate(model, parity, 300, 6)
+            want = _reference_bounds(model, parity, 300, 6)
+            assert got.as_dict() == want.as_dict()
+            assert got.per_prime_chi == want.per_prime_chi
+
+    def test_serre_certificates(self, request, name):
+        model = request.getfixturevalue(name)
+        for w in range(2 * model.d + 2):
+            got = serre_bounds_certificate(model, w, 300, 6)
+            want = _reference_serre(model, w, 300, 6)
+            assert got.as_dict() == want.as_dict()
+            assert got.per_prime_chi == want.per_prime_chi
+
+    def test_euler_products(self, request, name):
+        model = request.getfixturevalue(name)
+        for parity, s in (("even", 2.0), ("odd", 2.5), ("even", 1.5 + 2j), ("odd", 3.0 - 1j)):
+            assert euler_product_value(model, parity, s, 300) == _reference_euler(model, parity, s, 300)
+
+    def test_dirichlet_expansions(self, request, name):
+        model = request.getfixturevalue(name)
+        for parity in ("even", "odd"):
+            got = _outcome(dirichlet_expand, model, parity, 200)
+            want = _outcome(_reference_dirichlet, model, parity, 200)
+            assert (got.coeffs if isinstance(got, lfun.DirichletSeries) else got) == want
 
 
 class TestContinuation:

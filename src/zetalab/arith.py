@@ -5,19 +5,23 @@ monic irreducible modulus.  The modulus is always the lexicographically
 least irreducible monic polynomial of the right degree (constant
 coefficient varying fastest), so field construction is deterministic
 across runs and machines and cached point counts stay reproducible.
-No Zech-log tables: the fields used for counting are too large for table
-precomputation to pay off, and plain modular polynomial arithmetic
-(poly.mulmod) keeps the enumeration loops predictable.  Polynomials over
-F_p themselves live in zetalab.poly; this module keeps primes and fields.
+An element of F_Q, Q = p^k, is the int 0..Q-1 whose base-p digits are
+its coefficients, constant digit lowest.  Arithmetic goes through Zech
+logarithms (Huber, IEEE Trans. IT 36, 1990): FiniteField.log_tables()
+builds exp, log and zech tables over the least primitive element in
+O(Q) poly.mulmod steps, and returns them without keeping them, so
+constructing a field stays cheap at any degree and a counter that walks
+at least Q candidates pays for its tables once.  Polynomials over F_p
+themselves live in zetalab.poly; this module keeps primes and fields.
 
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import fp_gcd, mulmod, powmod, sub
 
@@ -30,6 +34,7 @@ __all__ = [
     "BigRational",
     "PrimePower",
     "FiniteField",
+    "LogTables",
     "DegreeCapError",
     "is_prime",
     "primes_up_to",
@@ -104,6 +109,26 @@ class PrimePower:
         return f"PrimePower(p={self.p}, r={self.r})"
 
 
+def _digits(a, p, k):
+    """The k base-p digits of a, lowest first: the coefficient tuple of
+    the field element a."""
+    return tuple(a // p**i % p for i in range(k))
+
+
+def _prime_divisors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _fp_is_irreducible(mod, p):
     # Monic f of degree d is irreducible over F_p iff x^(p^d) = x (mod f)
     # and gcd(x^(p^(d/t)) - x, f) = 1 for every prime t dividing d.
@@ -116,18 +141,7 @@ def _fp_is_irreducible(mod, p):
     x_poly = (0, 1) + (0,) * (d - 2)
     if powmod((0, 1), p**d, mod, p) != x_poly:
         return False
-    t = d
-    prime_divs = set()
-    f = 2
-    while f * f <= t:
-        if t % f == 0:
-            prime_divs.add(f)
-            while t % f == 0:
-                t //= f
-        f += 1
-    if t > 1:
-        prime_divs.add(t)
-    for t in prime_divs:
+    for t in _prime_divisors(d):
         g = powmod((0, 1), p ** (d // t), mod, p)
         if len(fp_gcd(sub(g, (0, 1), p), mod, p)) > 1:
             return False
@@ -142,12 +156,7 @@ def _lex_least_irreducible(p, d):
     exhaustive irreducibility scan of the monic quadratics in this order.
     """
     for k in range(p**d):
-        digits = []
-        kk = k
-        for _ in range(d):
-            digits.append(kk % p)
-            kk //= p
-        mod = tuple(digits) + (1,)
+        mod = _digits(k, p, d) + (1,)
         if _fp_is_irreducible(mod, p):
             return mod
     raise AssertionError(f"no irreducible of degree {d} over F_{p}")  # unreachable
@@ -158,12 +167,22 @@ def _lex_least_irreducible(p, d):
 # ---------------------------------------------------------------------------
 
 
-class FiniteField:
-    """F_{p^degree} in polynomial basis, elements are coefficient tuples.
+class LogTables(NamedTuple):
+    """Zech-log tables of F_Q over its least primitive element g, m = Q - 1.
 
-    Arithmetic works on the tuples directly (add/mul/pow/...), which is
-    what the counting loops use.
+    exp[i] = g^i for 0 <= i < m; log[a] is the i with g^i = a, and -1 at
+    a = 0; zech[n] = log(1 + g^n), and -1 where 1 + g^n = 0.  Products
+    add logs mod m, and g^i + g^j = g^(i + zech[(j - i) % m]).
     """
+
+    exp: list
+    log: list
+    zech: list
+
+
+class FiniteField:
+    """F_{p^degree} in polynomial basis; elements are the ints 0..order-1
+    whose base-p digits are the coefficients, constant digit lowest."""
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -182,8 +201,6 @@ class FiniteField:
         self.degree = degree
         self.modulus = modulus
         self.order = p**degree
-        self.zero = (0,) * degree
-        self.one = (1,) + (0,) * (degree - 1)
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, degree={self.degree})"
@@ -197,32 +214,34 @@ class FiniteField:
     def __hash__(self):
         return hash((self.p, self.degree, self.modulus))
 
-    # --- tuple-level arithmetic ---
+    def log_tables(self) -> LogTables:
+        """exp, log and zech over the least int that generates F_Q^x.
 
-    def from_int(self, c: int) -> tuple[int, ...]:
-        return (c % self.p,) + (0,) * (self.degree - 1)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return mulmod(a, b, self.modulus, self.p)
-
-    def pow(self, a, e: int):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def elements(self):
-        """All field elements as tuples, fixed lexicographic order."""
-        for tup in itertools.product(range(self.p), repeat=self.degree):
-            yield tup
+        Built afresh on every call, O(Q) poly.mulmod steps and three
+        lists of about Q ints, so call it only once the caller is
+        committed to work of that size.
+        """
+        p, k, mod = self.p, self.degree, self.modulus
+        m = self.order - 1
+        one = (1,) + (0,) * (k - 1)
+        # the least a of order m: a^(m/l) != 1 for every prime l | m
+        cofactors = [m // l for l in _prime_divisors(m)]
+        g = next(
+            g
+            for g in (_digits(a, p, k) for a in range(1, self.order))
+            if all(powmod(g, e, mod, p) != one for e in cofactors)
+        )
+        exp, log = [0] * m, [-1] * self.order
+        power = one
+        for i in range(m):
+            a = 0
+            for c in reversed(power):
+                a = a * p + c
+            exp[i], log[a] = a, i
+            power = mulmod(power, g, mod, p)
+        # adding 1 changes the constant digit only
+        zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        return LogTables(exp, log, zech)
 
 
 def make_extension_field(pp: PrimePower, n: int, cap: int = DEFAULT_DEGREE_CAP) -> FiniteField:

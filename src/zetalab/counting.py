@@ -22,7 +22,10 @@ the defining polynomial, and Weierstrass curves by one integer count of
 p = 2), which fixes det(1 - t Frob | H^1) and with it the count over
 every F_{q^n}.  Enumeration walks one normalized representative per
 projective point (first nonzero coordinate = 1) so no division by the
-unit group is ever needed.
+unit group is ever needed.  It runs on the field's Zech-log tables: a
+point is a choice of zero coordinates plus the logs of the others, a
+monomial's log is a sum of multiples of those logs, and one table
+lookup per term adds the terms of an equation (_count_zeros).
 """
 
 from __future__ import annotations
@@ -115,26 +118,6 @@ class Polynomial:
                     bits.append(f"{v}^{e}")
             parts.append("*".join(bits))
         return "+".join(parts)
-
-    def compile_for(self, field: FiniteField):
-        """Precompute coefficient images; returns data for evaluate_compiled."""
-        out = []
-        for exps, c in self.terms:
-            img = field.from_int(c)
-            if img == field.zero:
-                continue
-            out.append((img, tuple((i, e) for i, e in enumerate(exps) if e)))
-        return out
-
-
-def evaluate_compiled(field: FiniteField, compiled, values):
-    acc = field.zero
-    for coeff, pows in compiled:
-        t = coeff
-        for i, e in pows:
-            t = field.mul(t, field.pow(values[i], e))
-        acc = field.add(acc, t)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -509,39 +492,79 @@ def _check_budget(total, budget, what):
 
 
 def _count_projective(field: FiniteField, nvars, polys, budget):
-    """Count projective solutions, one normalized representative each.
-
-    Representatives have first nonzero coordinate equal to 1, walked in
-    lexicographic order of (leading position, remaining coordinates).
-    """
+    """Count projective solutions, one normalized representative each:
+    zero before a leading coordinate equal to 1, anything after it."""
     qn = field.order
-    total = (qn**nvars - 1) // (qn - 1)
-    _check_budget(total, budget, "projective enumeration")
-    elems = list(field.elements())
-    one = field.one
-    zero = field.zero
-    compiled = [p.compile_for(field) for p in polys]
-    count = 0
-    for lead in range(nvars):
-        prefix = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=nvars - lead - 1):
-            point = prefix + tail
-            if all(evaluate_compiled(field, c, point) == zero for c in compiled):
-                count += 1
-    return count
+    _check_budget((qn**nvars - 1) // (qn - 1), budget, "projective enumeration")
+    patterns = [
+        ((lead,), nonzero)
+        for lead in range(nvars)
+        for size in range(nvars - lead)
+        for nonzero in itertools.combinations(range(lead + 1, nvars), size)
+    ]
+    return _count_zeros(field, nvars, polys, patterns)
 
 
 def _count_affine(field: FiniteField, nvars, polys, budget):
-    qn = field.order
-    total = qn**nvars
-    _check_budget(total, budget, "affine enumeration")
-    elems = list(field.elements())
-    zero = field.zero
-    compiled = [p.compile_for(field) for p in polys]
+    _check_budget(field.order**nvars, budget, "affine enumeration")
+    patterns = [
+        ((), nonzero)
+        for size in range(nvars + 1)
+        for nonzero in itertools.combinations(range(nvars), size)
+    ]
+    return _count_zeros(field, nvars, polys, patterns)
+
+
+def _count_zeros(field: FiniteField, nvars, polys, patterns):
+    """Common zeros of polys, walked by Zech logarithms.
+
+    Each pattern (ones, nonzero) fixes which coordinates are nonzero:
+    those in ones equal 1, those in nonzero run over F_Q^x by their logs
+    l, and the rest are 0.  A term c x^e then has log
+    log c + sum(e_i l_i), or is 0 when c = 0 mod p or it meets a zero
+    coordinate; an equation sums its terms by g^a + g^b = g^(a + zech[b - a])
+    and holds when the sum is 0.
+    """
+    tables = field.log_tables()
+    log, zech = tables.log, tables.zech
+    p, m = field.p, field.order - 1
+    equations = [
+        [(log[c % p], exps) for exps, c in poly.terms if c % p] for poly in polys
+    ]
     count = 0
-    for point in itertools.product(elems, repeat=nvars):
-        if all(evaluate_compiled(field, c, point) == zero for c in compiled):
-            count += 1
+    for ones, nonzero in patterns:
+        zero = set(range(nvars)).difference(ones, nonzero)
+        system = []
+        for terms in equations:
+            live = [
+                (lc, tuple(exps[i] for i in nonzero))
+                for lc, exps in terms
+                if not any(exps[i] for i in zero)
+            ]
+            if len(live) == 1:  # one nonzero monomial never vanishes
+                break
+            if live:
+                system.append(live)
+        else:
+            if not system:
+                count += m ** len(nonzero)
+                continue
+            for logs in itertools.product(range(m), repeat=len(nonzero)):
+                for live in system:
+                    acc = -1  # the sum so far is 0
+                    for lc, es in live:
+                        t = lc
+                        for e, l in zip(es, logs):
+                            t += e * l
+                        if acc < 0:
+                            acc = t
+                        else:
+                            z = zech[(t - acc) % m]
+                            acc = acc + z if z >= 0 else -1
+                    if acc >= 0:
+                        break
+                else:
+                    count += 1
     return count
 
 

@@ -115,29 +115,23 @@ def divrem(a, b, p=None):
     b = trim(b, p)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if p is not None:
+        # by b / lead(b), which is monic; the quotient scales back
+        inv = pow(b[-1], -1, p)
+        quo, rem = _fp_divrem_monic(a, [c * inv % p for c in b], p)
+        return trim([c * inv for c in quo], p), rem
     a, db = list(a), len(b) - 1
     quo = [0] * max(len(a) - db, 0)
-    if p is None:
-        lead = b[-1]
-        for i in range(len(a) - 1, db - 1, -1):
-            if a[i]:
-                f, r = divmod(a[i], lead)
-                if r:
-                    return None
-                quo[i - db] = f
-                for j, bj in enumerate(b):
-                    a[i - db + j] -= f * bj
-    else:
-        # a is reduced only where a leading coefficient is read
-        inv = pow(b[-1], -1, p)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i] % p
-            if c:
-                f = c * inv % p
-                quo[i - db] = f
-                for j, bj in enumerate(b):
-                    a[i - db + j] -= f * bj
-    return trim(quo), trim(a[:db], p)
+    lead = b[-1]
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            f, r = divmod(a[i], lead)
+            if r:
+                return None
+            quo[i - db] = f
+            for j, bj in enumerate(b):
+                a[i - db + j] -= f * bj
+    return trim(quo), trim(a[:db])
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +172,39 @@ def powmod(base, e, mod, p):
     return result
 
 
+def _fp_divrem_monic(a, b, p):
+    """(quotient, remainder) of a by b over F_p for b reduced, trimmed and
+    monic.  a is read mod p only where a leading coefficient is read, and
+    the remainder is reduced once, so the F_p routines below, whose
+    operands are already reduced, reduce nothing twice.  The quotient is
+    trimmed when a is trimmed mod p."""
+    a, db = list(a), len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % p
+        if c:
+            quo[i - db] = c
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
+    rem = [c % p for c in a[:db]]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quo), tuple(rem)
+
+
+def _fp_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return tuple([c * inv % p for c in a])
+
+
 def fp_gcd(a, b, p):
-    """Monic gcd over F_p; () only when both are zero."""
+    """Monic gcd over F_p; () only when both are zero.  Euclid on monic
+    divisors: a and b are reduced once, each remainder once."""
     a, b = trim(a, p), trim(b, p)
     while b:
-        a, b = b, divrem(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
+        b = _fp_monic(b, p)
+        a, b = b, _fp_divrem_monic(a, b, p)[1]
+    return _fp_monic(a, p) if a else a
 
 
 def fp_squarefree_part(f, p):
@@ -204,13 +222,11 @@ def fp_squarefree_part(f, p):
         # f = g(x^p) = (p-th power of the root-coefficient polynomial)
         return fp_squarefree_part(f[::p], p)
     g = fp_gcd(f, df, p)
-    sf = divrem(f, g, p)[0]
+    sf = _fp_divrem_monic(f, g, p)[0]
     # the quotient may still share factors with g when multiplicities are >= p
     extra = fp_squarefree_part(g, p)
-    rest = divrem(extra, fp_gcd(sf, extra, p), p)[0]
-    out = mul(sf, rest, p) if len(rest) > 1 else sf
-    inv = pow(out[-1], -1, p)
-    return tuple(c * inv % p for c in out)
+    rest = _fp_divrem_monic(extra, fp_gcd(sf, extra, p), p)[0]
+    return _fp_monic(mul(sf, rest, p) if len(rest) > 1 else sf, p)
 
 
 def fp_degree_pattern(f, p):
@@ -238,7 +254,7 @@ def fp_degree_pattern(f, p):
         dg = len(g) - 1
         if dg > 0:
             pattern[k] = dg // k
-            f = divrem(f, g, p)[0]
+            f = _fp_divrem_monic(f, g, p)[0]
     return pattern
 
 

@@ -1,5 +1,5 @@
 """Primality, prime-power descriptors, F_p polynomial helpers, and
-extension-field arithmetic."""
+extension-field arithmetic on Zech-log tables."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from zetalab.arith import (
     make_extension_field,
     primes_up_to,
 )
-from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part
+from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part, mulmod
 
 
 def trial_division(n: int) -> bool:
@@ -134,10 +134,51 @@ class TestFpPolynomials:
         assert _fp_is_irreducible(f, p) == (not has_factor)
 
 
+def digits(a, p, k):
+    return tuple(a // p**i % p for i in range(k))
+
+
+def encode(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def direct_mul(field, a, b):
+    p, k = field.p, field.degree
+    return encode(mulmod(digits(a, p, k), digits(b, p, k), field.modulus, p), p)
+
+
+def direct_add(field, a, b):
+    p, k = field.p, field.degree
+    return encode([(x + y) % p for x, y in zip(digits(a, p, k), digits(b, p, k))], p)
+
+
+def table_mul(tables, a, b):
+    if a == 0 or b == 0:
+        return 0
+    return tables.exp[(tables.log[a] + tables.log[b]) % len(tables.exp)]
+
+
+def table_add(tables, a, b):
+    if a == 0 or b == 0:
+        return a + b
+    m = len(tables.exp)
+    z = tables.zech[(tables.log[b] - tables.log[a]) % m]
+    return 0 if z < 0 else tables.exp[(tables.log[a] + z) % m]
+
+
+def table_pow(tables, a, e):
+    return 0 if a == 0 else tables.exp[tables.log[a] * e % len(tables.exp)]
+
+
+small_fields = st.tuples(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=3))
+
+
 class TestFiniteField:
     def test_cardinality(self):
         field = FiniteField(2, 4)
-        assert len(list(field.elements())) == 16
+        tables = field.log_tables()
+        assert field.order == 16 and len(tables.log) == 16
+        assert sorted(tables.exp) == list(range(1, 16))
 
     def test_deterministic_modulus(self):
         assert FiniteField(3, 5).modulus == FiniteField(3, 5).modulus
@@ -149,23 +190,61 @@ class TestFiniteField:
 
     def test_prime_field_is_mod_p(self):
         field = make_extension_field(PrimePower(7), 1)
-        a, b = field.from_int(4), field.from_int(5)
-        assert field.mul(a, b) == field.from_int(6)
+        tables = field.log_tables()
+        assert table_mul(tables, 4, 5) == 6
+        assert tables.exp == [pow(3, i, 7) for i in range(6)]  # 3: least primitive root
+        for a in range(7):
+            for b in range(7):
+                assert table_add(tables, a, b) == (a + b) % 7
+                assert table_mul(tables, a, b) == a * b % 7
 
-    @given(st.data())
+    @given(small_fields, st.data())
     @settings(max_examples=60)
-    def test_field_axioms(self, data):
-        p = data.draw(st.sampled_from([2, 3, 5]))
-        deg = data.draw(st.integers(min_value=1, max_value=3))
+    def test_field_axioms(self, pk, data):
+        p, deg = pk
         field = FiniteField(p, deg)
+        tables = field.log_tables()
+        element = st.integers(min_value=0, max_value=field.order - 1)
+        a, b, c = data.draw(element), data.draw(element), data.draw(element)
+        assert table_mul(tables, a, b) == direct_mul(field, a, b)
+        assert table_add(tables, a, b) == direct_add(field, a, b)
+        mul, add = (lambda x, y: table_mul(tables, x, y)), (lambda x, y: table_add(tables, x, y))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert table_pow(tables, a, field.order) == a
 
-        def element():
-            return tuple(
-                data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(deg)
-            )
+    @given(small_fields)
+    def test_exp_and_log_are_inverse(self, pk):
+        field = FiniteField(*pk)
+        tables = field.log_tables()
+        m = field.order - 1
+        assert len(tables.exp) == len(tables.zech) == m and tables.log[0] == -1
+        assert [tables.exp[tables.log[a]] for a in range(1, field.order)] == list(
+            range(1, field.order)
+        )
+        assert [tables.log[tables.exp[i]] for i in range(m)] == list(range(m))
 
-        a, b, c = element(), element(), element()
-        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.pow(a, p ** deg) == a
+    @given(small_fields)
+    def test_generator_is_least_primitive_element(self, pk):
+        field = FiniteField(*pk)
+        exp = field.log_tables().exp
+        g = exp[1 % len(exp)]
+        for a in range(1, g):
+            power, order = a, 1
+            while power != 1:
+                power, order = direct_mul(field, power, a), order + 1
+            assert order < len(exp)
+        power = 1
+        for want in exp:
+            assert power == want
+            power = direct_mul(field, power, g)
+        assert power == 1
 
+    @given(small_fields)
+    def test_zech_matches_direct_addition(self, pk):
+        field = FiniteField(*pk)
+        tables = field.log_tables()
+        for n, a in enumerate(tables.exp):
+            one_plus = direct_add(field, 1, a)
+            assert tables.zech[n] == tables.log[one_plus]
+            assert (tables.zech[n] < 0) == (one_plus == 0)

@@ -2,7 +2,8 @@
 importing zetalab pulls in nothing beyond its declared dependencies,
 zetalab.poly stays the one polynomial layer, zetalab.counting the one
 elliptic point counter, lfun._local_factors the one scan over primes
-in zetalab.lfun, and zetalab.series the one home of power sums."""
+in zetalab.lfun, zetalab.series the one home of power sums, and
+Zech-log tables the one route for finite-field arithmetic."""
 
 import ast
 import importlib
@@ -109,3 +110,37 @@ def test_one_trace_route(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     assert [n for n in names if "power_sums" in n.lower()] == []
+
+
+def test_one_field_arithmetic_route():
+    # field elements are ints and their arithmetic runs on Zech-log
+    # tables, so a second route (tuple arithmetic on FiniteField,
+    # compiled polynomial evaluation) cannot grow back
+    from zetalab import counting
+    from zetalab.arith import FiniteField
+
+    gone = ("add", "mul", "pow", "from_int", "elements", "zero", "one")
+    assert [n for n in gone if hasattr(FiniteField(3, 2), n)] == []
+    assert not hasattr(counting.Polynomial, "compile_for")
+    assert not hasattr(counting, "evaluate_compiled")
+
+    # counting walks candidates in _count_zeros only: the one caller of
+    # log_tables and of itertools.product, which both ambients call
+    def calls(node, name):
+        return [
+            c
+            for c in ast.walk(node)
+            if isinstance(c, ast.Call)
+            and getattr(c.func, "id", getattr(c.func, "attr", None)) == name
+        ]
+
+    tree = _tree(SRC / "counting.py")
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("log_tables", "product"):
+        assert [f for f, node in functions.items() if calls(node, name)] == ["_count_zeros"]
+        assert len(calls(tree, name)) == 1
+    for ambient in ("_count_projective", "_count_affine"):
+        assert len(calls(functions[ambient], "_count_zeros")) == 1
+    # and arith multiplies field elements only to build the tables
+    arith = [n for n in ast.walk(_tree(SRC / "arith.py")) if isinstance(n, ast.FunctionDef)]
+    assert [fn.name for fn in arith if calls(fn, "mulmod")] == ["log_tables"]

@@ -162,6 +162,92 @@ class TestOverFp:
     def test_square_over_f2(self):
         assert poly.fp_degree_pattern((-8, -4, 1), 2) == {1: 1}
 
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(
+            st.tuples(st.lists(st.integers(0, 10), min_size=1, max_size=3), st.integers(1, 8)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 10),
+        st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_reduced_loop_matches_reference_division(self, p, factors, lead, in_x_p):
+        # f = lead * prod(g^k), multiplicities up to 8 (so >= p too), and
+        # with in_x_p the whole of f(x^p), whose derivative is 0
+        f = (lead % p or 1,)
+        for low, k in factors:
+            for _ in range(k):
+                f = poly.mul(f, tuple(low) + (1,), p)
+        if in_x_p:
+            spread = [0] * (p * (len(f) - 1) + 1)
+            spread[::p] = f
+            f = tuple(spread)
+        g = reference_gcd(f, poly.deriv(f, p), p)
+        assert poly.fp_gcd(f, poly.deriv(f, p), p) == g
+        assert poly.fp_gcd(poly.deriv(f, p), f, p) == g
+        for b in (g, f[len(f) // 2 :], (2, 1)):
+            assert poly.divrem(f, b, p) == reference_divrem(f, b, p)
+        assert poly.fp_squarefree_part(f, p) == reference_squarefree_part(f, p)
+        assert poly.fp_degree_pattern(f, p) == reference_degree_pattern(f, p)
+
+
+def reference_divrem(a, b, p):
+    """Long division over F_p that reduces its operands at every call
+    (the route before the reduced inner loop)."""
+    b = poly.trim(b, p)
+    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        f = a[i] % p * inv % p
+        quo[i - db] = f
+        for j, bj in enumerate(b):
+            a[i - db + j] -= f * bj
+    return poly.trim(quo), poly.trim(a[:db], p)
+
+
+def reference_gcd(a, b, p):
+    """Monic Euclid on reference_divrem."""
+    a, b = poly.trim(a, p), poly.trim(b, p)
+    while b:
+        a, b = b, reference_divrem(a, b, p)[1]
+    return tuple(c * pow(a[-1], -1, p) % p for c in a) if a else a
+
+
+def reference_squarefree_part(f, p):
+    """fp_squarefree_part on reference_gcd and reference_divrem."""
+    f = poly.trim(f, p)
+    if len(f) <= 1:
+        return f
+    df = poly.deriv(f, p)
+    if not df:
+        return reference_squarefree_part(f[::p], p)
+    g = reference_gcd(f, df, p)
+    sf = reference_divrem(f, g, p)[0]
+    extra = reference_squarefree_part(g, p)
+    rest = reference_divrem(extra, reference_gcd(sf, extra, p), p)[0]
+    out = poly.mul(sf, rest, p) if len(rest) > 1 else sf
+    inv = pow(out[-1], -1, p)
+    return tuple(c * inv % p for c in out)
+
+
+def reference_degree_pattern(f, p):
+    """fp_degree_pattern on reference_gcd and reference_divrem."""
+    f = reference_squarefree_part(f, p)
+    pattern, h, k = {}, (0, 1), 0
+    while len(f) > 1:
+        k += 1
+        if 2 * k > len(f) - 1:
+            pattern[len(f) - 1] = pattern.get(len(f) - 1, 0) + 1
+            break
+        h = poly.powmod(h, p, f, p)
+        g = reference_gcd(poly.sub(h, (0, 1), p), f, p)
+        if len(g) > 1:
+            pattern[k] = (len(g) - 1) // k
+            f = reference_divrem(f, g, p)[0]
+    return pattern
+
 
 # ---------------------------------------------------------------------------
 # Over Z

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetalab.arith import PrimePower, make_extension_field
+from zetalab.arith import FiniteField, PrimePower, make_extension_field
 from zetalab.counting import (
     BudgetError,
     ParseError,
@@ -332,6 +332,17 @@ class TestTableCounter:
         )
         q = PrimePower(p, r)
         assert count_points(spec, q, n) == reference_count(spec, q, n)
+
+    @pytest.mark.parametrize(
+        "text", ["affine 3; vars x,y,z; eq x+y+z", "projective 2; vars x,y,z; eq x^3+y^3+z^3"]
+    )
+    def test_budget_checked_before_tables(self, monkeypatch, text):
+        def refuse(field):
+            raise AssertionError("tables built before the budget check")
+
+        monkeypatch.setattr(FiniteField, "log_tables", refuse)
+        with pytest.raises(BudgetError, match="budget"):
+            count_points(parse_variety(text), PrimePower(1009), 2, budget=10**6)
 
     @pytest.mark.parametrize("p, degrees", [(3, 4), (2, 6)])
     def test_plane_cubic_wall_clock(self, p, degrees):

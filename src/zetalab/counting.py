@@ -14,18 +14,18 @@ explicit multiplication only.  Projective equations must be homogeneous;
 this is checked at parse time.  Smoothness and properness are NOT
 checked anywhere; downstream reports carry a banner saying so.
 
-Counting is exact brute-force enumeration over the extension field,
-with three shortcuts that stay exact: projective space by the geometric
-series, zero-dimensional schemes by distinct-degree factorization of
-the defining polynomial, and Weierstrass curves by one integer count of
-#E(F_p) (a square table over x at odd p, the four (x, y) pairs at
-p = 2), which fixes det(1 - t Frob | H^1) and with it the count over
-every F_{q^n}.  Enumeration walks one normalized representative per
-projective point (first nonzero coordinate = 1) so no division by the
-unit group is ever needed.  It runs on the field's Zech-log tables: a
-point is a choice of zero coordinates plus the logs of the others, a
-monomial's log is a sum of multiples of those logs, and one table
-lookup per term adds the terms of an equation (_count_zeros).
+Counting is exact.  Three shapes have their weight factors P_0..P_2d in
+closed form (local_weights) and are counted from them, #X(F_{q^n}) =
+sum_w (-1)^w trace_n(P_w): projective space, zero-dimensional schemes
+by distinct-degree factorization, and Weierstrass curves by one integer
+count of #E(F_p) (a square table over x at odd p, the four (x, y) pairs
+at p = 2).  Everything else is enumerated over the extension field,
+one normalized representative per projective point (first nonzero
+coordinate = 1) so no division by the unit group is ever needed, on
+the field's Zech-log tables: a point is a choice of zero coordinates
+plus the logs of the others, a monomial's log is a sum of multiples of
+those logs, and one table lookup per term adds the terms of an
+equation (_count_zeros).
 """
 
 from __future__ import annotations
@@ -33,18 +33,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import poly
 from .arith import (
     DEFAULT_DEGREE_CAP,
     FiniteField,
     PrimePower,
     make_extension_field,
 )
-from .poly import fp_degree_pattern
 from .series import power_sums_inverse_roots
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "VarietySpec",
     "count_points",
     "count_series",
+    "local_weights",
     "parse_variety",
 ]
 
@@ -568,16 +570,17 @@ def _count_zeros(field: FiniteField, nvars, polys, patterns):
     return count
 
 
-def _elliptic_frobenius(a_inv, p, budget):
-    """det(1 - t Frob | H^1) of the Weierstrass curve mod p, from #E(F_p).
+def _elliptic_frobenius(a_inv, p, r, budget):
+    """det(1 - t Frob | H^1) of the Weierstrass curve over F_(p^r).
 
-    With a = p + 1 - #E(F_p) this is 1 - a t + p t^2 when the
-    discriminant is a unit mod p (Silverman, AEC V.2).  At singular
-    reduction the nonsingular points form G_a, G_m or a twisted G_m, so
-    a is 0 or +-1 and #E(F_{p^m}) = p^m + 1 - a^m: the factor is 1 - a t
-    (ibid. III.2.5).  Odd p completes the square, (2y + a1 x + a3)^2 =
-    4x^3 + b2 x^2 + 2 b4 x + b6, and reads the y-count of each x off a
-    table of square roots; p = 2 walks the four (x, y) pairs.
+    With a = p + 1 - #E(F_p) it is 1 - a_r t + p^r t^2, a_r the r-th power
+    sum of the inverse roots of 1 - a t + p t^2, when the discriminant is
+    a unit mod p (Silverman, AEC V.2).  At singular reduction the
+    nonsingular points form G_a, G_m or a twisted G_m, so a is 0 or +-1
+    and the factor is 1 - a^r t (ibid. III.2.5).  Odd p completes the
+    square, (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and reads
+    the y-count of each x off a table of square roots; p = 2 walks the
+    four (x, y) pairs.
     """
     a1, a2, a3, a4, a6 = a_inv
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
@@ -597,7 +600,34 @@ def _elliptic_frobenius(a_inv, p, budget):
             roots[u * u % p] += 1
         affine = sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
     a = p - affine  # p + 1 - #E(F_p), the point at infinity included
-    return (1, -a, p) if disc % p else (1, -a)
+    good = disc % p != 0
+    a_r = power_sums_inverse_roots((1, -a, p) if good else (1, -a), r)[-1]
+    return (1, -a_r, p**r) if good else poly.trim((1, -a_r))
+
+
+def local_weights(spec: VarietySpec, q: PrimePower, *, budget: int = DEFAULT_BUDGET):
+    """Weight factors P_0..P_2d of X over F_q read off its shape, or None.
+
+    Integer tuples with P_w(0) = 1, so #X(F_{q^n}) = sum_w (-1)^w
+    trace_n(P_w).  P^d has 1 - q^i t at weight 2i and 1 at odd weights.
+    A zero-dimensional scheme has prod (1 - t^(k/g))^(cnt g), g = gcd(k, r),
+    over its degree pattern {k: cnt} mod p: a point of degree k over F_p
+    is g points of degree k/g over F_q.  A Weierstrass curve has 1 - t,
+    its Frobenius polynomial (_elliptic_frobenius) and 1 - q t."""
+    kind = spec.kind
+    if kind == "projective_space":
+        d = spec.ambient_dim
+        return tuple((1,) if w % 2 else (1, -(q.q ** (w // 2))) for w in range(2 * d + 1))
+    if kind == "zero_dimensional":
+        P = (1,)
+        for k, cnt in poly.fp_degree_pattern(spec.zero_poly, q.p).items():
+            g = math.gcd(k, q.r)
+            for _ in range(cnt * g):
+                P = poly.mul(P, (1,) + (0,) * (k // g - 1) + (-1,))
+        return (P,)
+    if kind == "elliptic_curve":
+        return ((1, -1), _elliptic_frobenius(spec.a_invariants, q.p, q.r, budget), (1, -q.q))
+    return None
 
 
 def count_points(
@@ -610,9 +640,9 @@ def count_points(
 ) -> int:
     """Exact #X(F_{q^n}).  Integer-coefficient data is specialized mod p.
 
-    Every kind but the elliptic curve counts over F_{q^n} itself; an
-    elliptic curve is counted once over F_p and every F_{q^n} follows
-    from its Frobenius polynomial, with no extension field built.
+    A shape with weight factors in closed form (local_weights) is counted
+    from them, with no extension field built; every other kind counts
+    over F_{q^n} itself.
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
@@ -620,39 +650,28 @@ def count_points(
 
 
 def _point_counter(spec: VarietySpec, q: PrimePower, budget, degree_cap):
-    """n -> #X(F_{q^n}).  What does not depend on n is computed once:
-    a zero-dimensional factor's degree pattern mod p serves every n,
-    and an elliptic curve's Frobenius polynomial serves every q^n."""
-    kind = spec.kind
-    if kind == "elliptic_curve":
-        P = _elliptic_frobenius(spec.a_invariants, q.p, budget)
-        return lambda n: q.q**n + 1 - power_sums_inverse_roots(P, q.r * n)[-1]
-    if kind == "product":
+    """n -> #X(F_{q^n}).  What does not depend on n is computed once: a
+    shape's weight factors serve every n through their traces, and a
+    product multiplies its factors' counts."""
+    weights = local_weights(spec, q, budget=budget)
+    if weights is not None:
+        return lambda n: sum(
+            (-1) ** w * power_sums_inverse_roots(P, n)[-1] for w, P in enumerate(weights)
+        )
+    if spec.kind == "product":
         left = _point_counter(spec.left, q, budget, degree_cap)
         right = _point_counter(spec.right, q, budget, degree_cap)
         return lambda n: left(n) * right(n)
-    if kind == "zero_dimensional":
-        # distinct roots in F_{q^n}: the irreducible factors mod p whose
-        # degree divides r*n contribute their degree each
-        p = q.p
-        pattern = fp_degree_pattern(spec.zero_poly, p)
-        return lambda n: sum(d * cnt for d, cnt in pattern.items() if (q.r * n) % d == 0)
     return lambda n: _count_over_extension(spec, q, n, budget, degree_cap)
 
 
 def _count_over_extension(spec: VarietySpec, q: PrimePower, n, budget, degree_cap):
-    kind = spec.kind
-    if kind == "projective_space":
-        qn = q.q**n
-        return (qn ** (spec.ambient_dim + 1) - 1) // (qn - 1)
+    if spec.kind not in ("plane_projective_curve", "projective_hypersurface", "raw_system"):
+        raise ValueError(f"unknown kind {spec.kind!r}")
     field = make_extension_field(q, n, cap=degree_cap)
-    if kind in ("plane_projective_curve", "projective_hypersurface"):
-        return _count_projective(field, spec.ambient_dim + 1, spec.equations, budget)
-    if kind == "raw_system":
-        if spec.ambient == "projective":
-            return _count_projective(field, spec.ambient_dim + 1, spec.equations, budget)
+    if spec.ambient == "affine":
         return _count_affine(field, spec.ambient_dim, spec.equations, budget)
-    raise ValueError(f"unknown kind {kind!r}")
+    return _count_projective(field, spec.ambient_dim + 1, spec.equations, budget)
 
 
 # ---------------------------------------------------------------------------

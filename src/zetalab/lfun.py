@@ -1,16 +1,18 @@
 """Global L-functions from local spectra at every prime.
 
 An arithmetic model is a variety presentation with integral
-coefficients; its fiber at a good prime p goes through the full local
-pipeline (count, reconstruct, separate weights, shift onto the two
-circles), producing even/odd eigenvalue multisets per prime.  The
-global objects, all read from one scan of local factors over primes,
-are Euler products, their multiplicative Dirichlet expansions,
-trace-bound certificates for convergence, and, for models whose
-L-function has a closed form in shifted Riemann zetas (or the
-Gaussian Dedekind zeta), an honest analytic continuation with
-argument-principle order detection.  Everything without a closed form
-reports UNSUPPORTED rather than a fabricated continuation.
+coefficients.  The weight factors of its fiber at a good prime p are
+read off the shape (counting.local_weights: projective spaces,
+zero-dimensional fibers, Weierstrass curves) or else counted,
+reconstructed and separated; shifted onto the two circles they give
+even/odd eigenvalue multisets per prime.  The global objects, all read
+from one scan of local factors over primes, are Euler products, their
+multiplicative Dirichlet expansions, trace-bound certificates for
+convergence, and, for models whose L-function has a closed form in
+shifted Riemann zetas (or the Gaussian Dedekind zeta), an honest
+analytic continuation with argument-principle order detection.
+Everything without a closed form reports UNSUPPORTED rather than a
+fabricated continuation.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import mpmath
 
 from . import poly
 from .arith import PrimePower, primes_up_to
-from .counting import VarietySpec, count_series, parse_variety
-from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
+from .counting import VarietySpec, count_series, local_weights, parse_variety
+from .ncspec import NcSpectrum, nc_spectrum_from_weights
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
 from .series import RationalFunction, power_sums_inverse_roots
-from .zeta import SeparationError, weight_factorize, weil_check, zeta_rational
+from .zeta import SeparationError, WeightDecomposition, WeightFactor
+from .zeta import weight_factorize, weil_check, zeta_rational
 
 __all__ = [
     "ArithmeticModel",
@@ -170,41 +173,42 @@ def _fiber_spec(model: ArithmeticModel, p: int) -> VarietySpec:
     return model.family
 
 
-# Local results (decomposition, spectrum) by (fiber spec, p, degrees,
-# betti), least recently used first.  The bound holds several
-# global models of a few hundred primes each.  A replacement fiber's
-# result does not depend on the model's Betti numbers, and keys with
-# betti None keep it apart from a model whose family is that fiber.
+# Local entries by (fiber spec, p, own, betti), least recently used
+# first; the bound holds several global models of a few hundred primes
+# each.  Betti numbers fix a family fiber's weights and a counted fiber's
+# count number; own keeps a replacement apart from a family of that fiber.
 LOCAL_CACHE_SIZE = 2048
 _LOCAL_CACHE: OrderedDict = OrderedDict()
 
 
-def _local_entry(model: ArithmeticModel, p: int, degrees=None):
-    """(weight decomposition, spectrum) of the fiber at p, cached per
-    (fiber, p, degrees, betti): the Betti numbers fix the reconstruction
-    degrees and the weight separation of the model's own fibers."""
+def _local_entry(model: ArithmeticModel, p: int):
+    """(weight decomposition, spectrum, {parity: P_p}) of the fiber at p,
+    cached per (fiber, p, own, betti).  Closed-form weight factors must have
+    the model's Betti numbers, or be a replacement fiber's one factor;
+    P_p = det(1 - t F) over the parity's eigenvalues, int where integral."""
     fiber = _fiber_spec(model, p)
-    if degrees is None:
-        degrees = max(2, sum(model.betti))
-    key = (fiber, p, degrees, model.betti if fiber is model.family else None)
+    own = fiber is model.family
+    key = (fiber, p, own, model.betti)
     hit = _LOCAL_CACHE.get(key)
     if hit is not None:
         _LOCAL_CACHE.move_to_end(key)
         return hit
     q = PrimePower(p)
-    counts = count_series(fiber, q, degrees).counts
-    if fiber is model.family:
-        Z = zeta_rational(counts, model.betti)
-        d, betti = model.d, model.betti
-    else:
-        # replacement fibers are zero-dimensional stand-ins; their shape
-        # is recovered from the reconstruction itself
-        Z = zeta_rational(counts, None)
-        if len(Z.num) > 1:
-            raise ValueError("replacement fibers must have a polar zeta (dimension 0)")
-        d, betti = 0, (len(Z.den) - 1,)
+    weights = local_weights(fiber, q)
     try:
-        dec = weight_factorize(Z, q, d, betti)
+        if weights is not None and (own or len(weights) == 1):
+            factors = tuple(WeightFactor(w, P) for w, P in enumerate(weights))
+            dec = WeightDecomposition(len(weights) // 2, q, factors)
+            if own and dec.betti != model.betti:
+                raise SeparationError(f"weight degrees {dec.betti} against betti {model.betti}")
+        else:
+            counts = count_series(fiber, q, max(2, sum(model.betti))).counts
+            Z = zeta_rational(counts, model.betti if own else None)
+            # a zero-dimensional replacement's shape comes from its zeta
+            if not own and len(Z.num) > 1:
+                raise ValueError("replacement fibers must have a polar zeta (dimension 0)")
+            betti = model.betti if own else (len(Z.den) - 1,)
+            dec = weight_factorize(Z, q, (len(betti) - 1) // 2, betti)
     except SeparationError as exc:
         # a singular fiber at a prime the model does not declare bad
         # lands here, so name the prime
@@ -213,25 +217,32 @@ def _local_entry(model: ArithmeticModel, p: int, degrees=None):
     weil = FAIL if any(c.verdict == FAIL for c in weil_check(dec)) else PASS
     spectrum.provenance["p"] = p
     spectrum.provenance["weil"] = weil
-    _LOCAL_CACHE[key] = (dec, spectrum)
+    parity = {"even": (1,), "odd": (1,)}
+    for f in dec.factors:  # P_w(t / q^{floor(w/2)})
+        kind = ("even", "odd")[f.w % 2]
+        scale = [q.q ** (f.w // 2 * i) for i in range(len(f.poly))]
+        shifted = [c // s if c % s == 0 else Fraction(c, s) for c, s in zip(f.poly, scale)]
+        parity[kind] = poly.mul(parity[kind], shifted)
+    entry = _LOCAL_CACHE[key] = (dec, spectrum, parity)
     while len(_LOCAL_CACHE) > LOCAL_CACHE_SIZE:
         _LOCAL_CACHE.popitem(last=False)
-    return dec, spectrum
+    return entry
 
 
-def local_spectrum(model: ArithmeticModel, p: int, degrees=None) -> NcSpectrum:
+def local_spectrum(model: ArithmeticModel, p: int) -> NcSpectrum:
     """Even/odd eigenvalue multisets of the fiber at p.
 
-    Full pipeline per prime: count over extensions, reconstruct the
-    rational zeta at the Betti-prescribed degrees, separate the weight
-    factors, shift them onto the two circles.  The root-modulus check
-    runs on the result and its verdict is recorded in the spectrum's
-    provenance.  Bad primes without a replacement raise BadPrimeError.
-    The spectrum is cached; each call returns it with a provenance of
-    its own (whose values are immutable), so editing one result leaves
-    the next call unchanged.
+    Two routes to the weight factors: read off the shape of projective
+    spaces, zero-dimensional fibers and Weierstrass curves
+    (counting.local_weights), or counted over extensions, reconstructed
+    at the Betti-prescribed degrees and separated.  Shifted onto the two
+    circles, they pass the root-modulus check, whose verdict the
+    provenance records.  Bad primes without a replacement raise
+    BadPrimeError.  Each call returns the cached spectrum with a
+    provenance of its own (whose values are immutable), so editing one
+    result leaves the next unchanged.
     """
-    spectrum = _local_entry(model, p, degrees)[1]
+    spectrum = _local_entry(model, p)[1]
     return replace(spectrum, provenance=dict(spectrum.provenance))
 
 
@@ -259,12 +270,12 @@ def _local_factors(model: ArithmeticModel, kind, prime_cutoff: int):
     factors, excluded = {}, []
     for p in primes_up_to(prime_cutoff):
         try:
-            dec, spectrum = _local_entry(model, p)
+            dec, _, parity = _local_entry(model, p)
         except BadPrimeError:
             excluded.append(p)
             continue
         if isinstance(kind, str):
-            factors[p] = nc_zeta(spectrum, kind).den
+            factors[p] = parity[kind]
         else:
             factors[p] = dec.factor(kind).poly if kind <= 2 * dec.d else (1,)
     return factors, tuple(excluded)

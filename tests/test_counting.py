@@ -6,7 +6,7 @@ import os
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetalab.arith import FiniteField, PrimePower, make_extension_field
@@ -17,9 +17,11 @@ from zetalab.counting import (
     VarietySpec,
     count_points,
     count_series,
+    local_weights,
     parse_variety,
 )
 from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part, mulmod, powmod
+from zetalab.zeta import weight_factorize, zeta_rational
 
 
 class TestParser:
@@ -251,6 +253,107 @@ class TestEllipticCounts:
     def test_budget_below_p(self, p):
         with pytest.raises(BudgetError, match="budget"):
             count_points(elliptic((0, 0, 1, 1, 0)), PrimePower(p), 1, budget=p - 1)
+
+
+def pade_weights(spec, q, betti, counts):
+    """Weight factors by the route local_weights stands in for: counts
+    from an independent reference, the rational zeta at the Betti
+    degrees, and the gcd peel.  The library's counts must agree."""
+    assert list(count_series(spec, q, sum(betti)).counts) == counts
+    Z = zeta_rational(counts, betti)
+    return tuple(f.poly for f in weight_factorize(Z, q, (len(betti) - 1) // 2, betti).factors)
+
+
+def weierstrass_counts(a, q, m):
+    """#E(F_{q^n}), n = 1..m: #E(F_p) = p + 1 - t by walking every (x, y),
+    then q^n + 1 - s_{rn} with s_k = t s_{k-1} - p s_{k-2}, s_0 = 2."""
+    a1, a2, a3, a4, a6 = a
+    p = q.p
+    affine = sum(
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+        for x in range(p)
+        for y in range(p)
+    )
+    t = p - affine
+    s = [2, t]
+    while len(s) <= q.r * m:
+        s.append(t * s[-1] - p * s[-2])
+    return [q.q**n + 1 - s[q.r * n] for n in range(1, m + 1)]
+
+
+def discriminant(a):
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+PRIMES_TO_200 = [p for p in range(2, 201) if all(p % d for d in range(2, p))]
+
+
+class TestLocalWeights:
+    """The closed-form weight factors against the count -> Pade -> gcd
+    peel route they replace in lfun."""
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=30)
+    def test_projective_space(self, d, p, r):
+        q = PrimePower(p, r)
+        weights = local_weights(VarietySpec(kind="projective_space", ambient_dim=d), q)
+        betti = tuple(len(P) - 1 for P in weights)
+        assert betti == (1, 0) * d + (1,)
+        counts = [sum(q.q ** (n * i) for i in range(d + 1)) for n in range(1, d + 2)]
+        spec = VarietySpec(kind="projective_space", ambient_dim=d)
+        assert weights == pade_weights(spec, q, betti, counts)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_zero_dimensional(self, p, r, low):
+        f = tuple(low) + (1,)
+        spec = VarietySpec(kind="zero_dimensional", zero_poly=f)
+        q = PrimePower(p, r)
+        (P,) = local_weights(spec, q)
+        counts = per_degree_counts(f, q, len(P) - 1)
+        assert (P,) == pade_weights(spec, q, (len(P) - 1,), counts)
+
+    @given(
+        st.sampled_from(PRIMES_TO_200),
+        st.integers(min_value=1, max_value=2),
+        st.tuples(*[st.integers(min_value=-20, max_value=20)] * 5),
+    )
+    @settings(max_examples=60)
+    def test_elliptic_good_reduction(self, p, r, a):
+        assume(discriminant(a) % p)
+        q = PrimePower(p, r)
+        weights = local_weights(elliptic(a), q)
+        assert tuple(len(P) - 1 for P in weights) == (1, 2, 1)
+        counts = weierstrass_counts(a, q, 4)
+        assert weights == pade_weights(elliptic(a), q, (1, 2, 1), counts)
+
+    def test_singular_reduction_keeps_the_degree_one_factor(self):
+        # y^2 = x^3 + 5 has a cusp at 5 (a = 0), y^2 = x^2 (x + 1) a split
+        # node at 5 (a = 1): the middle factor is 1 - a^r t
+        assert local_weights(elliptic((0, 0, 0, 0, 5)), PrimePower(5, 2))[1] == (1,)
+        assert local_weights(elliptic((0, 1, 0, 0, 0)), PrimePower(5, 2))[1] == (1, -1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "projective 2; vars x,y,z; eq x^3 + y^3 + z^3",
+            "affine 1; vars x; eq x^2 + 1",
+            "product { projective 1; vars x,y } { zerodim x }",
+        ],
+    )
+    def test_other_shapes_have_none(self, text):
+        assert local_weights(parse_variety(text), PrimePower(3)) is None
 
 
 def reference_count(spec, q, n):

@@ -2,8 +2,10 @@
 importing zetalab pulls in nothing beyond its declared dependencies,
 zetalab.poly stays the one polynomial layer, zetalab.counting the one
 elliptic point counter, lfun._local_factors the one scan over primes
-in zetalab.lfun, zetalab.series the one home of power sums, and
-Zech-log tables the one route for finite-field arithmetic."""
+in zetalab.lfun, zetalab.series the one home of power sums, Zech-log
+tables the one route for finite-field arithmetic, and
+counting.local_weights the one closed form of a fiber's weight
+factors."""
 
 import ast
 import importlib
@@ -144,3 +146,44 @@ def test_one_field_arithmetic_route():
     # and arith multiplies field elements only to build the tables
     arith = [n for n in ast.walk(_tree(SRC / "arith.py")) if isinstance(n, ast.FunctionDef)]
     assert [fn.name for fn in arith if calls(fn, "mulmod")] == ["log_tables"]
+
+
+def _callers(tree, name):
+    """Names of the functions in tree that call name, one per call (a
+    nested function's calls also count for the function around it)."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for c in ast.walk(fn)
+        if isinstance(c, ast.Call) and getattr(c.func, "id", getattr(c.func, "attr", None)) == name
+    ]
+
+
+def test_one_closed_form_route():
+    # each shape's weight factors are written down once, in
+    # counting.local_weights: the counter reads its counts off them and
+    # lfun its local entries, so no second per-shape formula grows back
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    for name in ("_elliptic_frobenius", "fp_degree_pattern"):
+        found = {f: _callers(tree, name) for f, tree in trees.items() if _callers(tree, name)}
+        assert found == {"counting.py": ["local_weights"]}
+    counting = trees["counting.py"]
+    assert sorted(_callers(counting, "power_sums_inverse_roots")) == [
+        "_elliptic_frobenius",
+        "_point_counter",
+    ]
+    extension = next(
+        fn for fn in ast.walk(counting)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_count_over_extension"
+    )
+    kinds = {c.value for c in ast.walk(extension) if isinstance(c, ast.Constant)}
+    assert not kinds & {"projective_space", "zero_dimensional", "elliptic_curve"}
+    # lfun reads the closed form in _local_entry only, and its one scan
+    # takes each parity's factor from the entry instead of rebuilding it
+    lfun = trees["lfun.py"]
+    assert _callers(lfun, "local_weights") == ["_local_entry"]
+    scan = next(
+        fn for fn in ast.walk(lfun) if isinstance(fn, ast.FunctionDef) and fn.name == "_local_factors"
+    )
+    assert _callers(scan, "nc_zeta") == []

@@ -123,6 +123,39 @@ class TestLocalSpectra:
         assert spec.odd[0].poly == (5, -2, 1)
         assert spec.provenance["weil"] == "PASS"
 
+    def test_replacement_fiber_must_be_zero_dimensional(self):
+        # a curve standing in for a bad fiber has no polar zeta; the five
+        # counts of a quintic field's model are enough to see it
+        model = ArithmeticModel.from_dict(
+            {
+                "family": "zerodim x^5 + 2",
+                "bad_primes": [{"p": 2, "replacement": "elliptic a=[0,0,1,0,0]"}],
+                "betti": [5],
+            }
+        )
+        with pytest.raises(ValueError, match="polar zeta"):
+            local_spectrum(model, 2)
+
+    def test_counted_replacement_is_not_shared_across_betti(self, monkeypatch):
+        # a replacement without a closed form is reconstructed from
+        # max(2, sum(betti)) counts: two counts of x^3 + x + 1 over F_2
+        # see no point, four see its degree-3 point, so models with other
+        # Betti numbers must not share its entry
+        fiber = "affine 1; vars x; eq x^3 + x + 1"
+        models = [
+            ArithmeticModel.from_dict(
+                {"family": family, "bad_primes": [{"p": 2, "replacement": fiber}], "betti": betti}
+            )
+            for family, betti in (("zerodim x^2 + 1", [2]), ("zerodim x^4 + 2", [4]))
+        ]
+        fresh = []
+        for model in models:
+            monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+            fresh.append(local_spectrum(model, 2))
+        assert [s.chi0 for s in fresh] == [0, 3]
+        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        assert [local_spectrum(model, 2) for model in models] == fresh
+
     def test_bad_prime_without_replacement(self, ell):
         with pytest.raises(BadPrimeError, match="excluded factor"):
             local_spectrum(ell, 2)
@@ -148,22 +181,22 @@ class TestLocalSpectra:
 
     def test_equal_models_share_one_entry(self, monkeypatch):
         # the key is the value-equal fiber spec, so a separately parsed
-        # copy of a model hits the first one's entry without recounting
-        # or hashing the fiber's text
+        # copy of a model hits the first one's entry without recomputing
+        # the fiber's weight factors or hashing the fiber's text
         monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
         first, second = (load_model(fixture_path("elliptic.json")) for _ in range(2))
         assert first.family == second.family and first.family is not second.family
-        counted = []
-        count_series = lfun.count_series
+        computed = []
+        local_weights = lfun.local_weights
         monkeypatch.setattr(
-            lfun, "count_series", lambda *a: counted.append(a) or count_series(*a)
+            lfun, "local_weights", lambda *a: computed.append(a) or local_weights(*a)
         )
         spectrum = local_spectrum(first, 7)
         monkeypatch.setattr(
             VarietySpec, "fingerprint", lambda self: pytest.fail("fingerprint on a hit")
         )
         assert local_spectrum(second, 7) == spectrum
-        assert len(counted) == 1 and len(lfun._LOCAL_CACHE) == 1
+        assert len(computed) == 1 and len(lfun._LOCAL_CACHE) == 1
 
     def test_recomputed_after_eviction_equals_original(self, ell, monkeypatch):
         monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
@@ -187,6 +220,50 @@ class TestLocalSpectra:
         assert count_series(model.family, PrimePower(5), 4).counts == (6, 26, 126, 626)
         with pytest.raises(SeparationError, match="fiber at p=5: "):
             local_spectrum(model, 5)
+
+
+# Number fields with replacement fibers and elliptic curves with
+# excluded primes: x^3 - 2 reduces to x^3 at 2 and (x + 1)^3 at 3, and
+# y^2 + y = x^3 - x has conductor 37.
+_ROUTE_MODELS = {
+    "zi": load_model(fixture_path("speczi.json")),
+    "cubic": ArithmeticModel.from_dict(
+        {
+            "family": "zerodim x^3 - 2",
+            "bad_primes": [
+                {"p": 2, "replacement": "zerodim x"},
+                {"p": 3, "replacement": "zerodim x + 1"},
+            ],
+            "betti": [3],
+        }
+    ),
+    "ell": load_model(fixture_path("elliptic.json")),
+    "e37": ArithmeticModel.from_dict(
+        {"family": "elliptic a=[0,0,1,-1,0]", "bad_primes": [{"p": 37}], "betti": [1, 2, 1]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_MODELS))
+def test_closed_route_matches_pade_route(name, monkeypatch):
+    # every local entry and every kind's factors at p <= 300, read off the
+    # closed-form weight factors and then by counting, Pade reconstruction
+    # and the gcd peel, each from an empty cache
+    model = _ROUTE_MODELS[name]
+    kinds = ("even", "odd", 0, 1, 2, 3)
+
+    def scan():
+        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        entries = [_outcome(_local_entry, model, p) for p in primes_up_to(300)]
+        return entries, [lfun._local_factors(model, kind, 300) for kind in kinds]
+
+    closed = scan()
+    calls = []
+    monkeypatch.setattr(lfun, "local_weights", lambda spec, q: calls.append(q) and None)
+    assert scan() == closed
+    assert len(calls) == len(primes_up_to(300)) - sum(
+        p <= 300 and fiber is None for p, fiber in model.bad_primes
+    )
 
 
 # Models that share fibers: Spec Q's family is Z[i]'s replacement fiber
@@ -378,7 +455,8 @@ class TestBoundsCertificates:
         spec = NcSpectrum(q=PrimePower(5), even=tuple(blocks["even"]), odd=tuple(blocks["odd"]))
         factors = tuple(WeightFactor(w, (1,) + tuple(c)) for w, c in enumerate(weight_polys))
         dec = WeightDecomposition(d=1, q=PrimePower(5), factors=factors)
-        with mock.patch.object(lfun, "_local_entry", lambda model, p, degrees=None: (dec, spec)):
+        entry = (dec, spec, {parity: nc_zeta(spec, parity).den for parity in ("even", "odd")})
+        with mock.patch.object(lfun, "_local_entry", lambda model, p: entry):
             for parity in ("even", "odd"):
                 got = bounds_certificate(specq, parity, 30, m)
                 assert got.as_dict() == _reference_bounds(specq, parity, 30, m).as_dict()

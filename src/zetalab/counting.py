@@ -19,13 +19,16 @@ closed form (local_weights) and are counted from them, #X(F_{q^n}) =
 sum_w (-1)^w trace_n(P_w): projective space, zero-dimensional schemes
 by distinct-degree factorization, and Weierstrass curves by one integer
 count of #E(F_p) (a square table over x at odd p, the four (x, y) pairs
-at p = 2).  Everything else is enumerated over the extension field,
-one normalized representative per projective point (first nonzero
-coordinate = 1) so no division by the unit group is ever needed, on
-the field's Zech-log tables: a point is a choice of zero coordinates
-plus the logs of the others, a monomial's log is a sum of multiples of
-those logs, and one table lookup per term adds the terms of an
-equation (_count_zeros).
+at p = 2).  Everything else is counted over the extension field,
+fibred over the last coordinate z (_count_zeros).  The other
+coordinates are walked on the field's Zech-log tables, one normalized
+representative per projective point (first nonzero coordinate = 1) so
+no division by the unit group is ever needed: a choice of zero
+coordinates plus the logs of the others.  On each fibre an equation is
+a polynomial in z whose coefficients take one table lookup per term,
+and the fibre holds as many points as the gcd G of its equations has
+distinct roots in F_Q, deg gcd(G, z^Q - z), computed on logs in
+zetalab.poly.  That walks Q times fewer candidates than the points.
 """
 
 from __future__ import annotations
@@ -495,78 +498,86 @@ def _check_budget(total, budget, what):
 
 def _count_projective(field: FiniteField, nvars, polys, budget):
     """Count projective solutions, one normalized representative each:
-    zero before a leading coordinate equal to 1, anything after it."""
+    zero before a leading coordinate equal to 1, anything after it.  A
+    leading coordinate before the last leaves the last one free; the
+    last one leading is the point [0:...:0:1]."""
     qn = field.order
     _check_budget((qn**nvars - 1) // (qn - 1), budget, "projective enumeration")
     patterns = [
         ((lead,), nonzero)
         for lead in range(nvars)
         for size in range(nvars - lead)
-        for nonzero in itertools.combinations(range(lead + 1, nvars), size)
+        for nonzero in itertools.combinations(range(lead + 1, nvars - 1), size)
     ]
     return _count_zeros(field, nvars, polys, patterns)
 
 
 def _count_affine(field: FiniteField, nvars, polys, budget):
+    """Count affine solutions: each pattern fixes which of the first
+    nvars - 1 coordinates are zero, and the last one is free."""
     _check_budget(field.order**nvars, budget, "affine enumeration")
     patterns = [
         ((), nonzero)
-        for size in range(nvars + 1)
-        for nonzero in itertools.combinations(range(nvars), size)
+        for size in range(nvars)
+        for nonzero in itertools.combinations(range(nvars - 1), size)
     ]
     return _count_zeros(field, nvars, polys, patterns)
 
 
 def _count_zeros(field: FiniteField, nvars, polys, patterns):
-    """Common zeros of polys, walked by Zech logarithms.
+    """Common zeros of polys, fibred over the last coordinate z.
 
-    Each pattern (ones, nonzero) fixes which coordinates are nonzero:
-    those in ones equal 1, those in nonzero run over F_Q^x by their logs
-    l, and the rest are 0.  A term c x^e then has log
-    log c + sum(e_i l_i), or is 0 when c = 0 mod p or it meets a zero
-    coordinate; an equation sums its terms by g^a + g^b = g^(a + zech[b - a])
-    and holds when the sum is 0.
+    Each pattern (ones, nonzero) fixes the other coordinates: those in
+    ones equal 1, those in nonzero run over F_Q^x by their logs l, and
+    the rest are 0; z is 1 when it is in ones and free otherwise.  A term
+    c x^e z^k then contributes log c + sum(e_i l_i) to the coefficient of
+    z^k, or nothing when c = 0 mod p or it meets a zero coordinate, and
+    the terms of one degree are summed by g^a + g^b = g^(a + zech[b - a]).
+    A fibre's zeros are the distinct roots in F_Q of the gcd G of its
+    specialised equations: Q (one point when z is fixed) when every
+    equation vanishes, else deg gcd(G, z^Q - z).
     """
     tables = field.log_tables()
     log, zech = tables.log, tables.zech
-    p, m = field.p, field.order - 1
+    p, Q, last = field.p, field.order, nvars - 1
     equations = [
-        [(log[c % p], exps) for exps, c in poly.terms if c % p] for poly in polys
+        [(log[c % p], exps) for exps, c in eq.terms if c % p] for eq in polys
     ]
     count = 0
     for ones, nonzero in patterns:
-        zero = set(range(nvars)).difference(ones, nonzero)
+        free = last not in ones
+        zero = set(range(nvars)).difference(ones, nonzero, [last])
         system = []
         for terms in equations:
             live = [
-                (lc, tuple(exps[i] for i in nonzero))
+                (lc, tuple(exps[i] for i in nonzero), exps[last] if free else 0)
                 for lc, exps in terms
                 if not any(exps[i] for i in zero)
             ]
-            if len(live) == 1:  # one nonzero monomial never vanishes
+            if len(live) == 1 and live[0][2] == 0:  # nonzero on every fibre
                 break
             if live:
-                system.append(live)
+                system.append((live, 1 + max(k for _, _, k in live)))
         else:
+            size = Q if free else 1
             if not system:
-                count += m ** len(nonzero)
+                count += (Q - 1) ** len(nonzero) * size
                 continue
-            for logs in itertools.product(range(m), repeat=len(nonzero)):
-                for live in system:
-                    acc = -1  # the sum so far is 0
-                    for lc, es in live:
+            for logs in itertools.product(range(Q - 1), repeat=len(nonzero)):
+                G = []
+                for live, length in system:
+                    f = [-1] * length
+                    for lc, es, k in live:
                         t = lc
                         for e, l in zip(es, logs):
                             t += e * l
-                        if acc < 0:
-                            acc = t
-                        else:
-                            z = zech[(t - acc) % m]
-                            acc = acc + z if z >= 0 else -1
-                    if acc >= 0:
+                        f[k] = poly.fq_sum(f[k], t, zech)
+                    while f and f[-1] < 0:
+                        f.pop()
+                    G = poly.fq_gcd(G, f, zech) if G else f
+                    if len(G) == 1:  # a nonzero constant: no zeros
                         break
-                else:
-                    count += 1
+                count += poly.fq_root_count(G, zech) if G else size
     return count
 
 
@@ -646,21 +657,21 @@ def count_points(
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    return _point_counter(spec, q, budget, degree_cap)(n)
+    return _point_counter(spec, q, n, budget, degree_cap)(n)
 
 
-def _point_counter(spec: VarietySpec, q: PrimePower, budget, degree_cap):
-    """n -> #X(F_{q^n}).  What does not depend on n is computed once: a
-    shape's weight factors serve every n through their traces, and a
-    product multiplies its factors' counts."""
+def _point_counter(spec: VarietySpec, q: PrimePower, m, budget, degree_cap):
+    """n -> #X(F_{q^n}) for 1 <= n <= m.  What does not depend on n is
+    computed once: a shape's weight factors give their traces for every
+    n <= m from one power-sum call each, and a product multiplies its
+    factors' counts."""
     weights = local_weights(spec, q, budget=budget)
     if weights is not None:
-        return lambda n: sum(
-            (-1) ** w * power_sums_inverse_roots(P, n)[-1] for w, P in enumerate(weights)
-        )
+        traces = [power_sums_inverse_roots(P, m) for P in weights]
+        return lambda n: sum((-1) ** w * t[n - 1] for w, t in enumerate(traces))
     if spec.kind == "product":
-        left = _point_counter(spec.left, q, budget, degree_cap)
-        right = _point_counter(spec.right, q, budget, degree_cap)
+        left = _point_counter(spec.left, q, m, budget, degree_cap)
+        right = _point_counter(spec.right, q, m, budget, degree_cap)
         return lambda n: left(n) * right(n)
     return lambda n: _count_over_extension(spec, q, n, budget, degree_cap)
 
@@ -751,7 +762,7 @@ def count_series(
         if n in cached:
             continue
         if count is None:
-            count = _point_counter(spec, q, budget, degree_cap)
+            count = _point_counter(spec, q, m, budget, degree_cap)
         try:
             cached[n] = count(n)
         except BudgetError as exc:

@@ -32,7 +32,7 @@ from .arith import PrimePower, primes_up_to
 from .counting import VarietySpec, count_series, local_weights, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
-from .series import RationalFunction, power_sums_inverse_roots
+from .series import RationalFunction, power_sums_inverse_roots, roots_on_circle
 from .zeta import SeparationError, WeightDecomposition, WeightFactor
 from .zeta import weight_factorize, weil_check, zeta_rational
 
@@ -204,8 +204,10 @@ def _local_entry(model: ArithmeticModel, p: int):
         else:
             counts = count_series(fiber, q, max(2, sum(model.betti))).counts
             Z = zeta_rational(counts, model.betti if own else None)
-            # a zero-dimensional replacement's shape comes from its zeta
-            if not own and len(Z.num) > 1:
+            # a zero-dimensional replacement's shape comes from its zeta:
+            # numerator 1, and every inverse root of the denominator on
+            # |x| = 1 (P^1's 1 - (q + 1) t + q t^2 has numerator 1 too)
+            if not own and (len(Z.num) > 1 or not roots_on_circle(Z.den[::-1], 1)):
                 raise ValueError("replacement fibers must have a polar zeta (dimension 0)")
             betti = model.betti if own else (len(Z.den) - 1,)
             dec = weight_factorize(Z, q, (len(betti) - 1) // 2, betti)

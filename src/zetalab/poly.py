@@ -1,4 +1,4 @@
-"""Univariate polynomials over Z and over F_p: zetalab's one polynomial layer.
+"""Univariate polynomials over Z, F_p and F_(p^k): zetalab's one polynomial layer.
 
 A polynomial is a tuple of ints, low degree first; the zero polynomial
 is the empty tuple.  Operations with one algorithm over both rings take
@@ -14,6 +14,10 @@ Operations whose algorithm differs by ring come once per ring:
 - over F_p (p prime): fp_gcd (monic Euclid), fp_squarefree_part (with
   p-th roots when f' = 0), fp_degree_pattern (distinct-degree
   factorization), and mulmod/powmod modulo a monic polynomial;
+- over F_Q (Q = p^k), on lists of the Zech logarithms of the
+  coefficients, with the field's zech table passed in: fq_sum, fq_rem
+  (by a monic divisor), fq_mulmod, fq_gcd (monic Euclid) and
+  fq_root_count (the distinct roots in F_Q, deg gcd(g, z^Q - z));
 - over Z: sturm_chain (the fraction-free pseudo-remainder sequence),
   gcd (its last entry, primitive), primitive (clear denominators,
   divide by the content, positive leading coefficient), multiplicity
@@ -41,6 +45,11 @@ __all__ = [
     "fp_degree_pattern",
     "fp_gcd",
     "fp_squarefree_part",
+    "fq_gcd",
+    "fq_mulmod",
+    "fq_rem",
+    "fq_root_count",
+    "fq_sum",
     "gcd",
     "mul",
     "mulmod",
@@ -256,6 +265,110 @@ def fp_degree_pattern(f, p):
             pattern[k] = dg // k
             f = _fp_divrem_monic(f, g, p)[0]
     return pattern
+
+
+# ---------------------------------------------------------------------------
+# Over F_Q, on Zech logarithms
+# ---------------------------------------------------------------------------
+#
+# A polynomial over F_Q is a list of the logs of its coefficients to a
+# primitive element g, low degree first, with -1 for a zero coefficient
+# and a nonnegative leading entry; the zero polynomial is [].  The one
+# table needed is zech, of length m = Q - 1, with zech[n] = log(1 + g^n)
+# and -1 where 1 + g^n = 0 (arith.LogTables): products add logs mod m,
+# g^s + g^t = g^(s + zech[(t - s) % m]), and -1 = g^(m/2) for odd Q and
+# g^0 for even Q.
+
+
+def _fq_minus_one(m):
+    """log(-1) in F_Q, m = Q - 1: m/2 for odd Q, 0 for even Q."""
+    return 0 if m % 2 else m // 2
+
+
+def fq_sum(s, t, zech):
+    """log(g^s + g^t) for s a log or -1 (zero) and t a log, any int."""
+    m = len(zech)
+    if s < 0:
+        return t % m
+    z = zech[(t - s) % m]
+    return -1 if z < 0 else (s + z) % m
+
+
+def _fq_monic(a, zech):
+    """a divided by its leading coefficient; a != []."""
+    m, lead = len(zech), a[-1]
+    return [(c - lead) % m if c >= 0 else -1 for c in a]
+
+
+def fq_rem(a, b, zech):
+    """Remainder of a by b over F_Q, for b monic (b[-1] == 0)."""
+    m = len(zech)
+    a, db = list(a), len(b) - 1
+    neg = _fq_minus_one(m)
+    low = [(j, c + neg) for j, c in enumerate(b[:db]) if c >= 0]  # the terms of -b
+    # here and in fq_mulmod fq_sum is written out: these loops carry
+    # nearly all of a fibred point count
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c >= 0:
+            for j, bj in low:
+                k, t = i - db + j, c + bj
+                s = a[k]
+                if s < 0:
+                    a[k] = t % m
+                else:
+                    z = zech[(t - s) % m]
+                    a[k] = -1 if z < 0 else (s + z) % m
+    del a[db:]
+    while a and a[-1] < 0:
+        a.pop()
+    return a
+
+
+def fq_mulmod(a, b, mod, zech):
+    """(a*b) mod (mod) over F_Q, for mod monic."""
+    if not a or not b:
+        return []
+    m = len(zech)
+    res = [-1] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x >= 0:
+            for j, y in enumerate(b):
+                if y >= 0:
+                    s = res[i + j]
+                    if s < 0:
+                        res[i + j] = (x + y) % m
+                    else:
+                        z = zech[(x + y - s) % m]
+                        res[i + j] = -1 if z < 0 else (s + z) % m
+    return fq_rem(res, mod, zech)
+
+
+def fq_gcd(a, b, zech):
+    """Monic gcd over F_Q; [] only when both are zero."""
+    while b:
+        b = _fq_monic(b, zech)
+        a, b = b, fq_rem(a, b, zech)
+    return _fq_monic(a, zech) if a else a
+
+
+def fq_root_count(g, zech):
+    """The number of distinct roots of g != 0 in F_Q, deg gcd(g, z^Q - z)
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14), with
+    z^Q mod g by square and multiply."""
+    g = _fq_monic(g, zech)
+    if len(g) < 3:  # a constant has no root, a linear g one
+        return len(g) - 1
+    h = [-1, 0]  # z, for the leading bit of Q
+    for bit in bin(len(zech) + 1)[3:]:
+        h = fq_mulmod(h, h, g, zech)
+        if bit == "1":
+            h = fq_rem([-1] + h, g, zech)
+    h += [-1] * (2 - len(h))
+    h[1] = fq_sum(h[1], _fq_minus_one(len(zech)), zech)  # z^Q - z
+    while h and h[-1] < 0:
+        h.pop()
+    return len(fq_gcd(g, h, zech)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,35 @@ class TestLocalSpectra:
         with pytest.raises(ValueError, match="polar zeta"):
             local_spectrum(model, 2)
 
+    def test_replacement_fiber_off_the_unit_circle(self):
+        # P^1 standing in for Z[i]'s fiber at 2 has zeta 1/((1 - t)(1 - 2t)):
+        # numerator 1, but the inverse root 2 is off |x| = 1, so neither
+        # the local spectrum nor an Euler product may take it as a factor
+        model = ArithmeticModel.from_dict(
+            {
+                "family": "zerodim x^2 + 1",
+                "bad_primes": [{"p": 2, "replacement": "projective 1; vars x, y"}],
+                "betti": [2],
+            }
+        )
+        with pytest.raises(ValueError, match="polar zeta"):
+            local_spectrum(model, 2)
+        with pytest.raises(ValueError, match="polar zeta"):
+            euler_product_value(model, "even", 2.0, 50)
+
+    def test_closed_replacement_skips_the_circle_check(self, monkeypatch):
+        # a zero-dimensional replacement reads its factor off the closed
+        # form, whose inverse roots are roots of unity by construction
+        def refuse(*args):
+            raise AssertionError("closed-form replacement paid the circle check")
+
+        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        monkeypatch.setattr(lfun, "roots_on_circle", refuse)
+        model = ArithmeticModel.from_dict(
+            {"family": "zerodim x^2 + 1", "bad_primes": [{"p": 2, "replacement": "zerodim x"}], "betti": [2]}
+        )
+        assert local_spectrum(model, 2).even[0].poly == (-1, 1)
+
     def test_counted_replacement_is_not_shared_across_betti(self, monkeypatch):
         # a replacement without a closed form is reconstructed from
         # max(2, sum(betti)) counts: two counts of x^3 + x + 1 over F_2

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetalab import poly
-from zetalab.arith import PrimePower
+from zetalab.arith import FiniteField, PrimePower
 from zetalab.series import RationalFunction, polynomial_roots
 from zetalab.zeta import ord_at
 
@@ -247,6 +247,128 @@ def reference_degree_pattern(f, p):
             pattern[k] = (len(g) - 1) // k
             f = reference_divrem(f, g, p)[0]
     return pattern
+
+
+# ---------------------------------------------------------------------------
+# Over F_Q on logs, against schoolbook arithmetic on the field's ints
+# ---------------------------------------------------------------------------
+
+
+class ElementField:
+    """F_Q with elements the ints 0..Q-1 (base-p digits): sums digit by
+    digit, products through the exp and log tables."""
+
+    def __init__(self, p, k):
+        tables = FiniteField(p, k).log_tables()
+        self.p, self.Q, self.m = p, p**k, p**k - 1
+        self.exp, self.log, self.zech = tables.exp, tables.log, tables.zech
+
+    def add(self, a, b):
+        out, scale = 0, 1
+        while a or b:
+            out += (a % self.p + b % self.p) % self.p * scale
+            a, b, scale = a // self.p, b // self.p, scale * self.p
+        return out
+
+    def neg(self, a):
+        return self.mul(a, self.exp[self.m // 2] if self.p != 2 else 1)
+
+    def mul(self, a, b):
+        return 0 if not a or not b else self.exp[(self.log[a] + self.log[b]) % self.m]
+
+    def inv(self, a):
+        return self.exp[-self.log[a] % self.m]
+
+    def trim(self, a):
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def mul_poly(self, a, b):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return self.trim(out)
+
+    def rem(self, a, b):
+        a, b = self.trim(a), self.trim(b)
+        inv = self.inv(b[-1])
+        while len(a) >= len(b):
+            c = self.neg(self.mul(a[-1], inv))
+            shift = len(a) - len(b)
+            for j, y in enumerate(b):
+                a[shift + j] = self.add(a[shift + j], self.mul(c, y))
+            a = self.trim(a)
+        return a
+
+    def gcd(self, a, b):
+        a, b = self.trim(a), self.trim(b)
+        while b:
+            a, b = b, self.rem(a, b)
+        return [self.mul(c, self.inv(a[-1])) for c in a] if a else a
+
+    def evaluate(self, a, x):
+        acc = 0
+        for c in reversed(a):
+            acc = self.add(self.mul(acc, x), c)
+        return acc
+
+    def logs(self, a):
+        return [self.log[c] for c in self.trim(a)]
+
+    def monic(self, a):
+        return [self.mul(c, self.inv(a[-1])) for c in a]
+
+
+FIELDS = [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (7, 1), (2, 4), (5, 2), (3, 3)]
+
+
+@st.composite
+def field_polys(draw, count):
+    """(ElementField, polynomials over it as int lists), with zero
+    coefficients, repeated linear factors and degrees up to 2 Q."""
+    K = ElementField(*draw(st.sampled_from(FIELDS)))
+    element = st.integers(0, K.Q - 1)
+    out = []
+    for _ in range(count):
+        f = [draw(element) for _ in range(draw(st.integers(0, 4)))]
+        for root in draw(st.lists(element, max_size=3)):
+            for _ in range(draw(st.integers(1, 3))):
+                f = K.mul_poly(f or [1], [K.neg(root), 1])
+        if draw(st.booleans()):  # a power of z beyond Q
+            f = K.mul_poly(f or [1], [0] * draw(st.integers(K.Q - 2, 2 * K.Q)) + [1])
+        out.append(K.trim(f))
+    return K, out
+
+
+class TestOverFq:
+    @given(field_polys(3))
+    @settings(max_examples=150)
+    def test_mulmod_and_gcd_match_the_schoolbook(self, drawn):
+        K, (a, b, mod) = drawn
+        assume(mod)
+        mod = K.monic(mod)
+        got = poly.fq_mulmod(K.logs(a), K.logs(b), K.logs(mod), K.zech)
+        assert got == K.logs(K.rem(K.mul_poly(a, b), mod))
+        assert poly.fq_rem(K.logs(a), K.logs(mod), K.zech) == K.logs(K.rem(a, mod))
+        assert poly.fq_gcd(K.logs(a), K.logs(b), K.zech) == K.logs(K.gcd(a, b))
+
+    @given(field_polys(1))
+    @settings(max_examples=200)
+    def test_root_count_matches_evaluation(self, drawn):
+        K, (g,) = drawn
+        assume(g)
+        roots = sum(K.evaluate(g, x) == 0 for x in range(K.Q))
+        assert poly.fq_root_count(K.logs(g), K.zech) == roots
+
+    def test_every_element_is_a_root_of_z_to_the_q_minus_z(self):
+        # x^4 + x over F_4, and (z + 1)^2 = z^2 + 1 over F_8 (one root)
+        K = ElementField(2, 2)
+        assert poly.fq_root_count(K.logs([0, 1, 0, 0, 1]), K.zech) == 4
+        K = ElementField(2, 3)
+        assert poly.fq_root_count(K.logs([1, 0, 1]), K.zech) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,18 @@ multiset of primitive polynomial blocks, and all structural verdicts
 (multiplicities, determinants, functional-equation symmetry, closure
 under reciprocity, root moduli) are exact, on zetalab.poly's integer
 arithmetic (an eigenvalue's multiplicity is the exact power of its
-primitive linear factor).  Floats appear only in
-pointwise sampling, approximate roots for reports, and the witness of a
-failed modulus check.
+primitive linear factor).  The functional equations and reciprocity are
+one exact identity, series.functional_witnesses; the pointwise checks
+beside it are series.functional_samples.  So floats appear only through
+zetalab.series, in those samples, approximate roots for reports, and
+the witness of a failed modulus check, and this module does not import
+mpmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from . import poly
 from .arith import PrimePower
@@ -29,6 +30,8 @@ from .series import (
     DEFAULT_PRECISION,
     RationalFunction,
     det_identity_minus_t,
+    functional_samples,
+    functional_witnesses,
     mat_mul,
     mat_nullspace,
     mat_rank,
@@ -202,7 +205,7 @@ def nc_spectrum_from_weights(dec: WeightDecomposition) -> NcSpectrum:
     for f in dec.factors:
         if f.beta == 0:
             continue
-        a = f.w // 2 if f.w % 2 == 0 else (f.w - 1) // 2
+        a = f.w // 2
         scale = dec.q.q**a
         eig = f.eigenvalue_polynomial()
         shifted = [c * scale**i for i, c in enumerate(eig)]
@@ -314,70 +317,25 @@ def nc_l_adic_check(spec: NcSpectrum, C: int = None):
     return checks
 
 
-def _coefficient_symmetry(spec, parity):
-    """The functional equation as an exact statement about coefficients.
-
-    Even: r_{chi-k} = (-1)^chi * det(F0) * r_k.
-    Odd:  r_{chi-k} = (-1)^chi * q^{-k} * det(F1) * r_k.
-    """
+def _functional_equation(spec, parity):
+    """(R, Q, chi, C Q^chi) of the parity zeta's equation
+    R(x) = C x^{-chi} R(1/(Qx)): Q = 1 relates s and -s, Q = q relates s
+    and 1 - s, and C Q^chi = (-1)^chi det F for either parity."""
     chi = spec.chi(parity)
-    det = spec.det(parity)
-    D = nc_zeta(spec, parity).den
-    r = list(D) + [Fraction(0)] * (chi + 1 - len(D))
-    bad = []
-    for k in range(chi + 1):
-        lhs = r[chi - k]
-        rhs = (-1) ** chi * det * r[k]
-        if parity == "odd":
-            rhs *= Fraction(1, spec.q.q) ** k
-        if lhs != rhs:
-            bad.append({"k": k, "lhs": str(lhs), "rhs": str(rhs)})
-    return bad
-
-
-def _pointwise_functional(spec, parity, sample_points, tol, dps):
-    """Numeric route: both sides at the sample points."""
-    R = nc_zeta(spec, parity)
-    chi = spec.chi(parity)
-    det = spec.det(parity)
-    q = spec.q.q
-    used, skipped, bad = [], [], []
-    with mpmath.workdps(dps):
-        det_mp = mpmath.mpf(det.numerator) / det.denominator
-        for s in sample_points:
-            s = mpmath.mpc(s)
-            x1 = mpmath.power(q, -s)
-            if parity == "even":
-                x2 = mpmath.power(q, s)
-                prefactor = (-1) ** chi * mpmath.power(q, chi * s) * det_mp
-            else:
-                x2 = mpmath.power(q, -(1 - s))
-                prefactor = (-1) ** chi * mpmath.power(q, -chi * (1 - s)) * det_mp
-            d1 = poly.evaluate(R.den, x1)
-            d2 = poly.evaluate(R.den, x2)
-            if abs(d1) < mpmath.mpf("1e-20") or abs(d2) < mpmath.mpf("1e-20"):
-                skipped.append(str(s))
-                continue
-            lhs = 1 / d1
-            rhs = prefactor / d2
-            if abs(lhs - rhs) > tol * max(1, abs(lhs)):
-                bad.append({"s": str(s), "lhs": str(lhs), "rhs": str(rhs)})
-            else:
-                used.append(str(s))
-    return used, skipped, bad
+    Q = 1 if parity == "even" else spec.q.q
+    return nc_zeta(spec, parity), Q, chi, (-1) ** chi * spec.det(parity)
 
 
 def nc_functional_check(
-    spec: NcSpectrum,
-    sample_points=DEFAULT_NC_SAMPLE_POINTS,
-    tol: float = 1e-9,
-    *,
-    dps: int = 30,
+    spec: NcSpectrum, sample_points=DEFAULT_NC_SAMPLE_POINTS, tol: float = 1e-9
 ):
     """The even equation relates s and -s, the odd one s and 1-s.
 
-    Two independent routes per parity: pointwise numeric evaluation and
-    the exact coefficient symmetry of det(1 - x F).  For weight-built
+    Two routes per parity: both sides at the sample points
+    (series.functional_samples) and the exact coefficient identity of
+    det(1 - x F) (series.functional_witnesses), which for the even part
+    reads r_{chi-k} = (-1)^chi det(F0) r_k and for the odd part
+    r_{chi-k} = (-1)^chi q^{-k} det(F1) r_k.  For weight-built
     spectra the reduced forms with a bare sign are verified as well:
     det F0 must be a unit and det F1 a square root of q^{chi1}, making
     the constants (-1)^{chi} det F collapse to +-1 after the exponent
@@ -385,17 +343,20 @@ def nc_functional_check(
     """
     checks = []
     for parity in ("even", "odd"):
-        used, skipped, bad = _pointwise_functional(spec, parity, sample_points, tol, dps)
+        R, Q, chi, CQ = _functional_equation(spec, parity)
+        # C = CQ / Q^chi with Q = q^0 or q^1
+        C = (CQ, 0 if Q == 1 else -2 * chi)
+        used, skipped, bad = functional_samples(R, spec.q.q, Q, chi, C, sample_points, tol)
         checks.append(
             Check(
                 name=f"nc_functional.{parity}.pointwise",
                 verdict=PASS if not bad else FAIL,
                 detail=(
-                    f"chi={spec.chi(parity)}, det={spec.det(parity)}, "
+                    f"chi={chi}, det={spec.det(parity)}, "
                     f"{len(used)} points checked, {len(skipped)} skipped at poles"
                 ),
                 data={
-                    "chi": spec.chi(parity),
+                    "chi": chi,
                     "det": spec.det(parity),
                     "points_used": used,
                     "points_skipped": skipped,
@@ -403,7 +364,7 @@ def nc_functional_check(
                 },
             )
         )
-        sym_bad = _coefficient_symmetry(spec, parity)
+        sym_bad = functional_witnesses(R, Q, chi, CQ)[1]
         checks.append(
             Check(
                 name=f"nc_functional.{parity}.coefficient_symmetry",
@@ -485,58 +446,25 @@ def pairing_duality_check(theta, f, g, lam):
     )
 
 
-def _parity_polynomial(spec, parity):
-    """Product of all block polynomials with multiplicity, primitive."""
-    prod = (1,)
-    for b in spec.blocks(parity):
-        for _ in range(b.mult):
-            prod = poly.mul(prod, b.poly)
-    return poly.primitive(prod)
-
-
 def spectrum_reciprocity_check(spec: NcSpectrum):
     """Closure of the even multiset under mu -> 1/mu and the odd one
-    under mu -> q/mu, as exact polynomial identities."""
+    under mu -> q/mu, exactly.
+
+    With Q = 1 or q, 1/prod(1 - mu x) equals C x^{-chi} times its value
+    at 1/(Qx) for C Q^chi = (-1)^chi det F exactly when the multiset is
+    closed under mu -> Q/mu, so this is the parity's functional equation,
+    on series.functional_witnesses.  A multiset holding 0 fails, since
+    det F = 0 then.
+    """
     checks = []
     for parity, desc in (("even", "1/mu"), ("odd", "q/mu")):
-        blocks = spec.blocks(parity)
-        if not blocks:
-            checks.append(
-                Check(
-                    name=f"reciprocity.{parity}",
-                    verdict=PASS,
-                    detail="empty multiset",
-                )
-            )
-            continue
-        prod = _parity_polynomial(spec, parity)
-        if prod[0] == 0:
-            checks.append(
-                Check(
-                    name=f"reciprocity.{parity}",
-                    verdict=FAIL,
-                    detail="0 is an eigenvalue; reciprocal multiset undefined",
-                    data={"polynomial": list(prod)},
-                )
-            )
-            continue
-        m = poly.deg(prod)
-        if parity == "even":
-            transformed = tuple(reversed(prod))
-        else:
-            q = spec.q.q
-            transformed = tuple(prod[m - i] * q ** (m - i) for i in range(m + 1))
-        transformed = poly.primitive(transformed)
-        ok = transformed == prod
+        bad = functional_witnesses(*_functional_equation(spec, parity))[1]
         checks.append(
             Check(
                 name=f"reciprocity.{parity}",
-                verdict=PASS if ok else FAIL,
+                verdict=PASS if not bad else FAIL,
                 detail=f"multiset closure under mu -> {desc}",
-                data={
-                    "polynomial": list(prod),
-                    "transformed": list(transformed),
-                },
+                data={"witnesses": bad},
             )
         )
     return checks
@@ -556,7 +484,7 @@ def _shift_block(block: EigenvalueBlock, a: int, q: int) -> EigenvalueBlock:
 
 def _graded_shift_single(spec: NcSpectrum, n: int) -> Check:
     parity = "even" if n % 2 == 0 else "odd"
-    a = n // 2 if n % 2 == 0 else (n - 1) // 2
+    a = n // 2
     q = spec.q.q
     shifted_blocks = tuple(_shift_block(b, a, q) for b in spec.blocks(parity))
     shifted_spec = NcSpectrum(q=spec.q, even=shifted_blocks if parity == "even" else (),
@@ -612,7 +540,7 @@ def weight_normalization_check(dec: WeightDecomposition):
         for f in dec.factors:
             if f.w % 2 != rem or f.beta == 0:
                 continue
-            a = f.w // 2 if rem == 0 else (f.w - 1) // 2
+            a = f.w // 2
             shifts.append({"w": f.w, "shift": a})
             classical = RationalFunction((1,), f.poly, reduce=False)
             product = product * classical.substitute_scaled(Fraction(1, q) ** a)
@@ -658,7 +586,7 @@ def order_additivity_check(dec: WeightDecomposition, window=None):
             for f in dec.factors:
                 if f.w % 2 != rem or f.beta == 0:
                     continue
-                a = f.w // 2 if rem == 0 else (f.w - 1) // 2
+                a = f.w // 2
                 part = ord_at(RationalFunction((1,), f.poly, reduce=False), dec.q, z + a)
                 total += part.order
             table.append({"z": z, "assembled": left.order, "summed": total})

@@ -1,5 +1,6 @@
 """Exact truncated power series and rational functions over Q, Pade
-reconstruction, exact linear algebra, and root extraction.
+reconstruction, exact linear algebra, functional equations, and root
+extraction.
 
 Series and rational functions keep Fraction coefficients, and so does
 linear algebra: row reduction runs fraction-free on integers (Bareiss)
@@ -9,12 +10,16 @@ zetalab.poly's, on primitive integer parts.  Whether every root of an
 integer polynomial lies on the circle |z| = Q^{1/2} is decided exactly
 (roots_on_circle), by a palindrome test and a Sturm count on
 poly.sturm_chain, so floats never decide a Weil verdict or a weight
-separation.  Floating point enters only at root extraction
-(polynomial_roots, on mpmath.polyroots), which runs at a configurable
-decimal precision (default 50 digits) and serves failure witnesses and
-approximate roots in reports.  There a root multiset takes its
-multiplicities from the exact square-free decomposition, never from
-numerical multiplicity guessing.
+separation.  Every functional equation R(x) = C x^{-chi} R(1/(Qx)) (the
+classical one, the even and odd ones, reciprocity) is decided by one
+exact coefficient identity (functional_witnesses) and sampled at
+complex points by one numeric route (functional_samples, 30 digits),
+which is reported beside it.  Otherwise floating point enters only at
+root extraction (polynomial_roots, on mpmath.polyroots), which runs at
+a configurable decimal precision (default 50 digits) and serves
+failure witnesses and approximate roots in reports.  There a root
+multiset takes its multiplicities from the exact square-free
+decomposition, never from numerical multiplicity guessing.
 
 Polynomials are coefficient tuples, low degree first.
 """
@@ -34,6 +39,8 @@ __all__ = [
     "PadeError",
     "RootFindingError",
     "exp_series",
+    "functional_samples",
+    "functional_witnesses",
     "log_series",
     "log_det_series",
     "pade_reconstruct",
@@ -44,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 50
+SAMPLE_DPS = 30
 
 
 class PadeError(ValueError):
@@ -514,6 +522,80 @@ def _sign_plus_sqrt(A, B, Q):
         return sb
     gap = A * A - B * B * Q
     return sa if gap > 0 else sb if gap < 0 else 0
+
+
+# ---------------------------------------------------------------------------
+# Functional equations
+# ---------------------------------------------------------------------------
+
+
+def functional_witnesses(R: RationalFunction, Q: int, chi: int, CQ=None):
+    """(CQ, witnesses) for the functional equation
+    R(x) = C x^{-chi} R(1/(Qx)), exactly, with CQ = C Q^chi.
+
+    With R = N/D and a = deg N the equation reads
+    N M_{a+chi}(D) = CQ M_a(N) D, where M_n(P) = x^n Q^n P(1/(Qx)) is the
+    Q-mirror of P (a Laurent polynomial when n < deg P).  Without CQ it
+    is read off the constant terms, D_{a+chi} / N_a.  Every exponent k
+    where the two sides differ is a witness {"k", "lhs", "rhs"}.  Applying
+    the equation twice gives C^2 Q^chi = 1, so a PASS forces that too.
+    """
+    N = [_int_if_integral(c) for c in R.num]
+    D = [_int_if_integral(c) for c in R.den]
+    a, b = len(N) - 1, len(D) - 1
+    if CQ is None:
+        CQ = _int_if_integral(Fraction(D[a + chi] if 0 <= a + chi <= b else 0, N[a]))
+    lo = a + chi - b  # lowest exponent of M_{a+chi}(D); 0 when the degrees match
+    lhs = [0] * lo + list(poly.mul(N, _mirror(D, a + chi, Q)))
+    rhs = [0] * -lo + [CQ * c for c in poly.mul(D, _mirror(N, a, Q))]
+    n = max(len(lhs), len(rhs))
+    lhs, rhs = lhs + [0] * (n - len(lhs)), rhs + [0] * (n - len(rhs))
+    witnesses = [
+        {"k": k + min(lo, 0), "lhs": str(x), "rhs": str(y)}
+        for k, (x, y) in enumerate(zip(lhs, rhs))
+        if x != y
+    ]
+    return CQ, witnesses
+
+
+def _mirror(P, n, Q):
+    """M_n(P) = x^n Q^n P(1/(Qx)), lowest exponent n - deg P first."""
+    m = len(P) - 1
+    return [
+        P[m - j] * (Q**e if e >= 0 else Fraction(1, Q**-e))
+        for j, e in enumerate(range(n - m, n + 1))
+    ]
+
+
+def functional_samples(R: RationalFunction, q: int, Q: int, chi: int, C, sample_points, tol):
+    """(used, skipped, witnesses): both sides of R(x) = C x^{-chi} R(1/(Qx))
+    at x = q^{-s} for each sample point s, at SAMPLE_DPS digits.
+
+    C = (c, e) stands for c q^{e/2} with c rational.  A point is skipped
+    only at a pole of either side; it is a witness {"s", "lhs", "rhs"}
+    when |lhs - rhs| > tol max(1, |lhs|), and used otherwise.  This is
+    the numeric second route beside functional_witnesses.
+    """
+    used, skipped, witnesses = [], [], []
+    c, e = Fraction(C[0]), C[1]
+    with mpmath.workdps(SAMPLE_DPS):
+        const = mpmath.mpf(c.numerator) / c.denominator * mpmath.power(q, mpmath.mpf(e) / 2)
+        tiny = mpmath.mpf("1e-20")
+        for s in sample_points:
+            s = mpmath.mpc(s)
+            x = mpmath.power(q, -s)
+            y = 1 / (Q * x)
+            dx, dy = poly.evaluate(R.den, x), poly.evaluate(R.den, y)
+            if abs(dx) < tiny or abs(dy) < tiny:
+                skipped.append(str(s))
+                continue
+            lhs = poly.evaluate(R.num, x) / dx
+            rhs = const * x**-chi * poly.evaluate(R.num, y) / dy
+            if abs(lhs - rhs) > tol * max(1, abs(lhs)):
+                witnesses.append({"s": str(s), "lhs": str(lhs), "rhs": str(rhs)})
+            else:
+                used.append(str(s))
+    return used, skipped, witnesses
 
 
 def worst_modulus(P, Q: int, precision: int = DEFAULT_PRECISION):

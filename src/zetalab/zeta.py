@@ -16,7 +16,11 @@ fails loudly.  The moduli check takes its verdict from the same
 certificate; numeric roots are computed only to give a failing factor
 its witness.  Orders need no roots either: the minimal polynomial of
 q^{-z} over Q is a binomial (Capelli), and its exact power in each side
-of Z is the order (ord_at).  All polynomial arithmetic is zetalab.poly's.
+of Z is the order (ord_at).  The functional equation is Weil's exact
+coefficient identity between Z(1/(q^d t)) and t^chi Z(t), which decides
+the verdict and the sign; its complex sample points are only reported.
+So no float decides a verdict here, and this module does not import
+mpmath.  All polynomial arithmetic is zetalab.poly's.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from . import poly
 from .arith import PrimePower
@@ -36,6 +38,8 @@ from .series import (
     PowerSeries,
     RationalFunction,
     exp_series,
+    functional_samples,
+    functional_witnesses,
     pade_reconstruct,
     power_sums_inverse_roots,
     roots_on_circle,
@@ -398,56 +402,36 @@ def l_adic_check(dec: WeightDecomposition):
 
 
 def hasse_weil_functional_check(
-    dec: WeightDecomposition,
-    sample_points=DEFAULT_SAMPLE_POINTS,
-    tol: float = 1e-9,
-    *,
-    dps: int = 30,
+    dec: WeightDecomposition, sample_points=DEFAULT_SAMPLE_POINTS, tol: float = 1e-9
 ):
-    """Check zeta(s) = sign * q^{chi*s} * q^{-chi*d/2} * zeta(d-s) at the
-    sample points; the sign must be one constant from {+1, -1}."""
+    """Weil's functional equation Z(1/(q^d t)) = sign q^{d chi/2} t^chi Z(t),
+    that is zeta(s) = sign q^{chi s - chi d/2} zeta(d - s).
+
+    The verdict and the sign are exact: series.functional_witnesses
+    checks Z(x) = C x^{-chi} Z(1/(q^d x)) coefficient by coefficient, and
+    on success C^2 q^{chi d} = 1, so C = sign q^{-chi d/2} with the sign
+    of C.  The sample points are the reported second route
+    (series.functional_samples, tol only classifies them); witnesses
+    lists the exact ones {"k", "lhs", "rhs"}, then the sampled ones
+    {"s", "lhs", "rhs"}.
+    """
     Z = dec.to_rational()
-    chi = dec.euler_characteristic
-    d = dec.d
-    q = dec.q.q
-    sign = None
-    used, skipped, witnesses = [], [], []
-    with mpmath.workdps(dps):
-        for s in sample_points:
-            s = mpmath.mpc(s)
-            x1 = mpmath.power(q, -s)
-            x2 = mpmath.power(q, -(d - s))
-            den1 = poly.evaluate(Z.den, x1)
-            den2 = poly.evaluate(Z.den, x2)
-            num2 = poly.evaluate(Z.num, x2)
-            if abs(den1) < mpmath.mpf("1e-20") or abs(den2) < mpmath.mpf("1e-20") or abs(num2) < mpmath.mpf("1e-20"):
-                skipped.append(str(s))
-                continue
-            lhs = poly.evaluate(Z.num, x1) / den1
-            rhs = mpmath.power(q, chi * s - mpmath.mpf(chi * d) / 2) * num2 / den2
-            ratio = lhs / rhs
-            point_sign = None
-            if abs(ratio - 1) < tol:
-                point_sign = 1
-            elif abs(ratio + 1) < tol:
-                point_sign = -1
-            if point_sign is None:
-                witnesses.append({"s": str(s), "ratio": str(ratio)})
-            elif sign is None:
-                sign = point_sign
-                used.append(str(s))
-            elif sign != point_sign:
-                witnesses.append({"s": str(s), "ratio": str(ratio), "conflict": True})
-            else:
-                used.append(str(s))
-    ok = not witnesses and sign is not None
+    chi, d, q = dec.euler_characteristic, dec.d, dec.q.q
+    CQ, bad = functional_witnesses(Z, q**d, chi)
+    sign = None if bad else (1 if CQ > 0 else -1)
+    used, skipped, sampled = functional_samples(
+        Z, q, q**d, chi, (CQ, -2 * chi * d), sample_points, tol
+    )
+    witnesses = bad + sampled
+    ok = sign is not None
     return Check(
         name="functional.hasse_weil",
         verdict=PASS if ok else FAIL,
         detail=(
             f"sign {sign:+d} on {len(used)} sample points"
             if ok
-            else f"{len(witnesses)} sample points off the two-sided identity"
+            else f"{len(bad)} coefficients off the exact identity, "
+            f"{len(sampled)} sample points off it"
         ),
         data={
             "sign": sign,

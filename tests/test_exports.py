@@ -3,12 +3,14 @@ importing zetalab pulls in nothing beyond its declared dependencies,
 zetalab.poly stays the one polynomial layer, zetalab.counting the one
 elliptic point counter, lfun._local_factors the one scan over primes
 in zetalab.lfun, zetalab.series the one home of power sums, Zech-log
-tables the one route for finite-field arithmetic, and
+tables the one route for finite-field arithmetic,
 counting.local_weights the one closed form of a fiber's weight
-factors."""
+factors, and series.functional_witnesses the one exact functional
+equation, with series.functional_samples its one sampler."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -187,3 +189,37 @@ def test_one_closed_form_route():
         fn for fn in ast.walk(lfun) if isinstance(fn, ast.FunctionDef) and fn.name == "_local_factors"
     )
     assert _callers(scan, "nc_zeta") == []
+
+
+def test_one_functional_equation_route():
+    # the classical, even/odd and reciprocity equations are one exact
+    # identity with one sampler beside it, both in zetalab.series, so no
+    # second route (with its own float verdict or sign guess) grows back
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    for name in ("zeta.py", "ncspec.py"):
+        imported = set()
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "mpmath" not in imported
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"_coefficient_symmetry", "_pointwise_functional", "_parity_polynomial"}
+
+    def callers(name):
+        return sorted(c for tree in trees.values() for c in _callers(tree, name))
+
+    checks = ["hasse_weil_functional_check", "nc_functional_check"]
+    assert callers("functional_samples") == checks
+    assert callers("functional_witnesses") == checks + ["spectrum_reciprocity_check"]
+    from zetalab.ncspec import nc_functional_check
+    from zetalab.zeta import hasse_weil_functional_check
+
+    for check in (hasse_weil_functional_check, nc_functional_check):
+        assert "dps" not in inspect.signature(check).parameters

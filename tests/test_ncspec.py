@@ -129,6 +129,53 @@ class TestSpectrumChecks:
         verdicts = [c.verdict for c in spectrum_reciprocity_check(open_spec)]
         assert verdicts == ["PASS", "FAIL"]
 
+    def test_functional_open_odd_multiset_fails(self):
+        # odd {1} over F_5 is not closed under mu -> 5/mu: with
+        # R = 1/(1 - x) and C Q^chi = -det F1 = -1, M_1(D) = -1 + 5x
+        # against -(1 - x)
+        open_spec = NcSpectrum(q=PrimePower(5), odd=(EigenvalueBlock(poly=(-1, 1)),))
+        checks = {c.name.removeprefix("nc_functional."): c for c in nc_functional_check(open_spec)}
+        assert {name: c.verdict for name, c in checks.items()} == {
+            "even.pointwise": "PASS",
+            "even.coefficient_symmetry": "PASS",
+            "odd.pointwise": "FAIL",
+            "odd.coefficient_symmetry": "FAIL",
+        }
+        witness = [{"k": 1, "lhs": "5", "rhs": "1"}]
+        assert checks["odd.coefficient_symmetry"].data["witnesses"] == witness
+        assert len(checks["odd.pointwise"].data["witnesses"]) == 3
+        assert spectrum_reciprocity_check(open_spec)[1].data == {"witnesses": witness}
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reciprocity_is_the_functional_equation(self, p, data):
+        # random integer eigenvalues, each closed up with its partner
+        # Q/mu or not: reciprocity, the exact functional equation and the
+        # multiset closure itself agree on each parity
+        mus = st.lists(st.integers(-6, 6), max_size=3)
+        blocks, roots = {}, {}
+        for parity, Q in (("even", 1), ("odd", p)):
+            blocks[parity], roots[parity] = [], []
+            for mu in data.draw(mus):
+                mult = data.draw(st.integers(1, 2))
+                pair = [(-mu, 1)]
+                if mu and data.draw(st.booleans()):
+                    pair.append((-Q, mu))  # the root Q/mu
+                for coeffs in pair:
+                    blocks[parity].append(EigenvalueBlock.from_coeffs(coeffs, mult=mult))
+                    roots[parity] += [F(-coeffs[0], coeffs[1])] * mult
+        spec = NcSpectrum(q=PrimePower(p), even=tuple(blocks["even"]), odd=tuple(blocks["odd"]))
+        reciprocity = {c.name.split(".")[1]: c.verdict for c in spectrum_reciprocity_check(spec)}
+        symmetry = {
+            c.name.split(".")[1]: c.verdict
+            for c in nc_functional_check(spec)
+            if c.name.endswith("coefficient_symmetry")
+        }
+        for parity, Q in (("even", 1), ("odd", p)):
+            mu = roots[parity]
+            closed = 0 not in mu and sorted(mu) == sorted(Q / m for m in mu)
+            assert reciprocity[parity] == symmetry[parity] == ("PASS" if closed else "FAIL")
+
     def test_graded_shifts(self, e5):
         _, spec = e5
         assert all(c.verdict == "PASS" for c in graded_shift_check(spec))

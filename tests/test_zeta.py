@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from zetalab.arith import PrimePower
 from zetalab.counting import count_series, parse_variety
 from zetalab.poly import mul
-from zetalab.series import RationalFunction
+from zetalab.series import RationalFunction, functional_witnesses
 from zetalab.zeta import (
     HypothesisWarning,
     ReconstructionError,
@@ -291,6 +291,61 @@ class TestLAdicCheck:
         assert not w1.data["prime_support_only_p"]
 
 
+def _curve(q, middle, top):
+    return WeightDecomposition(
+        d=1,
+        q=q,
+        factors=(WeightFactor(0, (1, -1)), WeightFactor(1, middle), WeightFactor(2, top)),
+    )
+
+
+def _q_mirror(P, Qd):
+    """The factor whose inverse roots are Qd / (those of P)."""
+    lead = P[-1]
+    return tuple((P[-1 - j] * Qd**j) // lead for j in range(len(P)))
+
+
+@st.composite
+def _dual_decompositions(draw):
+    """P_(2d-w) the q^d-mirror of P_w, and a self-dual middle factor."""
+    q = PrimePower(*draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (5, 2)])))
+    d = draw(st.integers(min_value=1, max_value=2))
+    Qd = q.q**d
+    factors = [(1,)] * (2 * d + 1)
+    for w in range(d):
+        beta = draw(st.integers(min_value=0, max_value=2))
+        if beta:
+            # a leading coefficient +-q^m with m <= d keeps the mirror integral
+            lead = draw(st.sampled_from([1, -1])) * q.q ** draw(st.integers(min_value=0, max_value=d))
+            inner = draw(st.lists(st.integers(-4, 4), min_size=beta - 1, max_size=beta - 1))
+            factors[w] = (1, *inner, lead)
+            factors[2 * d - w] = _q_mirror(factors[w], Qd)
+    middle = (1,)
+    for a in draw(st.lists(st.integers(-6, 6), max_size=2)):
+        middle = mul(middle, (1, a, Qd))  # self-dual: inverse roots mu, Qd/mu
+    root = math.isqrt(Qd)
+    if root * root == Qd:
+        middle = mul(middle, draw(st.sampled_from([(1,), (1, root), (1, -root)])))
+    factors[d] = middle
+    return WeightDecomposition(
+        d=d, q=q, factors=tuple(WeightFactor(w, P) for w, P in enumerate(factors))
+    )
+
+
+def _perturbed(dec, data):
+    """dec with one coefficient past the constant term moved by +-1."""
+    weights = [f.w for f in dec.factors if f.beta]
+    assume(weights)
+    w = data.draw(st.sampled_from(weights))
+    P = list(dec.factors[w].poly)
+    k = data.draw(st.integers(min_value=1, max_value=len(P) - 1))
+    P[k] += data.draw(st.sampled_from([1, -1]))
+    assume(P[-1] != 0)
+    factors = list(dec.factors)
+    factors[w] = WeightFactor(w, tuple(P))
+    return WeightDecomposition(d=dec.d, q=dec.q, factors=tuple(factors))
+
+
 class TestFunctionalEquation:
     def test_signs(self, e5_decomposition, p2_decomposition):
         fc_p2 = hasse_weil_functional_check(p2_decomposition)
@@ -304,6 +359,47 @@ class TestFunctionalEquation:
         dec = weight_factorize(Z, PrimePower(3), 1, (1, 0, 1))
         fc = hasse_weil_functional_check(dec)
         assert fc.verdict == "PASS" and fc.data["sign"] == 1
+
+    def test_wrong_mirror_fails_at_k1(self):
+        # P_2 = 1 - 25t is not the q-mirror 1 - 5t of P_0 = 1 - t over F_5:
+        # N M_2(D) = (1 - 2x + 5x^2)(25 - 130x + 25x^2) against
+        # 5 M_2(N) D = 5 (5 - 10x + 25x^2)(1 - 26x + 25x^2)
+        fc = hasse_weil_functional_check(_curve(PrimePower(5), (1, -2, 5), (1, -25)))
+        assert fc.verdict == "FAIL" and fc.data["sign"] is None
+        assert fc.data["witnesses"][0] == {"k": 1, "lhs": "-180", "rhs": "-700"}
+        sampled = [w for w in fc.data["witnesses"] if "s" in w]
+        assert len(sampled) == 3 and all(set(w) == {"s", "lhs", "rhs"} for w in sampled)
+
+    @pytest.mark.parametrize("middle, sign", [((1, -5), -1), ((1, 5), 1)])
+    def test_odd_chi_d_sign(self, middle, sign):
+        # chi d = 1 over F_25: C = sign 25^(-1/2) is rational and its sign
+        # is the sign of C Q^chi = D_2 / N_1 = 25 / (-5) or 25 / 5
+        fc = hasse_weil_functional_check(_curve(PrimePower(5, 2), middle, (1, -25)))
+        assert fc.verdict == "PASS" and fc.data["sign"] == sign
+        assert fc.data["witnesses"] == []
+
+    def test_odd_chi_d_off_identity_fails_quietly(self):
+        # chi d = 1 over F_5: C Q^chi = 5 / (-2) = -5/2 and the identity
+        # breaks at x^1; no square root of 5 is ever taken
+        fc = hasse_weil_functional_check(_curve(PrimePower(5), (1, -2), (1, -5)))
+        assert fc.verdict == "FAIL" and fc.data["sign"] is None
+        assert fc.data["witnesses"][0] == {"k": 1, "lhs": "-40", "rhs": "-85/2"}
+
+    @given(_dual_decompositions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_verdict_matches_samples(self, dec, data):
+        # a dual decomposition satisfies Weil's identity; one perturbed
+        # coefficient (usually) breaks it, and the kept sampler agrees
+        # with the exact verdict either way
+        fc = hasse_weil_functional_check(dec)
+        assert fc.verdict == "PASS" and fc.data["sign"] in (1, -1)
+        CQ, bad = functional_witnesses(dec.to_rational(), dec.q.q**dec.d, dec.euler_characteristic)
+        assert bad == [] and CQ * CQ == F(dec.q.q) ** (dec.euler_characteristic * dec.d)
+        for bent in (dec, _perturbed(dec, data)):
+            fc = hasse_weil_functional_check(bent)
+            exact = not any("k" in w for w in fc.data["witnesses"])
+            sampled = not any("s" in w for w in fc.data["witnesses"])
+            assert (fc.verdict == "PASS") == exact == sampled
 
 
 @pytest.fixture(scope="module")

@@ -12,10 +12,11 @@ under reciprocity, root moduli) are exact, on zetalab.poly's integer
 arithmetic (an eigenvalue's multiplicity is the exact power of its
 primitive linear factor).  The functional equations and reciprocity are
 one exact identity, series.functional_witnesses; the pointwise checks
-beside it are series.functional_samples.  So floats appear only through
-zetalab.series, in those samples, approximate roots for reports, and
-the witness of a failed modulus check, and this module does not import
-mpmath.
+beside it are series.functional_samples, and unlike the Hasse-Weil
+samples they keep a verdict of their own, which tol decides.  So floats
+appear only through zetalab.series, in those samples, approximate roots
+for reports, and the witness of a failed modulus check, and this module
+does not import mpmath.
 """
 
 from __future__ import annotations
@@ -318,12 +319,11 @@ def nc_l_adic_check(spec: NcSpectrum, C: int = None):
 
 
 def _functional_equation(spec, parity):
-    """(R, Q, chi, C Q^chi) of the parity zeta's equation
-    R(x) = C x^{-chi} R(1/(Qx)): Q = 1 relates s and -s, Q = q relates s
-    and 1 - s, and C Q^chi = (-1)^chi det F for either parity."""
-    chi = spec.chi(parity)
+    """(R, Q, chi) of the parity zeta's equation R(x) = C x^{-chi} R(1/(Qx)):
+    Q = 1 relates s and -s, Q = q relates s and 1 - s, and
+    C Q^chi = (-1)^chi det F for either parity."""
     Q = 1 if parity == "even" else spec.q.q
-    return nc_zeta(spec, parity), Q, chi, (-1) ** chi * spec.det(parity)
+    return nc_zeta(spec, parity), Q, spec.chi(parity)
 
 
 def nc_functional_check(
@@ -331,8 +331,9 @@ def nc_functional_check(
 ):
     """The even equation relates s and -s, the odd one s and 1-s.
 
-    Two routes per parity: both sides at the sample points
-    (series.functional_samples) and the exact coefficient identity of
+    Two checks per parity: both sides at the sample points
+    (series.functional_samples; a sample off by more than tol fails
+    the pointwise check) and the exact coefficient identity of
     det(1 - x F) (series.functional_witnesses), which for the even part
     reads r_{chi-k} = (-1)^chi det(F0) r_k and for the odd part
     r_{chi-k} = (-1)^chi q^{-k} det(F1) r_k.  For weight-built
@@ -343,10 +344,9 @@ def nc_functional_check(
     """
     checks = []
     for parity in ("even", "odd"):
-        R, Q, chi, CQ = _functional_equation(spec, parity)
-        # C = CQ / Q^chi with Q = q^0 or q^1
-        C = (CQ, 0 if Q == 1 else -2 * chi)
-        used, skipped, bad = functional_samples(R, spec.q.q, Q, chi, C, sample_points, tol)
+        R, Q, chi = _functional_equation(spec, parity)
+        CQ, sym_bad = functional_witnesses(R, Q, chi)
+        used, skipped, bad = functional_samples(R, spec.q.q, Q, chi, CQ, sample_points, tol)
         checks.append(
             Check(
                 name=f"nc_functional.{parity}.pointwise",
@@ -364,7 +364,6 @@ def nc_functional_check(
                 },
             )
         )
-        sym_bad = functional_witnesses(R, Q, chi, CQ)[1]
         checks.append(
             Check(
                 name=f"nc_functional.{parity}.coefficient_symmetry",

@@ -529,22 +529,21 @@ def _sign_plus_sqrt(A, B, Q):
 # ---------------------------------------------------------------------------
 
 
-def functional_witnesses(R: RationalFunction, Q: int, chi: int, CQ=None):
+def functional_witnesses(R: RationalFunction, Q: int, chi: int):
     """(CQ, witnesses) for the functional equation
     R(x) = C x^{-chi} R(1/(Qx)), exactly, with CQ = C Q^chi.
 
     With R = N/D and a = deg N the equation reads
     N M_{a+chi}(D) = CQ M_a(N) D, where M_n(P) = x^n Q^n P(1/(Qx)) is the
-    Q-mirror of P (a Laurent polynomial when n < deg P).  Without CQ it
-    is read off the constant terms, D_{a+chi} / N_a.  Every exponent k
+    Q-mirror of P (a Laurent polynomial when n < deg P), and CQ is read
+    off the constant terms, D_{a+chi} / N_a.  Every exponent k
     where the two sides differ is a witness {"k", "lhs", "rhs"}.  Applying
     the equation twice gives C^2 Q^chi = 1, so a PASS forces that too.
     """
     N = [_int_if_integral(c) for c in R.num]
     D = [_int_if_integral(c) for c in R.den]
     a, b = len(N) - 1, len(D) - 1
-    if CQ is None:
-        CQ = _int_if_integral(Fraction(D[a + chi] if 0 <= a + chi <= b else 0, N[a]))
+    CQ = _int_if_integral(Fraction(D[a + chi] if 0 <= a + chi <= b else 0, N[a]))
     lo = a + chi - b  # lowest exponent of M_{a+chi}(D); 0 when the degrees match
     lhs = [0] * lo + list(poly.mul(N, _mirror(D, a + chi, Q)))
     rhs = [0] * -lo + [CQ * c for c in poly.mul(D, _mirror(N, a, Q))]
@@ -567,19 +566,20 @@ def _mirror(P, n, Q):
     ]
 
 
-def functional_samples(R: RationalFunction, q: int, Q: int, chi: int, C, sample_points, tol):
+def functional_samples(R: RationalFunction, q: int, Q: int, chi: int, CQ, sample_points, tol):
     """(used, skipped, witnesses): both sides of R(x) = C x^{-chi} R(1/(Qx))
     at x = q^{-s} for each sample point s, at SAMPLE_DPS digits.
 
-    C = (c, e) stands for c q^{e/2} with c rational.  A point is skipped
+    CQ = C Q^chi is rational, as functional_witnesses returns it, so
+    C = CQ / Q^chi is exact until it becomes an mpf.  A point is skipped
     only at a pole of either side; it is a witness {"s", "lhs", "rhs"}
     when |lhs - rhs| > tol max(1, |lhs|), and used otherwise.  This is
     the numeric second route beside functional_witnesses.
     """
     used, skipped, witnesses = [], [], []
-    c, e = Fraction(C[0]), C[1]
+    C = Fraction(CQ) / Fraction(Q) ** chi
     with mpmath.workdps(SAMPLE_DPS):
-        const = mpmath.mpf(c.numerator) / c.denominator * mpmath.power(q, mpmath.mpf(e) / 2)
+        const = mpmath.mpf(C.numerator) / C.denominator
         tiny = mpmath.mpf("1e-20")
         for s in sample_points:
             s = mpmath.mpc(s)

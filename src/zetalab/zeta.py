@@ -419,9 +419,7 @@ def hasse_weil_functional_check(
     chi, d, q = dec.euler_characteristic, dec.d, dec.q.q
     CQ, bad = functional_witnesses(Z, q**d, chi)
     sign = None if bad else (1 if CQ > 0 else -1)
-    used, skipped, sampled = functional_samples(
-        Z, q, q**d, chi, (CQ, -2 * chi * d), sample_points, tol
-    )
+    used, skipped, sampled = functional_samples(Z, q, q**d, chi, CQ, sample_points, tol)
     witnesses = bad + sampled
     ok = sign is not None
     return Check(

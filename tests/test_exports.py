@@ -223,3 +223,7 @@ def test_one_functional_equation_route():
 
     for check in (hasse_weil_functional_check, nc_functional_check):
         assert "dps" not in inspect.signature(check).parameters
+    # C Q^chi is read off the exact identity, never passed in by a caller
+    from zetalab.series import functional_witnesses
+
+    assert list(inspect.signature(functional_witnesses).parameters) == ["R", "Q", "chi"]

@@ -30,7 +30,7 @@ from zetalab.ncspec import (
     strong_tate_check,
     weight_normalization_check,
 )
-from zetalab.series import RationalFunction, mat_mul, mat_rref
+from zetalab.series import RationalFunction, functional_witnesses, mat_mul, mat_rref
 from zetalab.zeta import weight_factorize, zeta_rational
 
 
@@ -151,7 +151,9 @@ class TestSpectrumChecks:
     def test_reciprocity_is_the_functional_equation(self, p, data):
         # random integer eigenvalues, each closed up with its partner
         # Q/mu or not: reciprocity, the exact functional equation and the
-        # multiset closure itself agree on each parity
+        # multiset closure itself agree on each parity, and the constant
+        # C Q^chi read off nc_zeta is (-1)^chi det F, zero eigenvalues and
+        # non-monic blocks included
         mus = st.lists(st.integers(-6, 6), max_size=3)
         blocks, roots = {}, {}
         for parity, Q in (("even", 1), ("odd", p)):
@@ -175,6 +177,9 @@ class TestSpectrumChecks:
             mu = roots[parity]
             closed = 0 not in mu and sorted(mu) == sorted(Q / m for m in mu)
             assert reciprocity[parity] == symmetry[parity] == ("PASS" if closed else "FAIL")
+            chi = spec.chi(parity)
+            CQ = functional_witnesses(nc_zeta(spec, parity), Q, chi)[0]
+            assert CQ == (-1) ** chi * spec.det(parity)
 
     def test_graded_shifts(self, e5):
         _, spec = e5

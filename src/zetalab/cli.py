@@ -339,8 +339,8 @@ def _cmd_zeta(args, config):
             "command": "zeta",
             "subject": f"{name} over F_{q.q}",
             "counts": list(counts.counts),
-            "numerator": list(Z.num),
-            "denominator": list(Z.den),
+            "numerator": [str(c) for c in Z.num],
+            "denominator": [str(c) for c in Z.den],
             "betti": list(betti) if betti is not None else None,
         },
         config,

@@ -107,9 +107,6 @@ class Polynomial:
     def is_homogeneous(self):
         return len(self.total_degrees()) <= 1
 
-    def is_zero(self):
-        return not self.terms
-
     def canonical(self):
         if not self.terms:
             return "0"

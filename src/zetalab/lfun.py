@@ -22,7 +22,6 @@ import json
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -30,7 +29,7 @@ import mpmath
 from . import poly
 from .arith import PrimePower, primes_up_to
 from .counting import VarietySpec, count_series, local_weights, parse_variety
-from .ncspec import NcSpectrum, nc_spectrum_from_weights
+from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
 from .series import RationalFunction, power_sums_inverse_roots, roots_on_circle
 from .zeta import SeparationError, WeightDecomposition, WeightFactor
@@ -185,7 +184,7 @@ def _local_entry(model: ArithmeticModel, p: int):
     """(weight decomposition, spectrum, {parity: P_p}) of the fiber at p,
     cached per (fiber, p, own, betti).  Closed-form weight factors must have
     the model's Betti numbers, or be a replacement fiber's one factor;
-    P_p = det(1 - t F) over the parity's eigenvalues, int where integral."""
+    P_p = det(1 - t F) over the parity's eigenvalues, from nc_zeta."""
     fiber = _fiber_spec(model, p)
     own = fiber is model.family
     key = (fiber, p, own, model.betti)
@@ -219,12 +218,7 @@ def _local_entry(model: ArithmeticModel, p: int):
     weil = FAIL if any(c.verdict == FAIL for c in weil_check(dec)) else PASS
     spectrum.provenance["p"] = p
     spectrum.provenance["weil"] = weil
-    parity = {"even": (1,), "odd": (1,)}
-    for f in dec.factors:  # P_w(t / q^{floor(w/2)})
-        kind = ("even", "odd")[f.w % 2]
-        scale = [q.q ** (f.w // 2 * i) for i in range(len(f.poly))]
-        shifted = [c // s if c % s == 0 else Fraction(c, s) for c, s in zip(f.poly, scale)]
-        parity[kind] = poly.mul(parity[kind], shifted)
+    parity = {kind: nc_zeta(spectrum, kind).den for kind in ("even", "odd")}
     entry = _LOCAL_CACHE[key] = (dec, spectrum, parity)
     while len(_LOCAL_CACHE) > LOCAL_CACHE_SIZE:
         _LOCAL_CACHE.popitem(last=False)
@@ -453,8 +447,8 @@ def dirichlet_expand(model: ArithmeticModel, parity: str, N: int) -> DirichletSe
             pk *= p
         local[p] = RationalFunction((1,), P, reduce=False).expand(k_max).coeffs
     spf = _smallest_prime_factors(N)
-    b = [Fraction(0)] * (N + 1)
-    b[1] = Fraction(1)
+    b = [0] * (N + 1)
+    b[1] = 1
     for n in range(2, N + 1):
         p = spf[n]
         m = n

@@ -11,12 +11,12 @@ multiset of primitive polynomial blocks, and all structural verdicts
 under reciprocity, root moduli) are exact, on zetalab.poly's integer
 arithmetic (an eigenvalue's multiplicity is the exact power of its
 primitive linear factor).  The functional equations and reciprocity are
-one exact identity, series.functional_witnesses; the pointwise checks
-beside it are series.functional_samples, and unlike the Hasse-Weil
-samples they keep a verdict of their own, which tol decides.  So floats
-appear only through zetalab.series, in those samples, approximate roots
-for reports, and the witness of a failed modulus check, and this module
-does not import mpmath.
+one exact identity, series.functional_witnesses, which decides every
+verdict; the pointwise checks report series.functional_samples beside
+it, as the Hasse-Weil check does, and tol only classifies them.  So
+floats appear only through zetalab.series, in those samples,
+approximate roots for reports, and the witness of a failed modulus
+check, and this module does not import mpmath.
 """
 
 from __future__ import annotations
@@ -223,13 +223,14 @@ def nc_spectrum_from_weights(dec: WeightDecomposition) -> NcSpectrum:
 def nc_zeta(spec: NcSpectrum, parity: str) -> RationalFunction:
     """1 / prod (1 - eigenvalue * x) over the parity's multiset, exact.
 
-    For a block polynomial B of degree m the factor prod(1 - mu x) is
-    the reversal of B divided by its leading coefficient."""
-    den = (Fraction(1),)
+    For a block polynomial B the factor prod(1 - mu x) is the reversal
+    of B divided by its leading coefficient, so the integer reversals
+    multiply and the constructor divides once, by the constant term
+    prod lead^mult.  This is the one builder of det(1 - x F) per parity."""
+    den = (1,)
     for b in spec.blocks(parity):
-        rev = tuple(Fraction(c, b.poly[-1]) for c in reversed(b.poly))
         for _ in range(b.mult):
-            den = poly.mul(den, rev)
+            den = poly.mul(den, b.poly[::-1])
     return RationalFunction((1,), den, reduce=False)
 
 
@@ -331,26 +332,29 @@ def nc_functional_check(
 ):
     """The even equation relates s and -s, the odd one s and 1-s.
 
-    Two checks per parity: both sides at the sample points
-    (series.functional_samples; a sample off by more than tol fails
-    the pointwise check) and the exact coefficient identity of
-    det(1 - x F) (series.functional_witnesses), which for the even part
-    reads r_{chi-k} = (-1)^chi det(F0) r_k and for the odd part
-    r_{chi-k} = (-1)^chi q^{-k} det(F1) r_k.  For weight-built
-    spectra the reduced forms with a bare sign are verified as well:
-    det F0 must be a unit and det F1 a square root of q^{chi1}, making
-    the constants (-1)^{chi} det F collapse to +-1 after the exponent
-    rebalancing; note the odd reduced exponent is chi1*s - chi1/2.
+    Two checks per parity, both decided by the exact coefficient
+    identity of det(1 - x F) (series.functional_witnesses): the
+    pointwise one reports both sides at the sample points
+    (series.functional_samples; tol only classifies them, and its
+    witnesses are the samples off by more than tol), the
+    coefficient_symmetry one the identity's own witnesses.  For the
+    even part the identity reads r_{chi-k} = (-1)^chi det(F0) r_k and
+    for the odd part r_{chi-k} = (-1)^chi q^{-k} det(F1) r_k.  For
+    weight-built spectra the reduced forms with a bare sign are
+    verified as well: det F0 must be a unit and det F1 a square root of
+    q^{chi1}, making the constants (-1)^{chi} det F collapse to +-1
+    after the exponent rebalancing; note the odd reduced exponent is
+    chi1*s - chi1/2.
     """
     checks = []
     for parity in ("even", "odd"):
         R, Q, chi = _functional_equation(spec, parity)
         CQ, sym_bad = functional_witnesses(R, Q, chi)
-        used, skipped, bad = functional_samples(R, spec.q.q, Q, chi, CQ, sample_points, tol)
+        used, skipped, sampled = functional_samples(R, spec.q.q, Q, chi, CQ, sample_points, tol)
         checks.append(
             Check(
                 name=f"nc_functional.{parity}.pointwise",
-                verdict=PASS if not bad else FAIL,
+                verdict=PASS if not sym_bad else FAIL,
                 detail=(
                     f"chi={chi}, det={spec.det(parity)}, "
                     f"{len(used)} points checked, {len(skipped)} skipped at poles"
@@ -360,7 +364,7 @@ def nc_functional_check(
                     "det": spec.det(parity),
                     "points_used": used,
                     "points_skipped": skipped,
-                    "witnesses": bad,
+                    "witnesses": sampled,
                 },
             )
         )

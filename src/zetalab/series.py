@@ -2,10 +2,12 @@
 reconstruction, exact linear algebra, functional equations, and root
 extraction.
 
-Series and rational functions keep Fraction coefficients, and so does
-linear algebra: row reduction runs fraction-free on integers (Bareiss)
-and only the reduced rows come back as Fractions.  Polynomial
-arithmetic itself (gcds, exact division, square-free parts) is
+This module decides what type an exact coefficient has: series and
+rational functions store each coefficient as an int when it is
+integral and as a Fraction otherwise (_int_if_integral), so their
+consumers never convert.  Linear algebra row-reduces fraction-free on
+integers (Bareiss) and only the reduced rows come back as Fractions.
+Polynomial arithmetic itself (gcds, exact division, square-free parts) is
 zetalab.poly's, on primitive integer parts.  Whether every root of an
 integer polynomial lies on the circle |z| = Q^{1/2} is decided exactly
 (roots_on_circle), by a palindrome test and a Sturm count on
@@ -93,7 +95,8 @@ def _int_if_integral(c):
     """c as an int when it is integral, otherwise as a Fraction."""
     if isinstance(c, int):
         return c
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -203,6 +206,7 @@ def det_identity_minus_t(mat):
 class PowerSeries:
     """Truncated power series over Q with explicit truncation order.
 
+    Each coefficient is an int when integral, a Fraction otherwise.
     Arithmetic never silently extends the truncation: binary operations
     truncate to the smaller order of the two operands.
     """
@@ -210,7 +214,7 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(map(Fraction, coeffs))
+        self.coeffs = tuple(map(_int_if_integral, coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
@@ -244,7 +248,7 @@ class PowerSeries:
         if isinstance(other, (int, Fraction)):
             return PowerSeries([c * other for c in self.coeffs])
         M = min(self.order, other.order)
-        out = [Fraction(0)] * (M + 1)
+        out = [0] * (M + 1)
         for i, x in enumerate(self.coeffs[: M + 1]):
             if x:
                 for j, y in enumerate(other.coeffs[: M + 1 - i]):
@@ -255,7 +259,7 @@ class PowerSeries:
 
     @classmethod
     def one(cls, M):
-        return cls((Fraction(1),) + (Fraction(0),) * M)
+        return cls((1,) + (0,) * M)
 
 
 def exp_series(s: PowerSeries) -> PowerSeries:
@@ -316,7 +320,8 @@ def log_det_series(mat, M: int) -> PowerSeries:
 
 
 class RationalFunction:
-    """num/den with both constant terms 1 and gcd(num, den) = 1 over Q.
+    """num/den with both constant terms 1 and gcd(num, den) = 1 over Q,
+    each coefficient an int when integral, a Fraction otherwise.
 
     The gcd is taken on the primitive integer parts of both sides (Gauss's
     lemma), so reduction never does polynomial arithmetic in Fractions.
@@ -351,8 +356,7 @@ class RationalFunction:
 
     def expand(self, M: int) -> PowerSeries:
         """Taylor expansion at 0 to order M, exact."""
-        # integral coefficients (the usual case) keep the loops in ints
-        d = [_int_if_integral(c) for c in self.den]
+        d = self.den
         inv = [0] * (M + 1)
         inv[0] = 1
         for n in range(1, M + 1):
@@ -360,9 +364,8 @@ class RationalFunction:
             for k in range(1, min(n, len(d) - 1) + 1):
                 acc += d[k] * inv[n - k]
             inv[n] = -acc
-        num = [_int_if_integral(c) for c in self.num[: M + 1]]
         out = [0] * (M + 1)
-        for i, c in enumerate(num):
+        for i, c in enumerate(self.num[: M + 1]):
             if c:
                 for j in range(M + 1 - i):
                     out[i + j] += c * inv[j]
@@ -391,12 +394,12 @@ class RationalFunction:
 
 
 def _unit_constant(a):
-    """a divided by its constant term, as Fractions (a itself when it
-    already is that)."""
+    """a divided by its constant term, each coefficient an int when
+    integral."""
     c0 = a[0]
-    if c0 == 1 and all(type(c) is Fraction for c in a):
-        return a
-    return tuple(Fraction(c, c0) for c in a)
+    if c0 == 1:
+        return tuple(map(_int_if_integral, a))
+    return tuple(_int_if_integral(Fraction(c, c0)) for c in a)
 
 
 def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunction:
@@ -418,12 +421,11 @@ def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunc
         )
     c = s.coeffs
     if deg_den == 0:
-        den = (Fraction(1),)
-        b = [Fraction(1)]
+        den = (1,)
     else:
         rows = []
         for n in range(deg_num + 1, need + 1):
-            rows.append([c[n - j] if 0 <= n - j else Fraction(0) for j in range(deg_den + 1)])
+            rows.append([c[n - j] if 0 <= n - j else 0 for j in range(deg_den + 1)])
         null = mat_nullspace(rows)
         if not null:
             raise PadeError("no solution at the stated degrees")
@@ -439,12 +441,12 @@ def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunc
     num = []
     for n in range(deg_num + 1):
         num.append(sum(den[j] * c[n - j] for j in range(min(n, deg_den) + 1)))
-    num = poly.trim(num) or (Fraction(0),)
+    num = poly.trim(num) or (0,)
     if num[0] == 0:
         raise PadeError("no solution at the stated degrees")
     cand = RationalFunction(num, den)
     exp = cand.expand(need)
-    if tuple(exp.coeffs) != tuple(c[: need + 1]):
+    if exp.coeffs != c[: need + 1]:
         raise PadeError("no solution at the stated degrees")
     return cand
 
@@ -540,8 +542,7 @@ def functional_witnesses(R: RationalFunction, Q: int, chi: int):
     where the two sides differ is a witness {"k", "lhs", "rhs"}.  Applying
     the equation twice gives C^2 Q^chi = 1, so a PASS forces that too.
     """
-    N = [_int_if_integral(c) for c in R.num]
-    D = [_int_if_integral(c) for c in R.den]
+    N, D = R.num, R.den
     a, b = len(N) - 1, len(D) - 1
     CQ = _int_if_integral(Fraction(D[a + chi] if 0 <= a + chi <= b else 0, N[a]))
     lo = a + chi - b  # lowest exponent of M_{a+chi}(D); 0 when the degrees match

@@ -291,18 +291,17 @@ def weight_factorize(Z: RationalFunction, q: PrimePower, d: int, betti) -> Weigh
     and so does a side spread over several weights whose parts are not
     on their circles with their Betti degrees (SeparationError).
     """
-    betti = tuple(int(b) for b in betti)
+    betti = tuple(betti)
     if len(betti) != 2 * d + 1:
         raise ValueError(f"need Betti numbers for weights 0..{2 * d}")
     if any(c.denominator != 1 for c in Z.num + Z.den):
         raise SeparationError(
             "Weil-type separation failed: the zeta function has non-integer coefficients"
         )
-    num, den = tuple(map(int, Z.num)), tuple(map(int, Z.den))
     odd_rungs = [(w, b) for w, b in enumerate(betti) if w % 2 == 1 and b > 0]
     even_rungs = [(w, b) for w, b in enumerate(betti) if w % 2 == 0 and b > 0]
-    odd_factors = _factor_side(num, odd_rungs, q)
-    even_factors = _factor_side(den, even_rungs, q)
+    odd_factors = _factor_side(Z.num, odd_rungs, q)
+    even_factors = _factor_side(Z.den, even_rungs, q)
     factors = []
     for w in range(2 * d + 1):
         src = odd_factors if w % 2 == 1 else even_factors

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,8 @@ def fixtures_dir() -> Path:
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name
+
+
+def int_exactly_when_integral(coeffs) -> bool:
+    """Whether each coefficient is an int exactly when it is integral."""
+    return all(isinstance(c, int) == (Fraction(c).denominator == 1) for c in coeffs)

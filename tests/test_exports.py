@@ -5,8 +5,13 @@ elliptic point counter, lfun._local_factors the one scan over primes
 in zetalab.lfun, zetalab.series the one home of power sums, Zech-log
 tables the one route for finite-field arithmetic,
 counting.local_weights the one closed form of a fiber's weight
-factors, and series.functional_witnesses the one exact functional
-equation, with series.functional_samples its one sampler."""
+factors, series.functional_witnesses the one exact functional
+equation, with series.functional_samples its one sampler,
+ncspec.nc_zeta the one builder of det(1 - tF) per parity (lfun calls it
+in _local_entry only, and it constructs no Fraction), and
+zetalab.series the one module that decides whether a coefficient is an
+int or a Fraction (only series calls _int_if_integral, lfun imports no
+fractions, and weight_factorize makes no int() call)."""
 
 import ast
 import importlib
@@ -47,6 +52,21 @@ SRC = Path(zetalab.__file__).resolve().parent
 
 def _tree(module_file):
     return ast.parse(module_file.read_text(), filename=str(module_file))
+
+
+def _function(tree, name):
+    return next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
+def _imported(tree):
+    """Top-level package names the module imports absolutely."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
 
 
 def test_poly_imports_only_the_standard_library():
@@ -175,20 +195,33 @@ def test_one_closed_form_route():
         "_elliptic_frobenius",
         "_point_counter",
     ]
-    extension = next(
-        fn for fn in ast.walk(counting)
-        if isinstance(fn, ast.FunctionDef) and fn.name == "_count_over_extension"
-    )
+    extension = _function(counting, "_count_over_extension")
     kinds = {c.value for c in ast.walk(extension) if isinstance(c, ast.Constant)}
     assert not kinds & {"projective_space", "zero_dimensional", "elliptic_curve"}
     # lfun reads the closed form in _local_entry only, and its one scan
     # takes each parity's factor from the entry instead of rebuilding it
     lfun = trees["lfun.py"]
     assert _callers(lfun, "local_weights") == ["_local_entry"]
-    scan = next(
-        fn for fn in ast.walk(lfun) if isinstance(fn, ast.FunctionDef) and fn.name == "_local_factors"
-    )
-    assert _callers(scan, "nc_zeta") == []
+    assert _callers(_function(lfun, "_local_factors"), "nc_zeta") == []
+
+
+def test_one_parity_factor_builder():
+    # det(1 - tF) per parity is built by nc_zeta only, on integer block
+    # reversals: lfun's local entries take it from there, so no second
+    # shift loop grows back
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    assert _callers(trees["lfun.py"], "nc_zeta") == ["_local_entry"]
+    assert _callers(_function(trees["ncspec.py"], "nc_zeta"), "Fraction") == []
+
+
+def test_coefficient_types_decided_in_series():
+    # series stores a coefficient as an int when integral and as a
+    # Fraction otherwise, so no consumer converts between the two
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    found = {f: _callers(tree, "_int_if_integral") for f, tree in trees.items()}
+    assert [f for f, calls in found.items() if calls] == ["series.py"]
+    assert "fractions" not in _imported(trees["lfun.py"])
+    assert _callers(_function(trees["zeta.py"], "weight_factorize"), "int") == []
 
 
 def test_one_functional_equation_route():
@@ -197,13 +230,7 @@ def test_one_functional_equation_route():
     # second route (with its own float verdict or sign guess) grows back
     trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
     for name in ("zeta.py", "ncspec.py"):
-        imported = set()
-        for node in ast.walk(trees[name]):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add(node.module.split(".")[0])
-        assert "mpmath" not in imported
+        assert "mpmath" not in _imported(trees[name])
     defined = {
         node.name
         for tree in trees.values()

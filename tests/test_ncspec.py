@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import poly
 from zetalab.arith import PrimePower
+from zetalab.counting import count_series, parse_variety
 from zetalab.ncspec import (
     EigenvalueBlock,
     NcSpectrum,
@@ -31,7 +33,15 @@ from zetalab.ncspec import (
     weight_normalization_check,
 )
 from zetalab.series import RationalFunction, functional_witnesses, mat_mul, mat_rref
-from zetalab.zeta import weight_factorize, zeta_rational
+from zetalab.zeta import (
+    WeightDecomposition,
+    WeightFactor,
+    hasse_weil_functional_check,
+    weight_factorize,
+    zeta_rational,
+)
+
+from conftest import int_exactly_when_integral
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +156,30 @@ class TestSpectrumChecks:
         assert len(checks["odd.pointwise"].data["witnesses"]) == 3
         assert spectrum_reciprocity_check(open_spec)[1].data == {"witnesses": witness}
 
+    def test_pointwise_verdict_is_the_exact_identity(self):
+        # y^2 = x^3 + x over F_7: at tol 1e-40 two samples per parity
+        # miss by rounding, as the Hasse-Weil ones do; both equations
+        # hold exactly, so every check passes and lists those samples
+        q = PrimePower(7)
+        Z = zeta_rational(count_series(parse_variety("elliptic a=[0,0,0,1,0]"), q, 4), (1, 2, 1))
+        dec = weight_factorize(Z, q, 1, (1, 2, 1))
+        classical = hasse_weil_functional_check(dec, tol=1e-40)
+        assert classical.verdict == "PASS" and len(classical.data["witnesses"]) == 3
+        checks = nc_functional_check(nc_spectrum_from_weights(dec), tol=1e-40)
+        assert all(c.verdict == "PASS" for c in checks)
+        for parity in ("even", "odd"):
+            pointwise = next(c for c in checks if c.name == f"nc_functional.{parity}.pointwise")
+            assert len(pointwise.data["witnesses"]) == 2
+            assert all(set(w) == {"s", "lhs", "rhs"} for w in pointwise.data["witnesses"])
+        # and an open multiset fails pointwise though every sample is in
+        # tol; the exact witness is the coefficient_symmetry check's
+        open_spec = NcSpectrum(q=PrimePower(5), odd=(EigenvalueBlock(poly=(-1, 1)),))
+        checks = {c.name: c for c in nc_functional_check(open_spec, tol=1e30)}
+        odd = checks["nc_functional.odd.pointwise"]
+        assert odd.verdict == "FAIL" and len(odd.data["points_used"]) == 3
+        symmetry = checks["nc_functional.odd.coefficient_symmetry"].data["witnesses"]
+        assert symmetry == [{"k": 1, "lhs": "5", "rhs": "1"}]
+
     @given(st.sampled_from([2, 3, 5]), st.data())
     @settings(max_examples=80, deadline=None)
     def test_reciprocity_is_the_functional_equation(self, p, data):
@@ -192,6 +226,66 @@ class TestSpectrumChecks:
     def test_order_additivity(self, e5, p2):
         for dec, _ in (e5, p2):
             assert all(c.verdict == "PASS" for c in order_additivity_check(dec))
+
+
+def _fraction_nc_zeta_den(spec, parity):
+    """det(1 - x F) by the per-block Fraction loop nc_zeta replaced."""
+    den = (F(1),)
+    for b in spec.blocks(parity):
+        rev = tuple(F(c, b.poly[-1]) for c in reversed(b.poly))
+        for _ in range(b.mult):
+            den = poly.mul(den, rev)
+    return poly.trim(den)
+
+
+def _shifted_weight_den(dec, parity):
+    """det(1 - x F) as the product of the P_w(x / q^(w//2)), by the
+    shift loop lfun's local entries used before nc_zeta built them."""
+    out = (1,)
+    for f in dec.factors:
+        if ("even", "odd")[f.w % 2] == parity:
+            scale = [dec.q.q ** (f.w // 2 * i) for i in range(len(f.poly))]
+            shifted = [c // s if c % s == 0 else F(c, s) for c, s in zip(f.poly, scale)]
+            out = poly.mul(out, shifted)
+    return out
+
+
+class TestIntegerZeta:
+    @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_loop(self, q, data):
+        # non-monic blocks, zero eigenvalues (a zero constant term) and
+        # mult <= 3 on both parities
+        coeffs = st.lists(st.integers(-7, 7), min_size=1, max_size=3).flatmap(
+            lambda low: st.integers(1, 4).map(lambda lead: low + [lead])
+        )
+        blocks = st.lists(
+            st.builds(EigenvalueBlock.from_coeffs, coeffs, mult=st.integers(1, 3)), max_size=3
+        )
+        even, odd = tuple(data.draw(blocks)), tuple(data.draw(blocks))
+        spec = NcSpectrum(q=PrimePower(*q), even=even, odd=odd)
+        for parity in ("even", "odd"):
+            den = nc_zeta(spec, parity).den
+            assert den == _fraction_nc_zeta_den(spec, parity)
+            assert int_exactly_when_integral(den)
+
+    @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), st.integers(1, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_weight_shift_loop(self, q, d, data):
+        # random weight factors, weights 2 and 3 included, whose
+        # coefficients q^(w//2) need not divide, so Fraction entries occur
+        factors = []
+        for w in range(2 * d + 1):
+            tail = data.draw(st.lists(st.integers(-9, 9), max_size=3))
+            while tail and tail[-1] == 0:
+                tail.pop()
+            factors.append(WeightFactor(w, (1, *tail)))
+        dec = WeightDecomposition(d, PrimePower(*q), tuple(factors))
+        spec = nc_spectrum_from_weights(dec)
+        for parity in ("even", "odd"):
+            den = nc_zeta(spec, parity).den
+            assert den == _shifted_weight_den(dec, parity)
+            assert int_exactly_when_integral(den)
 
 
 class TestStrongTate:

@@ -29,6 +29,8 @@ from zetalab.series import (
 )
 from zetalab.poly import deg, evaluate, mul, squarefree
 
+from conftest import int_exactly_when_integral
+
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
@@ -466,3 +468,54 @@ class TestRationalFunction:
 
     def test_poly_eval_exact(self):
         assert evaluate((1, -2, 5), F(1, 2)) == F(5, 4)
+
+
+def _expand_over_q(num, den, M):
+    """Taylor coefficients of num/den to order M, in Fractions."""
+    inv = [F(1, den[0])] + [F(0)] * M
+    for n in range(1, M + 1):
+        inv[n] = -sum(F(den[k]) * inv[n - k] for k in range(1, min(n, len(den) - 1) + 1)) / den[0]
+    return [
+        sum(F(num[i]) * inv[n - i] for i in range(min(n, len(num) - 1) + 1)) for n in range(M + 1)
+    ]
+
+
+class TestCoefficientTypes:
+    # series decides a coefficient's type: an int when integral, a
+    # Fraction otherwise, however the input was spelled
+    @given(st.lists(small_fractions, min_size=1, max_size=6))
+    @settings(max_examples=80)
+    def test_power_series(self, coeffs):
+        as_fractions = PowerSeries([F(c) for c in coeffs])
+        spelled = [int(c) if c.denominator == 1 else c for c in coeffs]
+        as_ints = PowerSeries(spelled)
+        assert as_fractions == as_ints and hash(as_fractions) == hash(as_ints)
+        assert int_exactly_when_integral(as_fractions.coeffs)
+        assert int_exactly_when_integral((as_fractions * as_ints).coeffs)
+
+    @given(
+        st.lists(small_fractions, max_size=3),
+        st.lists(small_fractions, max_size=3),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=120)
+    def test_rational_function(self, num_tail, den_tail, scale, M):
+        num, den = [F(scale)] + num_tail, [F(scale)] + den_tail
+        as_fractions = RationalFunction(num, den, reduce=False)
+        spelled = [[int(c) if c.denominator == 1 else c for c in side] for side in (num, den)]
+        as_ints = RationalFunction(*spelled, reduce=False)
+        assert as_fractions == as_ints and hash(as_fractions) == hash(as_ints)
+        assert int_exactly_when_integral(as_fractions.num + as_fractions.den)
+        expanded = as_fractions.expand(M).coeffs
+        assert list(expanded) == _expand_over_q(num, den, M)
+        assert int_exactly_when_integral(expanded)
+        reduced = RationalFunction(num, den)
+        assert int_exactly_when_integral(reduced.num + reduced.den)
+        assert list(reduced.expand(M).coeffs) == list(expanded)
+
+    def test_integer_input_stays_int(self):
+        rf = RationalFunction((2, -4), (2, -12, 10))
+        assert rf.num == (1, -2) and rf.den == (1, -6, 5)
+        assert all(type(c) is int for c in rf.num + rf.den + rf.expand(6).coeffs)
+        assert RationalFunction((1,), (2, 1)).den == (1, F(1, 2))

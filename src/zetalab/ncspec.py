@@ -335,9 +335,11 @@ def nc_functional_check(
     Two checks per parity, both decided by the exact coefficient
     identity of det(1 - x F) (series.functional_witnesses): the
     pointwise one reports both sides at the sample points
-    (series.functional_samples; tol only classifies them, and its
-    witnesses are the samples off by more than tol), the
-    coefficient_symmetry one the identity's own witnesses.  For the
+    (series.functional_samples; tol only classifies them), its
+    witnesses the identity's own {"k", "lhs", "rhs"}, then the samples
+    {"s", "lhs", "rhs"} off by more than tol, as the Hasse-Weil check
+    lists them, so a FAIL always carries a witness; the
+    coefficient_symmetry one lists the identity's witnesses alone.  For the
     even part the identity reads r_{chi-k} = (-1)^chi det(F0) r_k and
     for the odd part r_{chi-k} = (-1)^chi q^{-k} det(F1) r_k.  For
     weight-built spectra the reduced forms with a bare sign are
@@ -364,7 +366,7 @@ def nc_functional_check(
                     "det": spec.det(parity),
                     "points_used": used,
                     "points_skipped": skipped,
-                    "witnesses": sampled,
+                    "witnesses": sym_bad + sampled,
                 },
             )
         )

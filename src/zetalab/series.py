@@ -15,11 +15,14 @@ poly.sturm_chain, so floats never decide a Weil verdict or a weight
 separation.  Every functional equation R(x) = C x^{-chi} R(1/(Qx)) (the
 classical one, the even and odd ones, reciprocity) is decided by one
 exact coefficient identity (functional_witnesses) and sampled at
-complex points by one numeric route (functional_samples, 30 digits),
-which is reported beside it.  Otherwise floating point enters only at
-root extraction (polynomial_roots, on mpmath.polyroots), which runs at
-a configurable decimal precision (default 50 digits) and serves
-failure witnesses and approximate roots in reports.  There a root
+complex points by one numeric route (functional_samples), which is
+reported beside it: a first pass in complex doubles with a running
+error bound settles each point it can prove in tolerance and off the
+poles, and every other point is classified at SAMPLE_DPS = 30 digits,
+so the report is the 30-digit one.  Floating point enters elsewhere
+only at root extraction (polynomial_roots, on mpmath.polyroots), which
+runs at a configurable decimal precision (default 50 digits) and
+serves failure witnesses and approximate roots in reports.  There a root
 multiset takes its multiplicities from the exact square-free
 decomposition, never from numerical multiplicity guessing.
 
@@ -28,7 +31,10 @@ Polynomials are coefficient tuples, low degree first.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -569,20 +575,34 @@ def _mirror(P, n, Q):
 
 def functional_samples(R: RationalFunction, q: int, Q: int, chi: int, CQ, sample_points, tol):
     """(used, skipped, witnesses): both sides of R(x) = C x^{-chi} R(1/(Qx))
-    at x = q^{-s} for each sample point s, at SAMPLE_DPS digits.
+    at x = q^{-s} for each sample point s, as SAMPLE_DPS digits classify
+    them.
 
     CQ = C Q^chi is rational, as functional_witnesses returns it, so
-    C = CQ / Q^chi is exact until it becomes an mpf.  A point is skipped
-    only at a pole of either side; it is a witness {"s", "lhs", "rhs"}
-    when |lhs - rhs| > tol max(1, |lhs|), and used otherwise.  This is
-    the numeric second route beside functional_witnesses.
+    C = CQ / Q^chi is exact until it becomes a float or an mpf.  A point
+    is skipped only at a pole of either side; it is a witness
+    {"s", "lhs", "rhs"} when |lhs - rhs| > tol max(1, |lhs|), and used
+    otherwise.  A first pass in complex doubles (_first_pass) marks a
+    point used when its error bound proves both that and that neither
+    denominator is near the pole threshold; every other point goes
+    through the SAMPLE_DPS loop, which alone writes skipped points and
+    witnesses, so the result is the loop's on every point.  This is the
+    numeric second route beside functional_witnesses.
     """
     used, skipped, witnesses = [], [], []
     C = Fraction(CQ) / Fraction(Q) ** chi
+    points = [_sample_point(s) for s in sample_points]
+    first = _first_pass(R, q, Q, chi, C, tol)
+    settled = [first is not None and first(z) for _, z in points]
+    if all(settled):
+        return [label for label, _ in points], skipped, witnesses
     with mpmath.workdps(SAMPLE_DPS):
         const = mpmath.mpf(C.numerator) / C.denominator
         tiny = mpmath.mpf("1e-20")
-        for s in sample_points:
+        for s, (label, _), ok in zip(sample_points, points, settled):
+            if ok:
+                used.append(label)
+                continue
             s = mpmath.mpc(s)
             x = mpmath.power(q, -s)
             y = 1 / (Q * x)
@@ -597,6 +617,113 @@ def functional_samples(R: RationalFunction, q: int, Q: int, chi: int, CQ, sample
             else:
                 used.append(str(s))
     return used, skipped, witnesses
+
+
+_U = 2.0**-53  # unit roundoff of a double
+_ETA = 2.0**-1000  # an absolute error term that pays for underflow
+
+
+@functools.lru_cache(maxsize=256)
+def _sample_point(s):
+    """(label, z) of a sample point: str(mpc(s)) as the SAMPLE_DPS loop
+    prints it, and that mpc as a complex double."""
+    with mpmath.workdps(SAMPLE_DPS):
+        s = mpmath.mpc(s)
+        return str(s), complex(s)
+
+
+def _doubles(P):
+    """The exact numbers P as doubles, each within a relative _U, or None
+    when one overflows or falls below the normal range."""
+    try:
+        out = tuple(map(float, P))
+    except OverflowError:
+        return None
+    if any(c and abs(f) < sys.float_info.min for c, f in zip(P, out)):
+        return None
+    return out
+
+
+def _first_pass(R, q, Q, chi, C, tol):
+    """The double pass of functional_samples for one equation: a function
+    of a sample point z (a complex double) that is True only when it
+    proves the point used, or None when a coefficient, C or Q does not
+    fit a double.
+
+    The bounds follow Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1 (_horner), and take exp, log and complex division to
+    be accurate to a few units in the last place: x = q^{-z} and
+    x^{-chi} = q^{chi z} to 8 u (|z| log q + 1) and 8 u (|chi z| log q + 1)
+    relative, which also covers the rounding of the 30-digit point to z.
+    A proof leaves twice each bound as room, which covers the 30-digit
+    loop's own rounding (2^-50 times smaller) and the rounding of the
+    bounds themselves.  Overflow, non-finite values, |x| or |1/(Qx)|
+    outside (1e-100, 1e100) and a relative error of x above 1e-6 prove
+    nothing.
+    """
+    N, D, cQ = _doubles(R.num), _doubles(R.den), _doubles((C, Q))
+    if N is None or D is None or cQ is None:
+        return None
+    (c, Q), lnq = cQ, math.log(q)
+
+    def proves_used(z):
+        ex = 8 * _U * (abs(z) * lnq + 1)
+        try:
+            x = cmath.exp(-z * lnq)
+            x_chi = cmath.exp(chi * z * lnq)
+        except (OverflowError, ValueError):
+            return False
+        if not (1e-100 < abs(x) < 1e100 and ex < 1e-6):
+            return False
+        y = 1 / (Q * x)
+        if not 1e-100 < abs(y) < 1e100:
+            return False
+        left = _quotient(N, D, x, abs(x) * ex)
+        right = _quotient(N, D, y, abs(y) * (ex + 16 * _U))
+        if left is None or right is None:
+            return False
+        (lhs, el), (r, er) = left, right
+        rhs = c * x_chi * r
+        er = abs(c * x_chi) * er + abs(rhs) * 8 * _U * (abs(chi * z) * lnq + 2) + _ETA
+        bound = abs(lhs - rhs) * (1 + 8 * _U) + 2 * (el + er)
+        floor = max(1.0, abs(lhs) * (1 - 8 * _U) - 2 * el)
+        return math.isfinite(bound) and bound <= tol * floor * (1 - 8 * _U)
+
+    return proves_used
+
+
+def _quotient(N, D, x, ex):
+    """(N(x)/D(x), bound) in doubles at x, the bound covering every point
+    within ex of x, or None unless |D| provably exceeds twice the 1e-20
+    pole threshold of the SAMPLE_DPS loop (with room for that loop's own
+    error on D)."""
+    d, ed = _horner(D, x, ex)
+    if not abs(d) > 2 * (ed + 1e-20):
+        return None
+    n, en = _horner(N, x, ex)
+    v = n / d
+    return v, (en + abs(v) * ed) / (abs(d) - ed) + 8 * _U * abs(v) + _ETA
+
+
+def _horner(P, x, ex):
+    """(P(x), bound): Horner's rule in complex doubles on the double
+    coefficients P, and a bound on its distance from the exact P at any
+    point within ex of x.
+
+    With r = |x| + ex and n = len(P), rounding costs at most
+    gamma_{4n+2} sum |a_i| r^i (each complex product 2 sqrt(2) u, each
+    sum u; Higham 5.1) and the coefficients' own rounding u sum |a_i| r^i;
+    moving x by ex costs at most ex sum i |a_i| r^(i-1).  The bound
+    doubles both, which covers the gamma denominators and the rounding
+    of the sums, and _ETA in each |a_i| covers underflow in the products.
+    """
+    r = abs(x) + ex
+    v = s = ds = 0.0
+    for a in reversed(P):
+        ds = ds * r + s
+        s = s * r + abs(a) + _ETA
+        v = v * x + a
+    return v, 2 * ((4 * len(P) + 3) * _U * s + ex * ds)
 
 
 def worst_modulus(P, Q: int, precision: int = DEFAULT_PRECISION):

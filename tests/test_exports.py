@@ -6,7 +6,9 @@ in zetalab.lfun, zetalab.series the one home of power sums, Zech-log
 tables the one route for finite-field arithmetic,
 counting.local_weights the one closed form of a fiber's weight
 factors, series.functional_witnesses the one exact functional
-equation, with series.functional_samples its one sampler,
+equation, with series.functional_samples its one sampler (the only
+caller of its double-pass helpers, and with its point labels the only
+code at SAMPLE_DPS digits),
 ncspec.nc_zeta the one builder of det(1 - tF) per parity (lfun calls it
 in _local_entry only, and it constructs no Fraction), and
 zetalab.series the one module that decides whether a coefficient is an
@@ -245,6 +247,23 @@ def test_one_functional_equation_route():
     checks = ["hasse_weil_functional_check", "nc_functional_check"]
     assert callers("functional_samples") == checks
     assert callers("functional_witnesses") == checks + ["spectrum_reciprocity_check"]
+    # the double pass and the point labels are reached through the
+    # sampler only, and the sampler alone works at SAMPLE_DPS digits
+    double_pass = {"_sample_point", "_first_pass", "_doubles", "_quotient", "_horner", "proves_used"}
+    for name in double_pass - {"proves_used"}:
+        assert set(callers(name)) <= double_pass | {"functional_samples"}, name
+    assert callers("_sample_point") == callers("_first_pass") == ["functional_samples"]
+    at_sample_dps = sorted(
+        fn.name
+        for tree in trees.values()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "workdps"
+        and any(getattr(a, "id", None) == "SAMPLE_DPS" for a in node.args)
+    )
+    assert at_sample_dps == ["_sample_point", "functional_samples"]
     from zetalab.ncspec import nc_functional_check
     from zetalab.zeta import hasse_weil_functional_check
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import poly
+from zetalab import poly, series
 from zetalab.arith import PrimePower
 from zetalab.counting import count_series, parse_variety
 from zetalab.ncspec import (
@@ -153,7 +153,8 @@ class TestSpectrumChecks:
         }
         witness = [{"k": 1, "lhs": "5", "rhs": "1"}]
         assert checks["odd.coefficient_symmetry"].data["witnesses"] == witness
-        assert len(checks["odd.pointwise"].data["witnesses"]) == 3
+        pointwise = checks["odd.pointwise"].data["witnesses"]
+        assert len(pointwise) == 4 and pointwise[0] == {"k": 1, "lhs": "5", "rhs": "1"}
         assert spectrum_reciprocity_check(open_spec)[1].data == {"witnesses": witness}
 
     def test_pointwise_verdict_is_the_exact_identity(self):
@@ -171,14 +172,44 @@ class TestSpectrumChecks:
             pointwise = next(c for c in checks if c.name == f"nc_functional.{parity}.pointwise")
             assert len(pointwise.data["witnesses"]) == 2
             assert all(set(w) == {"s", "lhs", "rhs"} for w in pointwise.data["witnesses"])
-        # and an open multiset fails pointwise though every sample is in
-        # tol; the exact witness is the coefficient_symmetry check's
+
+    @pytest.mark.parametrize(
+        "text, p, betti",
+        [("elliptic a=[0,0,0,1,0]", 7, (1, 2, 1)), ("projective 2; vars x, y, z", 3, (1, 0, 1, 0, 1))],
+    )
+    def test_default_tol_samples_settle_in_doubles(self, monkeypatch, text, p, betti):
+        # at the default tol the double pass proves every sample used, so
+        # the 30-digit loop (the only mpmath.power caller) never runs and
+        # the reports are unchanged
+        q = PrimePower(p)
+        Z = zeta_rational(count_series(parse_variety(text), q, sum(betti)), betti)
+        dec = weight_factorize(Z, q, (len(betti) - 1) // 2, betti)
+
+        def checks():
+            found = [hasse_weil_functional_check(dec)] + nc_functional_check(nc_spectrum_from_weights(dec))
+            return [c.as_dict() for c in found]
+
+        expected = checks()
+
+        def refuse(*args):
+            raise AssertionError("the 30-digit loop ran")
+
+        monkeypatch.setattr(series.mpmath, "power", refuse)
+        assert checks() == expected
+        assert all(c["verdict"] == "PASS" for c in expected)
+        assert len(expected[0]["data"]["points_used"]) == 3
+
+    def test_pointwise_fail_carries_the_exact_witness(self):
+        # an open multiset fails pointwise though every sample is in tol;
+        # the exact witness leads the pointwise witnesses, as it does on
+        # the coefficient_symmetry check, so the FAIL is not bare
         open_spec = NcSpectrum(q=PrimePower(5), odd=(EigenvalueBlock(poly=(-1, 1)),))
         checks = {c.name: c for c in nc_functional_check(open_spec, tol=1e30)}
         odd = checks["nc_functional.odd.pointwise"]
         assert odd.verdict == "FAIL" and len(odd.data["points_used"]) == 3
-        symmetry = checks["nc_functional.odd.coefficient_symmetry"].data["witnesses"]
-        assert symmetry == [{"k": 1, "lhs": "5", "rhs": "1"}]
+        witness = [{"k": 1, "lhs": "5", "rhs": "1"}]
+        assert odd.data["witnesses"] == witness
+        assert checks["nc_functional.odd.coefficient_symmetry"].data["witnesses"] == witness
 
     @given(st.sampled_from([2, 3, 5]), st.data())
     @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 """Exact power-series and rational-function arithmetic, determinant
-expansions, root clustering, and linear algebra over Q."""
+expansions, root clustering, linear algebra over Q, and the
+functional-equation sampler against its 30-digit reference."""
 
 import math
 from fractions import Fraction as F
@@ -14,8 +15,11 @@ from zetalab.series import (
     PowerSeries,
     RationalFunction,
     RootFindingError,
+    SAMPLE_DPS,
     det_identity_minus_t,
     exp_series,
+    functional_samples,
+    functional_witnesses,
     log_det_series,
     log_series,
     mat_mul,
@@ -27,6 +31,7 @@ from zetalab.series import (
     power_sums_inverse_roots,
     roots_on_circle,
 )
+from zetalab import poly
 from zetalab.poly import deg, evaluate, mul, squarefree
 
 from conftest import int_exactly_when_integral
@@ -519,3 +524,76 @@ class TestCoefficientTypes:
         assert rf.num == (1, -2) and rf.den == (1, -6, 5)
         assert all(type(c) is int for c in rf.num + rf.den + rf.expand(6).coeffs)
         assert RationalFunction((1,), (2, 1)).den == (1, F(1, 2))
+
+
+def _reference_samples(R, q, Q, chi, CQ, sample_points, tol):
+    """functional_samples with every point at SAMPLE_DPS digits: the
+    oracle for its double first pass."""
+    used, skipped, witnesses = [], [], []
+    C = F(CQ) / F(Q) ** chi
+    with mpmath.workdps(SAMPLE_DPS):
+        const = mpmath.mpf(C.numerator) / C.denominator
+        tiny = mpmath.mpf("1e-20")
+        for s in sample_points:
+            s = mpmath.mpc(s)
+            x = mpmath.power(q, -s)
+            y = 1 / (Q * x)
+            dx, dy = poly.evaluate(R.den, x), poly.evaluate(R.den, y)
+            if abs(dx) < tiny or abs(dy) < tiny:
+                skipped.append(str(s))
+                continue
+            lhs = poly.evaluate(R.num, x) / dx
+            rhs = const * x**-chi * poly.evaluate(R.num, y) / dy
+            if abs(lhs - rhs) > tol * max(1, abs(lhs)):
+                witnesses.append({"s": str(s), "lhs": str(lhs), "rhs": str(rhs)})
+            else:
+                used.append(str(s))
+    return used, skipped, witnesses
+
+
+def _q_mirror(A, Q):
+    """x^m Q^m A(1/(Qx)) for m = deg A, so A times it satisfies the
+    equation with C = Q^m and chi = -2m."""
+    m = len(A) - 1
+    return tuple(A[m - k] * Q**k for k in range(m + 1))
+
+
+# both default point sets, and points where q^-s leaves the range of a double
+_SAMPLE_POINTS = st.sampled_from(
+    [0.3, 1.2 + 0.7j, -0.4, 0.8, 1.3 + 0.2j, -0.6, 2.5 - 1j, 40.0, -40 + 3j]
+)
+
+
+@st.composite
+def _sampler_inputs(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 9, 25, 1024, 3**20]))
+    Q = draw(st.sampled_from([1, q, q * q]))
+    coeff = st.one_of(st.integers(min_value=-9, max_value=9), small_fractions)
+    num, den = (poly.trim([1] + draw(st.lists(coeff, max_size=3))) for _ in range(2))
+    if draw(st.booleans()):
+        # each side times its Q-mirror: an equation that holds
+        chi = -2 * (len(num) - len(den))
+        num, den = mul(num, _q_mirror(num, Q)), mul(den, _q_mirror(den, Q))
+    else:
+        chi = draw(st.integers(min_value=-6, max_value=6))
+    point = st.one_of(_SAMPLE_POINTS, st.complex_numbers(max_magnitude=4))
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # a pole at s = 0, where x = 1
+        den = mul(den, (1, -1))
+        points.append(0)
+    huge = draw(st.sampled_from([None, 10**400, F(1, 10**400)]))
+    if huge is not None:
+        num = mul(num, (1, huge))
+    R = RationalFunction(num, den)
+    CQ = functional_witnesses(R, Q, chi)[0]
+    CQ *= 1 + draw(st.sampled_from([0, F(1, 10**3), F(1, 10**12), F(1, 10**35)]))
+    tol = draw(st.sampled_from([1e-40, 1e-30, 1e-9, 1e-3, 10]))
+    return R, q, Q, chi, CQ, tuple(points), tol
+
+
+class TestFunctionalSamples:
+    @given(_sampler_inputs())
+    @settings(max_examples=300)
+    def test_matches_30_digit_reference(self, args):
+        assert functional_samples(*args) == _reference_samples(*args)

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .arith import PrimePower
 from .counting import (
+    ELLIPTIC_CACHE_FROM,
     BudgetError,
     ParseError,
     VarietySpec,
@@ -52,9 +53,10 @@ from .report import (
 )
 from .zeta import (
     SeparationError,
+    default_degrees,
+    fiber_decomposition,
     hasse_weil_functional_check,
     l_adic_check,
-    weight_factorize,
     weil_check,
     zeta_rational,
 )
@@ -77,10 +79,7 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in _INT_FIELDS:
+        for name in _FLOAT_FIELDS + _INT_FIELDS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.format not in ("json", "text"):
@@ -110,15 +109,8 @@ def load_config_file(path) -> dict:
 
 
 def _coerce_config(updates: dict) -> dict:
-    coerced = {}
-    for key, value in updates.items():
-        if key in _INT_FIELDS:
-            coerced[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            coerced[key] = float(value)
-        else:
-            coerced[key] = value
-    return coerced
+    types = {**dict.fromkeys(_INT_FIELDS, int), **dict.fromkeys(_FLOAT_FIELDS, float)}
+    return {key: types.get(key, str)(value) for key, value in updates.items()}
 
 
 def _build_config(args) -> RunConfig:
@@ -154,7 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     common.add_argument("--prime-cutoff", type=int, dest="prime_cutoff")
-    common.add_argument("--cache-dir", dest="cache_dir")
+    common.add_argument(
+        "--cache-dir",
+        dest="cache_dir",
+        help=f"directory for point counts; closed-form shapes write none, but a Weierstrass "
+        f"curve keeps #E(F_p) from p = {ELLIPTIC_CACHE_FROM} on",
+    )
     common.add_argument("--format", choices=("json", "text"))
     common.add_argument(
         "--show-config",
@@ -167,7 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     variety.add_argument("--spec", metavar="FILE", help="variety description file")
     variety.add_argument("--p", type=int, help="residue characteristic")
     variety.add_argument("--r", type=int, default=1, help="base field exponent")
-    variety.add_argument("--degrees", type=int, help="number of extension degrees")
+    variety.add_argument(
+        "--degrees",
+        type=int,
+        help="extension degrees to count; check and nc ignore it for closed-form shapes",
+    )
     variety.add_argument("--betti", help="comma-separated weight dimensions")
 
     parser = _Parser(
@@ -251,20 +252,8 @@ def _resolve_betti(args, spec):
     return _default_betti(spec)
 
 
-def _counts_for(args, config, spec, q, betti):
-    m = args.degrees
-    if m is None:
-        if betti is None:
-            raise _UsageError("--degrees is required when --betti cannot be inferred")
-        m = max(2, sum(betti))
-    return count_series(
-        spec,
-        q,
-        m,
-        cache_dir=config.cache_dir,
-        budget=config.budget,
-        degree_cap=config.degree_cap,
-    )
+def _count_options(config):
+    return {"cache_dir": config.cache_dir, "budget": config.budget, "degree_cap": config.degree_cap}
 
 
 def _decomposition_for(args, config):
@@ -274,9 +263,7 @@ def _decomposition_for(args, config):
         raise _UsageError("--betti is required for this input")
     if len(betti) % 2 == 0:
         raise _UsageError("--betti must list all weights 0..2d (odd length)")
-    counts = _counts_for(args, config, spec, q, betti)
-    Z = zeta_rational(counts.counts, betti, degree_cap=config.degree_cap)
-    dec = weight_factorize(Z, q, (len(betti) - 1) // 2, betti)
+    dec = fiber_decomposition(spec, q, betti, degrees=args.degrees, **_count_options(config))
     return dec, f"{name} over F_{q.q}"
 
 
@@ -304,15 +291,7 @@ def _emit_report(subject, checks, config):
 
 def _cmd_count(args, config):
     spec, q, name = _load_variety(args)
-    m = _require(args, "degrees")
-    counts = count_series(
-        spec,
-        q,
-        m,
-        cache_dir=config.cache_dir,
-        budget=config.budget,
-        degree_cap=config.degree_cap,
-    )
+    counts = count_series(spec, q, _require(args, "degrees"), **_count_options(config))
     _emit_doc(
         {
             "schema": SCHEMA_VERSION,
@@ -331,7 +310,12 @@ def _cmd_count(args, config):
 def _cmd_zeta(args, config):
     spec, q, name = _load_variety(args)
     betti = _resolve_betti(args, spec)
-    counts = _counts_for(args, config, spec, q, betti)
+    m = args.degrees
+    if m is None:
+        if betti is None:
+            raise _UsageError("--degrees is required when --betti cannot be inferred")
+        m = default_degrees(betti)
+    counts = count_series(spec, q, m, **_count_options(config))
     Z = zeta_rational(counts.counts, betti, degree_cap=config.degree_cap)
     _emit_doc(
         {

@@ -29,6 +29,8 @@ a polynomial in z whose coefficients take one table lookup per term,
 and the fibre holds as many points as the gcd G of its equations has
 distinct roots in F_Q, deg gcd(G, z^Q - z), computed on logs in
 zetalab.poly.  That walks Q times fewer candidates than the points.
+Only such counts, products with such a factor, and #E(F_p) from
+p = ELLIPTIC_CACHE_FROM on enter the disk cache.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .series import power_sums_inverse_roots
 __all__ = [
     "BudgetError",
     "DEFAULT_BUDGET",
+    "ELLIPTIC_CACHE_FROM",
     "ParseError",
     "PointCounts",
     "Polynomial",
@@ -65,6 +68,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**9
+# From this p on a Weierstrass curve keeps #E(F_p) in the disk cache, where a
+# hit (0.02-0.06 ms) beats the walk (0.25-0.6 us per x); README has the table.
+ELLIPTIC_CACHE_FROM = 1000
 
 
 class BudgetError(RuntimeError):
@@ -578,8 +584,8 @@ def _count_zeros(field: FiniteField, nvars, polys, patterns):
     return count
 
 
-def _elliptic_frobenius(a_inv, p, r, budget):
-    """det(1 - t Frob | H^1) of the Weierstrass curve over F_(p^r).
+def _elliptic_frobenius(spec, q: PrimePower, budget, cache_dir):
+    """det(1 - t Frob | H^1) of the Weierstrass curve over F_q, q = p^r.
 
     With a = p + 1 - #E(F_p) it is 1 - a_r t + p^r t^2, a_r the r-th power
     sum of the inverse roots of 1 - a t + p t^2, when the discriminant is
@@ -588,32 +594,43 @@ def _elliptic_frobenius(a_inv, p, r, budget):
     and the factor is 1 - a^r t (ibid. III.2.5).  Odd p completes the
     square, (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and reads
     the y-count of each x off a table of square roots; p = 2 walks the
-    four (x, y) pairs.
+    four (x, y) pairs.  From p = ELLIPTIC_CACHE_FROM on, cache_dir keeps
+    #E(F_p) as the curve's degree-1 count over F_p.
     """
-    a1, a2, a3, a4, a6 = a_inv
+    a1, a2, a3, a4, a6 = spec.a_invariants
+    p, r = q.p, q.r
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    if p == 2:
-        _check_budget(4, budget, "elliptic count")
-        affine = sum(
-            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-            for x in (0, 1)
-            for y in (0, 1)
-        )
-    else:
-        _check_budget(p, budget, "elliptic count")
-        roots = [0] * p  # roots[v] = #{u : u^2 = v}
-        for u in range(p):
-            roots[u * u % p] += 1
-        affine = sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
-    a = p - affine  # p + 1 - #E(F_p), the point at infinity included
+    points = path = None
+    if cache_dir is not None and p >= ELLIPTIC_CACHE_FROM:
+        fingerprint, F_p = spec.fingerprint(), PrimePower(p)
+        path = _cache_path(cache_dir, fingerprint, F_p)
+        points = _load_cached_counts(path, fingerprint, F_p).get(1)
+    if points is None:
+        if p == 2:
+            _check_budget(4, budget, "elliptic count")
+            affine = sum(
+                (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                for x in (0, 1)
+                for y in (0, 1)
+            )
+        else:
+            _check_budget(p, budget, "elliptic count")
+            roots = [0] * p  # roots[v] = #{u : u^2 = v}
+            for u in range(p):
+                roots[u * u % p] += 1
+            affine = sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+        points = affine + 1  # the point at infinity
+        if path is not None:
+            _store_cached_counts(path, fingerprint, F_p, {1: points})
+    a = p + 1 - points
     good = disc % p != 0
     a_r = power_sums_inverse_roots((1, -a, p) if good else (1, -a), r)[-1]
     return (1, -a_r, p**r) if good else poly.trim((1, -a_r))
 
 
-def local_weights(spec: VarietySpec, q: PrimePower, *, budget: int = DEFAULT_BUDGET):
+def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET, cache_dir=None):
     """Weight factors P_0..P_2d of X over F_q read off its shape, or None.
 
     Integer tuples with P_w(0) = 1, so #X(F_{q^n}) = sum_w (-1)^w
@@ -621,7 +638,7 @@ def local_weights(spec: VarietySpec, q: PrimePower, *, budget: int = DEFAULT_BUD
     A zero-dimensional scheme has prod (1 - t^(k/g))^(cnt g), g = gcd(k, r),
     over its degree pattern {k: cnt} mod p: a point of degree k over F_p
     is g points of degree k/g over F_q.  A Weierstrass curve has 1 - t,
-    its Frobenius polynomial (_elliptic_frobenius) and 1 - q t."""
+    its Frobenius polynomial (_elliptic_frobenius, uses cache_dir) and 1 - q t."""
     kind = spec.kind
     if kind == "projective_space":
         d = spec.ambient_dim
@@ -634,7 +651,7 @@ def local_weights(spec: VarietySpec, q: PrimePower, *, budget: int = DEFAULT_BUD
                 P = poly.mul(P, (1,) + (0,) * (k // g - 1) + (-1,))
         return (P,)
     if kind == "elliptic_curve":
-        return ((1, -1), _elliptic_frobenius(spec.a_invariants, q.p, q.r, budget), (1, -q.q))
+        return ((1, -1), _elliptic_frobenius(spec, q, budget, cache_dir), (1, -q.q))
     return None
 
 
@@ -654,23 +671,23 @@ def count_points(
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    return _point_counter(spec, q, n, budget, degree_cap)(n)
+    return _point_counter(spec, q, n, budget, degree_cap)[0](n)
 
 
-def _point_counter(spec: VarietySpec, q: PrimePower, m, budget, degree_cap):
-    """n -> #X(F_{q^n}) for 1 <= n <= m.  What does not depend on n is
-    computed once: a shape's weight factors give their traces for every
-    n <= m from one power-sum call each, and a product multiplies its
-    factors' counts."""
-    weights = local_weights(spec, q, budget=budget)
+def _point_counter(spec: VarietySpec, q: PrimePower, m, budget, degree_cap, cache_dir=None):
+    """(n -> #X(F_{q^n}) for 1 <= n <= m, whether it enumerates).  What does
+    not depend on n is computed once: a shape's weight factors give their
+    traces for every n <= m from one power-sum call each, and a product
+    multiplies its factors' counts (and enumerates when one of them does)."""
+    weights = local_weights(spec, q, budget=budget, cache_dir=cache_dir)
     if weights is not None:
         traces = [power_sums_inverse_roots(P, m) for P in weights]
-        return lambda n: sum((-1) ** w * t[n - 1] for w, t in enumerate(traces))
+        return (lambda n: sum((-1) ** w * t[n - 1] for w, t in enumerate(traces))), False
     if spec.kind == "product":
-        left = _point_counter(spec.left, q, m, budget, degree_cap)
-        right = _point_counter(spec.right, q, m, budget, degree_cap)
-        return lambda n: left(n) * right(n)
-    return lambda n: _count_over_extension(spec, q, n, budget, degree_cap)
+        left, walks_left = _point_counter(spec.left, q, m, budget, degree_cap, cache_dir)
+        right, walks_right = _point_counter(spec.right, q, m, budget, degree_cap, cache_dir)
+        return (lambda n: left(n) * right(n)), walks_left or walks_right
+    return (lambda n: _count_over_extension(spec, q, n, budget, degree_cap)), True
 
 
 def _count_over_extension(spec: VarietySpec, q: PrimePower, n, budget, degree_cap):
@@ -692,27 +709,18 @@ def _cache_path(cache_dir, fingerprint, q: PrimePower):
 
 
 def _load_cached_counts(path, fingerprint, q: PrimePower):
+    """The file's counts {n: #X(F_{q^n})}, or {} unless it is readable, is
+    for this fingerprint and q, and holds counts >= 0 at exactly the
+    degrees 1..k, as a store always writes them."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if data.get("spec_hash") != fingerprint:
-        return {}
-    if data.get("q", {}).get("p") != q.p or data.get("q", {}).get("r") != q.r:
-        return {}
-    out = {}
-    for key, val in data.get("counts", {}).items():
-        try:
-            deg = int(key)
-            val = int(val)
-        except (TypeError, ValueError):
+        if data["spec_hash"] != fingerprint or (data["q"]["p"], data["q"]["r"]) != (q.p, q.r):
             return {}
-        if deg < 1 or val < 0:
-            return {}
-        out[deg] = val
-    # a store always writes exactly the degrees 1..k
-    if sorted(out) != list(range(1, len(out) + 1)):
+        out = {int(key): int(val) for key, val in data["counts"].items()}
+    except (OSError, LookupError, TypeError, ValueError, AttributeError):
+        return {}
+    if sorted(out) != list(range(1, len(out) + 1)) or min(out.values(), default=0) < 0:
         return {}
     return out
 
@@ -744,22 +752,23 @@ def count_series(
     budget: int = DEFAULT_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> PointCounts:
-    """Counts over F_{q^n} for n = 1..m, backed by an optional JSON cache."""
+    """Counts over F_{q^n} for n = 1..m, backed by an optional JSON cache
+    when they enumerate.  Closed forms (local_weights) keep no file of
+    their own, as below p = ELLIPTIC_CACHE_FROM a file costs more than
+    they do; above it a Weierstrass curve keeps only #E(F_p)."""
     if m < 1:
         raise ValueError("need at least one count")
     fingerprint = spec.fingerprint()
+    count, enumerates = _point_counter(spec, q, m, budget, degree_cap, cache_dir)
     cached = {}
     path = None
-    if cache_dir is not None:
+    if cache_dir is not None and enumerates:
         path = _cache_path(cache_dir, fingerprint, q)
         cached = _load_cached_counts(path, fingerprint, q)
     fresh = False
-    count = None
     for n in range(1, m + 1):
         if n in cached:
             continue
-        if count is None:
-            count = _point_counter(spec, q, m, budget, degree_cap)
         try:
             cached[n] = count(n)
         except BudgetError as exc:

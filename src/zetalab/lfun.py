@@ -1,16 +1,16 @@
 """Global L-functions from local spectra at every prime.
 
 An arithmetic model is a variety presentation with integral
-coefficients.  The weight factors of its fiber at a good prime p are
-read off the shape (counting.local_weights: projective spaces,
-zero-dimensional fibers, Weierstrass curves) or else counted,
-reconstructed and separated; shifted onto the two circles they give
-even/odd eigenvalue multisets per prime.  The global objects, all read
-from one scan of local factors over primes, are Euler products, their
-multiplicative Dirichlet expansions, trace-bound certificates for
-convergence, and, for models whose L-function has a closed form in
-shifted Riemann zetas (or the Gaussian Dedekind zeta), an honest
-analytic continuation with argument-principle order detection.
+coefficients.  The weight factors of its fiber at each prime p come
+from zeta.fiber_decomposition (read off a closed form where the fiber
+has one, counted, reconstructed and separated otherwise); shifted onto
+the two circles they give even/odd eigenvalue multisets per prime.
+The global objects, all read from one scan of local factors over
+primes, are Euler products, their multiplicative Dirichlet expansions,
+trace-bound certificates for convergence, and, for models whose
+L-function has a closed form in shifted Riemann zetas (or the Gaussian
+Dedekind zeta), an honest analytic continuation with argument-principle
+order detection.
 Everything without a closed form reports UNSUPPORTED rather than a
 fabricated continuation.
 """
@@ -28,12 +28,11 @@ import mpmath
 
 from . import poly
 from .arith import PrimePower, primes_up_to
-from .counting import VarietySpec, count_series, local_weights, parse_variety
+from .counting import VarietySpec, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
-from .series import RationalFunction, power_sums_inverse_roots, roots_on_circle
-from .zeta import SeparationError, WeightDecomposition, WeightFactor
-from .zeta import weight_factorize, weil_check, zeta_rational
+from .series import RationalFunction, power_sums_inverse_roots
+from .zeta import SeparationError, default_degrees, fiber_decomposition, weil_check
 
 __all__ = [
     "ArithmeticModel",
@@ -55,8 +54,13 @@ __all__ = [
     "zeta_continuation",
 ]
 
-DEFAULT_MARGIN = 0.05
-DEFAULT_DPS = 30
+# Euler products (refused within HALF_PLANE_MARGIN of their half-plane)
+# and Dirichlet partial sums run at EULER_DPS digits, continuations at
+# CONTINUATION_DPS, and beta's accelerated series takes BETA_TERMS terms.
+HALF_PLANE_MARGIN = 0.05
+EULER_DPS = 30
+CONTINUATION_DPS = 40
+BETA_TERMS = 90
 WINDING_RADIUS = 0.25
 WINDING_SAMPLES = 64
 # An arc of the contour is bisected while its end values f(z0), f(z1)
@@ -182,8 +186,9 @@ _LOCAL_CACHE: OrderedDict = OrderedDict()
 
 def _local_entry(model: ArithmeticModel, p: int):
     """(weight decomposition, spectrum, {parity: P_p}) of the fiber at p,
-    cached per (fiber, p, own, betti).  Closed-form weight factors must have
-    the model's Betti numbers, or be a replacement fiber's one factor;
+    cached per (fiber, p, own, betti).  A family fiber has the model's
+    Betti numbers, a replacement fiber is zero-dimensional (betti None),
+    and either is counted to default_degrees(model.betti) where it must be;
     P_p = det(1 - t F) over the parity's eigenvalues, from nc_zeta."""
     fiber = _fiber_spec(model, p)
     own = fiber is model.family
@@ -192,24 +197,9 @@ def _local_entry(model: ArithmeticModel, p: int):
     if hit is not None:
         _LOCAL_CACHE.move_to_end(key)
         return hit
-    q = PrimePower(p)
-    weights = local_weights(fiber, q)
+    betti = model.betti if own else None
     try:
-        if weights is not None and (own or len(weights) == 1):
-            factors = tuple(WeightFactor(w, P) for w, P in enumerate(weights))
-            dec = WeightDecomposition(len(weights) // 2, q, factors)
-            if own and dec.betti != model.betti:
-                raise SeparationError(f"weight degrees {dec.betti} against betti {model.betti}")
-        else:
-            counts = count_series(fiber, q, max(2, sum(model.betti))).counts
-            Z = zeta_rational(counts, model.betti if own else None)
-            # a zero-dimensional replacement's shape comes from its zeta:
-            # numerator 1, and every inverse root of the denominator on
-            # |x| = 1 (P^1's 1 - (q + 1) t + q t^2 has numerator 1 too)
-            if not own and (len(Z.num) > 1 or not roots_on_circle(Z.den[::-1], 1)):
-                raise ValueError("replacement fibers must have a polar zeta (dimension 0)")
-            betti = model.betti if own else (len(Z.den) - 1,)
-            dec = weight_factorize(Z, q, (len(betti) - 1) // 2, betti)
+        dec = fiber_decomposition(fiber, PrimePower(p), betti, degrees=default_degrees(model.betti))
     except SeparationError as exc:
         # a singular fiber at a prime the model does not declare bad
         # lands here, so name the prime
@@ -228,15 +218,12 @@ def _local_entry(model: ArithmeticModel, p: int):
 def local_spectrum(model: ArithmeticModel, p: int) -> NcSpectrum:
     """Even/odd eigenvalue multisets of the fiber at p.
 
-    Two routes to the weight factors: read off the shape of projective
-    spaces, zero-dimensional fibers and Weierstrass curves
-    (counting.local_weights), or counted over extensions, reconstructed
-    at the Betti-prescribed degrees and separated.  Shifted onto the two
-    circles, they pass the root-modulus check, whose verdict the
-    provenance records.  Bad primes without a replacement raise
-    BadPrimeError.  Each call returns the cached spectrum with a
-    provenance of its own (whose values are immutable), so editing one
-    result leaves the next unchanged.
+    The weight factors come from zeta.fiber_decomposition, the one route
+    from a fiber to them.  Shifted onto the two circles, they pass the
+    root-modulus check, whose verdict the provenance records.  Bad
+    primes without a replacement raise BadPrimeError.  Each call returns
+    the cached spectrum with a provenance of its own (whose values are
+    immutable), so editing one result leaves the next unchanged.
     """
     spectrum = _local_entry(model, p)[1]
     return replace(spectrum, provenance=dict(spectrum.provenance))
@@ -321,12 +308,12 @@ def _tail_bound(C, P, z_eff):
     return lead * P ** (1 - z_eff) / (z_eff - 1)
 
 
-def _euler_product(factors: dict, s: complex, e: int, prime_cutoff: int, dps: int):
+def _euler_product(factors: dict, s: complex, e: int, prime_cutoff: int):
     """(value, tail, C) of the partial product prod_p 1/P_p(p^{-s}) over
     local factors of weight e: C is the largest degree, and the tail
     bounds |L(s) - value| through _tail_bound at Re(s) - e/2."""
     C = max((len(P) - 1 for P in factors.values()), default=0)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(EULER_DPS):
         s_mp = mpmath.mpc(s)
         total = mpmath.mpf(1)
         for p, P in factors.items():
@@ -338,31 +325,25 @@ def _euler_product(factors: dict, s: complex, e: int, prime_cutoff: int, dps: in
 
 
 def euler_product_value(
-    model: ArithmeticModel,
-    parity: str,
-    s,
-    prime_cutoff: int,
-    *,
-    margin: float = DEFAULT_MARGIN,
-    dps: int = DEFAULT_DPS,
+    model: ArithmeticModel, parity: str, s, prime_cutoff: int
 ) -> EulerProductResult:
     """Partial Euler product over p <= prime_cutoff plus a tail bound.
 
     The even product converges for Re(s) > 1, the odd one for
-    Re(s) > 3/2; requests inside the critical region (up to the safety
-    margin) are rejected since the partial product would not estimate
-    anything there.  Excluded bad primes are listed in the result.
+    Re(s) > 3/2; requests inside the critical region (up to
+    HALF_PLANE_MARGIN) are rejected since the partial product would not
+    estimate anything there.  Excluded bad primes are listed in the result.
     """
     s = complex(s)
     e = _weight(parity)
     threshold = 1 + e / 2
-    if s.real <= threshold + margin:
+    if s.real <= threshold + HALF_PLANE_MARGIN:
         raise ValueError(
             f"Re(s)={s.real} is outside the guaranteed {parity} half-plane "
-            f"Re(s) > {threshold} (margin {margin}); use the continuation path"
+            f"Re(s) > {threshold} (margin {HALF_PLANE_MARGIN}); use the continuation path"
         )
     factors, excluded = _local_factors(model, parity, prime_cutoff)
-    value, tail, constant = _euler_product(factors, s, e, prime_cutoff, dps)
+    value, tail, constant = _euler_product(factors, s, e, prime_cutoff)
     return EulerProductResult(
         parity=parity,
         s=s,
@@ -399,9 +380,9 @@ class DirichletSeries:
             raise IndexError(f"coefficient index {n} outside 1..{self.N}")
         return self.coeffs[n - 1]
 
-    def partial_sum(self, s, *, dps: int = DEFAULT_DPS):
+    def partial_sum(self, s):
         """sum_{n <= N} b_n n^{-s}, evaluated in mpmath."""
-        with mpmath.workdps(dps):
+        with mpmath.workdps(EULER_DPS):
             s_mp = mpmath.mpc(complex(s))
             total = mpmath.mpf(0)
             for n in range(1, self.N + 1):
@@ -571,7 +552,6 @@ def serre_bounds_certificate(
     n_cutoff: int,
     *,
     sample_s=None,
-    dps: int = DEFAULT_DPS,
 ) -> BoundsCertificate:
     """Per-weight trace bounds |sum lambda^n| <= C * p^{wn/2}, plus a
     sample of the weight-w L-function inside its half-plane.
@@ -585,7 +565,7 @@ def serre_bounds_certificate(
         raise ValueError(f"weight must be non-negative, got {w}")
     factors, certificate = _trace_certificate(model, w, prime_cutoff, n_cutoff)
     sample_s = complex(w / 2 + 1.5 if sample_s is None else sample_s)
-    value, tail, _ = _euler_product(factors, sample_s, w, prime_cutoff, dps)
+    value, tail, _ = _euler_product(factors, sample_s, w, prime_cutoff)
     return replace(certificate, sample_s=sample_s, sample_value=value, sample_tail=tail)
 
 
@@ -627,32 +607,32 @@ def _accelerated_alternating(terms, n):
     return -acc / d[n]
 
 
-def _beta_series(s, n=90):
-    return _accelerated_alternating(lambda k: mpmath.power(2 * k + 1, -s), n)
+def _beta_series(s):
+    return _accelerated_alternating(lambda k: mpmath.power(2 * k + 1, -s), BETA_TERMS)
 
 
-def zeta_continuation(s, *, dps: int = 40):
+def zeta_continuation(s):
     """The Riemann zeta function anywhere except the pole at s=1.
 
     mpmath.zeta continues it through the same alternating-series
     acceleration (Borwein) on the right and the reflection formula on
     the left.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(CONTINUATION_DPS):
         s_mp = mpmath.mpc(complex(s))
         if s_mp == 1:
             raise PoleError("zeta has its pole at s=1")
         return complex(mpmath.zeta(s_mp))
 
 
-def dirichlet_beta(s, *, dps: int = 40):
+def dirichlet_beta(s):
     """The alternating mod-4 L-function, continued everywhere.
 
     For Re(s) > 0 the defining series is already alternating and the
     same acceleration applies; for Re(s) <= 0 the completed-function
     symmetry around s = 1/2 is used (the gamma factor carries parity 1).
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(CONTINUATION_DPS):
         s_mp = mpmath.mpc(complex(s))
         if s_mp.real > 0:
             return complex(_beta_series(s_mp))
@@ -705,16 +685,11 @@ def closed_form_l_function(model: ArithmeticModel, parity: str):
 # ---------------------------------------------------------------------------
 
 
-def winding_order(
-    fn,
-    center,
-    *,
-    radius: float = WINDING_RADIUS,
-    samples: int = WINDING_SAMPLES,
-):
-    """Order of fn at center by the argument principle on a small circle.
+def winding_order(fn, center):
+    """Order of fn at center by the argument principle on the circle of
+    radius WINDING_RADIUS.
 
-    The contour starts as `samples` equally spaced points, and an arc
+    The contour starts as WINDING_SAMPLES equally spaced points, and an arc
     is bisected while its end values have |f(z1)/f(z0) - 1| >
     WINDING_STEP (arc refinement after Ying & Katz, "A reliable
     argument principle algorithm...", Numer. Math. 53, 1988).  Each
@@ -732,20 +707,20 @@ def winding_order(
     center = complex(center)
 
     def value(theta):
-        z = center + radius * complex(math.cos(theta), math.sin(theta))
+        z = center + WINDING_RADIUS * complex(math.cos(theta), math.sin(theta))
         try:
             v = complex(fn(z))
         except PoleError:
             return None
         return v if v != 0 and cmath.isfinite(v) else None
 
-    thetas = [2 * math.pi * k / samples for k in range(samples + 1)]
+    thetas = [2 * math.pi * k / WINDING_SAMPLES for k in range(WINDING_SAMPLES + 1)]
     values = [value(theta) for theta in thetas[:-1]]
     if None in values:
         return None, math.inf
     values.append(values[0])
     total = 0.0
-    for k in range(samples):
+    for k in range(WINDING_SAMPLES):
         arcs = [(thetas[k], values[k], thetas[k + 1], values[k + 1], 0)]
         while arcs:
             t0, v0, t1, v1, depth = arcs.pop()

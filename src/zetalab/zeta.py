@@ -8,6 +8,10 @@ integer weight factors, then the per-weight checks: inverse-root
 moduli, algebraic-integrality certificates, the functional equation
 relating s and d-s, and exact pole/zero orders at every real point.
 
+fiber_decomposition is the one route from a fiber to its weight
+factors, for the CLI and lfun alike: a closed form
+(counting.local_weights) is read, and only other shapes are counted.
+
 The factorization uses no floats: each weight factor is an integer gcd
 of a side with its q^w-mirror, certified on its circle by
 series.roots_on_circle and divided out exactly, and the exact product
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .arith import PrimePower
+from .arith import DEFAULT_DEGREE_CAP, PrimePower
+from .counting import DEFAULT_BUDGET, VarietySpec, count_series, local_weights
 from .report import FAIL, PASS, Check
 from .series import (
     DEFAULT_PRECISION,
@@ -48,12 +53,13 @@ from .series import (
 
 __all__ = [
     "HypothesisWarning",
-    "OrdResult",
     "ReconstructionError",
     "SeparationError",
     "WeightDecomposition",
     "WeightFactor",
     "DEGREE_SCAN_CAP",
+    "default_degrees",
+    "fiber_decomposition",
     "hasse_weil_functional_check",
     "l_adic_check",
     "lefschetz_counts",
@@ -316,6 +322,53 @@ def weight_factorize(Z: RationalFunction, q: PrimePower, d: int, betti) -> Weigh
     return dec
 
 
+_NOT_POLAR = "replacement fibers must have a polar zeta (dimension 0)"
+
+
+def default_degrees(betti) -> int:
+    """Extension degrees counted when none are given: max(2, sum(betti))."""
+    return max(2, sum(betti))
+
+
+def fiber_decomposition(
+    spec: VarietySpec,
+    q: PrimePower,
+    betti,
+    *,
+    degrees=None,
+    cache_dir=None,
+    budget: int = DEFAULT_BUDGET,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+) -> WeightDecomposition:
+    """The weight factors P_0..P_2d of the variety spec over F_q; their
+    degrees must be betti, or SeparationError.  A closed form
+    (counting.local_weights) is read off: nothing is counted or rebuilt,
+    degrees is unused, and only a Weierstrass curve's #E(F_p) may be
+    cached.  Any other shape is counted over F_{q^n}, n <= degrees
+    (default_degrees(betti) by default), reconstructed and separated.
+    betti None means a zero-dimensional replacement fiber (degrees then
+    required): a closed form must have one weight, and a counted zeta,
+    found by the degree scan, must be polar, numerator 1 and the
+    denominator's inverse roots on |x| = 1 (not P^1's), or ValueError."""
+    weights = local_weights(spec, q, budget=budget, cache_dir=cache_dir)
+    if weights is not None:
+        factors = tuple(WeightFactor(w, P) for w, P in enumerate(weights))
+        dec = WeightDecomposition(len(weights) // 2, q, factors)
+        if betti is None and dec.d > 0:
+            raise ValueError(_NOT_POLAR)
+        if betti is not None and dec.betti != tuple(betti):
+            raise SeparationError(f"weight degrees {dec.betti} against betti {tuple(betti)}")
+        return dec
+    m = default_degrees(betti) if degrees is None else degrees
+    counts = count_series(spec, q, m, cache_dir=cache_dir, budget=budget, degree_cap=degree_cap)
+    Z = zeta_rational(counts, betti, degree_cap=degree_cap)
+    if betti is None:
+        if len(Z.num) > 1 or not roots_on_circle(Z.den[::-1], 1):
+            raise ValueError(_NOT_POLAR)
+        betti = (len(Z.den) - 1,)
+    return weight_factorize(Z, q, (len(betti) - 1) // 2, betti)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -445,26 +498,7 @@ def hasse_weil_functional_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrdResult:
-    """Order of the zeta rational function (in x = q^{-s}) at s = z.
-
-    order: multiplicity (negative at poles).  Every order is decided by
-    exact division, so exact is always True and indeterminate always
-    False; both fields stay for the reports that print them.
-    """
-
-    z: object
-    order: object
-    exact: bool
-    indeterminate: bool
-    note: str
-
-    def __int__(self):
-        return self.order
-
-
-def ord_at(Z: RationalFunction, q: PrimePower, z) -> OrdResult:
+def ord_at(Z: RationalFunction, q: PrimePower, z) -> int:
     """ord_{s=z} of Z(q^{-s}) at a real z (int, Fraction or float; a
     float is the dyadic rational it stores): positive at zeros, negative
     at poles, always exact.
@@ -483,21 +517,16 @@ def ord_at(Z: RationalFunction, q: PrimePower, z) -> OrdResult:
     B bitlen(1 + H) gives p^|A| > (1 + H)^B, so p^|A| is never built for
     a far-off z.
     """
-    note = (
-        f"orders repeat along s -> s + 2*pi*i*k/log({q.q}); reported on the real axis"
-    )
     num, den = poly.primitive(Z.num), poly.primitive(Z.den)
     rz = q.r * Fraction(z)
     A, B = rz.numerator, rz.denominator
     height = max(map(abs, num + den))
     far = abs(A) * (q.p.bit_length() - 1) > B * (1 + height).bit_length()
     if far or B >= max(len(num), len(den)):
-        order = 0
-    else:
-        gap = (0,) * (B - 1)
-        m = (-1,) + gap + (q.p**A,) if A >= 0 else (-(q.p**-A),) + gap + (1,)
-        order = poly.multiplicity(num, m)[0] - poly.multiplicity(den, m)[0]
-    return OrdResult(z=z, order=order, exact=True, indeterminate=False, note=note)
+        return 0
+    gap = (0,) * (B - 1)
+    m = (-1,) + gap + (q.p**A,) if A >= 0 else (-(q.p**-A),) + gap + (1,)
+    return poly.multiplicity(num, m)[0] - poly.multiplicity(den, m)[0]
 
 
 # ---------------------------------------------------------------------------

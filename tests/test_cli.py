@@ -202,6 +202,38 @@ class TestCheckSubcommand:
             factors[block["weight"]] = tuple(reversed([c * 3 ** (k * (beta - i)) for i, c in enumerate(coeffs)]))
         assert factors == {0: (1, -1), 1: (1, 0, 3), 2: (1, -6, 9), 3: (1, 0, 27), 4: (1, -9)}
 
+    def test_closed_shapes_write_no_cache_file(self, capsys, tmp_path):
+        # an elliptic curve and P^1 are read off their weight factors, so
+        # --cache-dir stays empty; the plane cubic is counted and cached
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert run(capsys, "check", "weil", "--spec", E5, "--p", "5", *cache)[0] == 0
+        assert run(capsys, "count", "--spec", P1, "--p", "3", "--degrees", "3", *cache)[0] == 0
+        assert not (tmp_path / "cache").exists()
+        cubic = tmp_path / "cubic.vty"
+        cubic.write_text("projective 2; vars x, y, z; eq y^2*z - x^3 - x*z^2\n")
+        argv = ["check", "weil", "--spec", str(cubic), "--p", "5", "--betti", "1,2,1"]
+        assert run(capsys, *argv, *cache)[0] == 0
+        assert len(list((tmp_path / "cache").iterdir())) == 1
+
+    def test_degrees_ignored_for_closed_shapes(self, capsys, tmp_path):
+        # two counts cannot fix a curve's four Betti degrees, but the
+        # closed form needs no counts; the plane cubic still does
+        code, doc = run_json(capsys, "check", "weil", "--spec", E5, "--p", "5", "--degrees", "2")
+        assert code == 0 and doc["verdict"] == "PASS"
+        cubic = tmp_path / "cubic.vty"
+        cubic.write_text("projective 2; vars x, y, z; eq y^2*z - x^3 - x*z^2\n")
+        argv = ["check", "weil", "--spec", str(cubic), "--p", "5", "--betti", "1,2,1"]
+        code, out, err = run(capsys, *argv, "--degrees", "2")
+        assert code == 1 and not out and "insufficient counts" in err
+
+    @pytest.mark.parametrize("spec, p", [(E5, "2"), (str(fixture_path("zi.vty")), "2")])
+    def test_singular_or_ramified_prime_exits_one(self, capsys, spec, p):
+        # y^2 = x^3 + x is singular at 2, and x^2 + 1 = (x + 1)^2 mod 2
+        for argv in (("check", "weil"), ("nc",)):
+            code, out, err = run(capsys, *argv, "--spec", spec, "--p", p)
+            assert code == 1 and not out
+            assert err.startswith("error: ") and "internal error" not in err
+
     def test_serre_report_ignores_precision(self, capsys):
         # the verdict is exact: --precision shows only in the config block
         docs = []

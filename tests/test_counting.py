@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from zetalab import counting
 from zetalab.arith import FiniteField, PrimePower, make_extension_field
 from zetalab.counting import (
+    ELLIPTIC_CACHE_FROM,
     BudgetError,
     ParseError,
     Polynomial,
@@ -22,7 +23,9 @@ from zetalab.counting import (
     parse_variety,
 )
 from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part, mulmod, powmod
-from zetalab.zeta import weight_factorize, zeta_rational
+from zetalab.zeta import fiber_decomposition, weight_factorize, zeta_rational
+
+from conftest import elliptic, plane_cubic
 
 
 class TestParser:
@@ -200,19 +203,6 @@ class TestZeroDimensionalCounts:
         )
         both = VarietySpec(kind="product", left=spec, right=spec)
         assert list(count_series(both, q, 6).counts) == [c * c for c in want]
-
-
-def plane_cubic(a):
-    """The Weierstrass equation with invariants a, homogenized in P^2."""
-    a1, a2, a3, a4, a6 = a
-    return parse_variety(
-        f"projective 2; vars x,y,z; eq y^2*z + ({a1})*x*y*z + ({a3})*y*z^2"
-        f" - x^3 - ({a2})*x^2*z - ({a4})*x*z^2 - ({a6})*z^3"
-    )
-
-
-def elliptic(a):
-    return VarietySpec(kind="elliptic_curve", a_invariants=tuple(a))
 
 
 class TestEllipticCounts:
@@ -555,3 +545,54 @@ class TestCache:
         path.write_text(json.dumps(data))
         fresh = count_series(v, PrimePower(7), 2, cache_dir=tmp_path)
         assert fresh.counts == (count_points(v, PrimePower(7), 1), count_points(v, PrimePower(7), 2))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "elliptic a=[0,0,0,1,0]",
+            "projective 2; vars x,y,z",
+            "zerodim x^2+1",
+            "product { elliptic a=[0,0,0,1,0] } { zerodim x^2+1 }",
+            "product { projective 1; vars x,y } { product { zerodim x^3+2 } { projective 2; vars x,y,z } }",
+        ],
+    )
+    def test_closed_shapes_leave_no_file(self, tmp_path, text):
+        # counts read off weight factors never touch the disk, and a
+        # stale file for such a shape is not read either
+        v = parse_variety(text)
+        fresh = count_series(v, PrimePower(7), 3, cache_dir=tmp_path)
+        assert os.listdir(tmp_path) == []
+        payload = {"spec_hash": v.fingerprint(), "q": {"p": 7, "r": 1}, "counts": {"1": 1, "2": 1, "3": 1}}
+        (tmp_path / f"{v.fingerprint()}-p7r1.json").write_text(json.dumps(payload))
+        assert count_series(v, PrimePower(7), 3, cache_dir=tmp_path) == fresh
+
+    def test_weierstrass_curve_keeps_its_count_from_the_cutoff(self, tmp_path):
+        # from p = ELLIPTIC_CACHE_FROM on, #E(F_p) costs more to walk than
+        # to read: it is stored as the degree-1 count over F_p, and later
+        # calls at any r, on every route, read it under a budget that
+        # refuses the walk; below the cutoff nothing is written
+        v = elliptic((0, 0, 0, 1, 0))
+        local_weights(v, PrimePower(997), cache_dir=tmp_path)
+        assert os.listdir(tmp_path) == []
+        p, warm = 1009, {"budget": 10, "cache_dir": tmp_path}
+        assert p >= ELLIPTIC_CACHE_FROM
+        fresh = local_weights(v, PrimePower(p), cache_dir=tmp_path)
+        name = f"{v.fingerprint()}-p{p}r1.json"
+        assert os.listdir(tmp_path) == [name]
+        assert json.loads((tmp_path / name).read_text())["counts"] == {"1": p + 1 + fresh[1][1]}
+        with pytest.raises(BudgetError):
+            local_weights(v, PrimePower(p), budget=10)
+        assert local_weights(v, PrimePower(p), **warm) == fresh
+        assert local_weights(v, PrimePower(p, 2), **warm) == local_weights(v, PrimePower(p, 2))
+        assert count_series(v, PrimePower(p), 3, **warm) == count_series(v, PrimePower(p), 3)
+        dec = fiber_decomposition(v, PrimePower(p), (1, 2, 1), **warm)
+        assert tuple(f.poly for f in dec.factors) == fresh
+        assert os.listdir(tmp_path) == [name]
+
+    def test_product_with_a_counted_factor_writes_its_file(self, tmp_path):
+        v = parse_variety("product { zerodim x^2+1 } { projective 2; vars x,y,z; eq x^3+y^3+z^3 }")
+        one = count_series(v, PrimePower(7), 2, cache_dir=tmp_path)
+        assert os.listdir(tmp_path) == [f"{v.fingerprint()}-p7r1.json"]
+        data = json.loads((tmp_path / os.listdir(tmp_path)[0]).read_text())
+        assert data["counts"] == {"1": one.counts[0], "2": one.counts[1]}
+        assert count_series(v, PrimePower(7), 2, cache_dir=tmp_path) == one

@@ -5,7 +5,10 @@ elliptic point counter, lfun._local_factors the one scan over primes
 in zetalab.lfun, zetalab.series the one home of power sums, Zech-log
 tables the one route for finite-field arithmetic,
 counting.local_weights the one closed form of a fiber's weight
-factors, series.functional_witnesses the one exact functional
+factors, zeta.fiber_decomposition the one route from a fiber to them
+(the one caller of weight_factorize, and the only reader of
+local_weights outside counting; lfun and the CLI's check and nc
+commands call it), series.functional_witnesses the one exact functional
 equation, with series.functional_samples its one sampler (the only
 caller of its double-pass helpers, and with its point labels the only
 code at SAMPLE_DPS digits),
@@ -13,7 +16,8 @@ ncspec.nc_zeta the one builder of det(1 - tF) per parity (lfun calls it
 in _local_entry only, and it constructs no Fraction), and
 zetalab.series the one module that decides whether a coefficient is an
 int or a Fraction (only series calls _int_if_integral, lfun imports no
-fractions, and weight_factorize makes no int() call)."""
+fractions, and weight_factorize makes no int() call).  Parameters that
+no caller set stay module constants."""
 
 import ast
 import importlib
@@ -200,11 +204,56 @@ def test_one_closed_form_route():
     extension = _function(counting, "_count_over_extension")
     kinds = {c.value for c in ast.walk(extension) if isinstance(c, ast.Constant)}
     assert not kinds & {"projective_space", "zero_dimensional", "elliptic_curve"}
-    # lfun reads the closed form in _local_entry only, and its one scan
-    # takes each parity's factor from the entry instead of rebuilding it
-    lfun = trees["lfun.py"]
-    assert _callers(lfun, "local_weights") == ["_local_entry"]
-    assert _callers(_function(lfun, "_local_factors"), "nc_zeta") == []
+    # outside counting, the closed form is read by zeta.fiber_decomposition
+    # only, and lfun's one scan takes each parity's factor from its local
+    # entry instead of rebuilding it
+    found = {f: _callers(tree, "local_weights") for f, tree in trees.items()}
+    assert {f: c for f, c in found.items() if c} == {
+        "counting.py": ["_point_counter"],
+        "zeta.py": ["fiber_decomposition"],
+    }
+    assert _callers(_function(trees["lfun.py"], "_local_factors"), "nc_zeta") == []
+
+
+def test_one_fiber_route():
+    # a fiber's weight factors come from zeta.fiber_decomposition, for the
+    # CLI's check and nc commands and for lfun's local entries alike: no
+    # second route counts, reconstructs and separates a fiber again, or
+    # reads its closed form beside it
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    route = ("count_series", "zeta_rational", "weight_factorize", "local_weights")
+    for name in route:
+        assert _callers(trees["lfun.py"], name) == [], name
+        assert _callers(_function(trees["cli.py"], "_decomposition_for"), name) == [], name
+    found = {f: _callers(tree, "weight_factorize") for f, tree in trees.items()}
+    assert {f: c for f, c in found.items() if c} == {"zeta.py": ["fiber_decomposition"]}
+    assert _callers(trees["lfun.py"], "fiber_decomposition") == ["_local_entry"]
+    assert _callers(trees["cli.py"], "fiber_decomposition") == ["_decomposition_for"]
+    # the disk cache holds enumerated counts and, past a cutoff, the one
+    # closed form that walks F_p; nothing else reads it
+    for name in ("_load_cached_counts", "_store_cached_counts"):
+        assert sorted(_callers(trees["counting.py"], name)) == ["_elliptic_frobenius", "count_series"]
+
+
+def test_unset_parameters_are_constants():
+    # parameters no caller set are module constants, so a knob with a
+    # second value that nothing tests cannot grow back
+    from zetalab import lfun
+
+    gone = {
+        lfun.euler_product_value: {"dps", "margin"},
+        lfun.serre_bounds_certificate: {"dps"},
+        lfun.DirichletSeries.partial_sum: {"dps"},
+        lfun.zeta_continuation: {"dps"},
+        lfun.dirichlet_beta: {"dps"},
+        lfun.winding_order: {"radius", "samples"},
+        lfun._beta_series: {"n"},
+    }
+    for fn, names in gone.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__name__
+    assert list(inspect.signature(lfun.winding_order).parameters) == ["fn", "center"]
+    assert (lfun.HALF_PLANE_MARGIN, lfun.EULER_DPS, lfun.CONTINUATION_DPS) == (0.05, 30, 40)
+    assert (lfun.BETA_TERMS, lfun.WINDING_RADIUS, lfun.WINDING_SAMPLES) == (90, 0.25, 64)
 
 
 def test_one_parity_factor_builder():

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import lfun, poly
+from zetalab import lfun, poly, zeta
 from zetalab.arith import PrimePower, primes_up_to
-from zetalab.counting import VarietySpec, count_series
+from zetalab.counting import VarietySpec, count_series, parse_variety
 from zetalab.lfun import (
     WINDING_RADIUS,
     WINDING_SAMPLES,
@@ -159,10 +159,16 @@ class TestLocalSpectra:
             raise AssertionError("closed-form replacement paid the circle check")
 
         monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
-        monkeypatch.setattr(lfun, "roots_on_circle", refuse)
+        fiber = parse_variety("zerodim x")
+        with monkeypatch.context() as patched:
+            patched.setattr(zeta, "roots_on_circle", refuse)
+            dec = zeta.fiber_decomposition(fiber, PrimePower(2), None, degrees=2)
+        assert [f.poly for f in dec.factors] == [(1, -1)]
+        # lfun's own route reads that closed form too, counting nothing
         model = ArithmeticModel.from_dict(
             {"family": "zerodim x^2 + 1", "bad_primes": [{"p": 2, "replacement": "zerodim x"}], "betti": [2]}
         )
+        monkeypatch.setattr(zeta, "count_series", lambda *a, **k: pytest.fail("counted"))
         assert local_spectrum(model, 2).even[0].poly == (-1, 1)
 
     def test_counted_replacement_is_not_shared_across_betti(self, monkeypatch):
@@ -216,9 +222,9 @@ class TestLocalSpectra:
         first, second = (load_model(fixture_path("elliptic.json")) for _ in range(2))
         assert first.family == second.family and first.family is not second.family
         computed = []
-        local_weights = lfun.local_weights
+        local_weights = zeta.local_weights
         monkeypatch.setattr(
-            lfun, "local_weights", lambda *a: computed.append(a) or local_weights(*a)
+            zeta, "local_weights", lambda *a, **k: computed.append(a) or local_weights(*a, **k)
         )
         spectrum = local_spectrum(first, 7)
         monkeypatch.setattr(
@@ -288,7 +294,7 @@ def test_closed_route_matches_pade_route(name, monkeypatch):
 
     closed = scan()
     calls = []
-    monkeypatch.setattr(lfun, "local_weights", lambda spec, q: calls.append(q) and None)
+    monkeypatch.setattr(zeta, "local_weights", lambda spec, q, **k: calls.append(q) and None)
     assert scan() == closed
     assert len(calls) == len(primes_up_to(300)) - sum(
         p <= 300 and fiber is None for p, fiber in model.bad_primes
@@ -540,7 +546,7 @@ def _block_power_sums(spec, parity, m):
     return [F(x, D ** (i + 1)) for i, x in enumerate(sums)]
 
 
-def _reference_euler(model, parity, s, prime_cutoff, dps=lfun.DEFAULT_DPS):
+def _reference_euler(model, parity, s, prime_cutoff, dps=lfun.EULER_DPS):
     s = complex(s)
     excluded, constant, used = [], 0, 0
     with mpmath.workdps(dps):
@@ -614,7 +620,7 @@ def _reference_bounds(model, parity, prime_cutoff, n_cutoff):
     )
 
 
-def _reference_serre(model, w, prime_cutoff, n_cutoff, dps=lfun.DEFAULT_DPS):
+def _reference_serre(model, w, prime_cutoff, n_cutoff, dps=lfun.EULER_DPS):
     per_prime, violations, excluded, factors = {}, [], [], {}
     for p in primes_up_to(prime_cutoff):
         try:

@@ -508,33 +508,32 @@ class TestOrdAtCapelli:
         p, r = _QS[q]
         z = data.draw(_points(num_factors + den_factors))
         Z = RationalFunction(_side(q, num_factors), _side(q, den_factors))
-        res = ord_at(Z, PrimePower(p, r), z)
-        assert res.exact and not res.indeterminate
+        order = ord_at(Z, PrimePower(p, r), z)
         # by hand: 1 - q^k t^j has the one positive root q^(-k/j), simple
         zf = F(z)
         hand = sum(F(k, j) == zf for k, j in num_factors) - sum(
             F(k, j) == zf for k, j in den_factors
         )
-        assert res.order == hand
+        assert order == hand
         with mpmath.workdps(70):
             x0 = mpmath.power(q, -mpmath.mpf(zf.numerator) / zf.denominator)
             numeric = _numeric_multiplicity(Z.num, x0) - _numeric_multiplicity(Z.den, x0)
-        assert res.order == numeric
+        assert order == numeric
 
     def test_integer_points_by_hand(self):
         # Z = (1 - 9t)^2 / ((1 - t)(1 - 3t)^3) over F_3
         Z = RationalFunction(_side(9, [(1, 1), (1, 1)]), _side(3, [(0, 1), (1, 1), (1, 1), (1, 1)]))
         q = PrimePower(3)
-        orders = {z: ord_at(Z, q, z).order for z in (-1, 0, 1, 2, 3, 0.5, F(3, 2))}
+        orders = {z: ord_at(Z, q, z) for z in (-1, 0, 1, 2, 3, 0.5, F(3, 2))}
         assert orders == {-1: 0, 0: -1, 1: -3, 2: 2, 3: 0, 0.5: 0, F(3, 2): 0}
 
     def test_binomial_not_monic_in_x(self):
         # over F_4 = F_(2^2) at z = 1/4: r z = 1/2, so x0 = 2^(-1/2) is a
         # root of 2 x^2 - 1, which divides 1 - 2 t^2 twice
         Z = RationalFunction(poly.mul((1, 0, -2), (1, 0, -2)), (1, -1))
-        assert ord_at(Z, PrimePower(2, 2), F(1, 4)).order == 2
-        assert ord_at(Z, PrimePower(2, 2), 0.25).order == 2
-        assert ord_at(Z, PrimePower(2, 2), F(1, 2)).order == 0
+        assert ord_at(Z, PrimePower(2, 2), F(1, 4)) == 2
+        assert ord_at(Z, PrimePower(2, 2), 0.25) == 2
+        assert ord_at(Z, PrimePower(2, 2), F(1, 2)) == 0
 
     @pytest.mark.parametrize("z", [10**6, -(10**6), F(10**6 + 1, 2)])
     def test_far_points_never_build_the_power(self, z):
@@ -542,7 +541,7 @@ class TestOrdAtCapelli:
         best = float("inf")
         for _ in range(5):
             start = time.perf_counter()
-            res = ord_at(Z, PrimePower(5), z)
+            order = ord_at(Z, PrimePower(5), z)
             best = min(best, time.perf_counter() - start)
-        assert res.exact and res.order == 0
+        assert order == 0
         assert best < 0.01

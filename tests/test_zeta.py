@@ -6,9 +6,10 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zetalab import zeta
 from zetalab.arith import PrimePower
 from zetalab.counting import count_series, parse_variety
 from zetalab.poly import mul
@@ -19,6 +20,7 @@ from zetalab.zeta import (
     SeparationError,
     WeightDecomposition,
     WeightFactor,
+    fiber_decomposition,
     hasse_weil_functional_check,
     l_adic_check,
     lefschetz_counts,
@@ -28,6 +30,8 @@ from zetalab.zeta import (
     zeta_from_counts,
     zeta_rational,
 )
+
+from conftest import elliptic, plane_cubic
 
 
 @pytest.fixture(scope="module")
@@ -410,29 +414,81 @@ def p1_zeta():
 
 class TestOrdAt:
     def test_simple_poles(self, p1_zeta):
-        assert ord_at(p1_zeta, PrimePower(3), 1).order == -1
-        assert ord_at(p1_zeta, PrimePower(3), 0).order == -1
-        assert ord_at(p1_zeta, PrimePower(3), 1).exact
+        assert ord_at(p1_zeta, PrimePower(3), 1) == -1
+        assert ord_at(p1_zeta, PrimePower(3), 0) == -1
 
     def test_half_integer_numeric_fallback(self, p1_zeta):
-        res = ord_at(p1_zeta, PrimePower(3), F(1, 2))
-        assert res.order == 0 and res.exact
+        assert ord_at(p1_zeta, PrimePower(3), F(1, 2)) == 0
 
     def test_half_integer_exact_over_square_base(self):
         spec = parse_variety("projective 1; vars x,y")
         q = PrimePower(3, 2)
         Z = zeta_rational(count_series(spec, q, 4), betti=(1, 0, 1))
-        res = ord_at(Z, q, F(1, 2))
-        assert res.exact and res.order == 0
-        assert ord_at(Z, q, 1).order == -1
+        assert ord_at(Z, q, F(1, 2)) == 0
+        assert ord_at(Z, q, 1) == -1
 
     def test_float_near_integer_is_not_exact(self):
         # 1e-7 must not snap to 0, where 1/(1 - t) has its pole
-        res = ord_at(RationalFunction((1,), (1, -1)), PrimePower(3), 1e-7)
-        assert res.order == 0 and res.exact
-        assert ord_at(RationalFunction((1,), (1, -1)), PrimePower(3), 0.0).exact
+        assert ord_at(RationalFunction((1,), (1, -1)), PrimePower(3), 1e-7) == 0
+        assert ord_at(RationalFunction((1,), (1, -1)), PrimePower(3), 0.0) == -1
 
     def test_indeterminate_band(self):
         Z = RationalFunction((1, -3), (1, -2))
-        res = ord_at(Z, PrimePower(3), 1.005)
-        assert res.exact and res.order == 0
+        assert ord_at(Z, PrimePower(3), 1.005) == 0
+
+
+def _discriminant(a):
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+class TestFiberDecomposition:
+    # An elliptic curve's factors are read off its closed form (one count
+    # of #E(F_p)); its homogenised plane cubic has none, so it is
+    # enumerated over F_(q^n), reconstructed by Pade and separated.  The
+    # two routes share no code, so each checks the other.
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]),
+        st.tuples(*[st.integers(min_value=-4, max_value=4)] * 5),
+    )
+    @example((7, 1), (0, 0, 0, 1, 0))
+    @settings(max_examples=40)
+    def test_closed_form_matches_plane_cubic(self, pr, a):
+        q = PrimePower(*pr)
+        assume(_discriminant(a) % q.p != 0)
+        closed = fiber_decomposition(elliptic(a), q, (1, 2, 1))
+        assert fiber_decomposition(plane_cubic(a), q, (1, 2, 1)) == closed
+
+    def test_closed_form_ignores_degrees(self, e5_decomposition):
+        # too few counts for the Betti degrees, but nothing is counted
+        e5 = parse_variety("elliptic a=[0,0,0,1,0]")
+        assert fiber_decomposition(e5, PrimePower(5), (1, 2, 1), degrees=2) == e5_decomposition
+        with pytest.raises(ReconstructionError, match="insufficient counts"):
+            fiber_decomposition(plane_cubic((0, 0, 0, 1, 0)), PrimePower(5), (1, 2, 1), degrees=2)
+
+    def test_betti_must_match_either_route(self):
+        q = PrimePower(5)
+        with pytest.raises(SeparationError, match="against betti"):
+            fiber_decomposition(elliptic((0, 0, 0, 1, 0)), q, (1, 1, 1))
+        with pytest.raises(SeparationError):
+            fiber_decomposition(plane_cubic((0, 0, 0, 1, 0)), q, (1, 0, 1))
+        # a cusp at 5: the closed form has no weight-1 factor
+        with pytest.raises(SeparationError, match=r"\(1, 0, 1\) against betti \(1, 2, 1\)"):
+            fiber_decomposition(elliptic((0, 0, 0, 0, 5)), q, (1, 2, 1))
+
+    def test_replacement_fibers_are_polar(self, monkeypatch):
+        # betti None: a counted fiber's zeta must be polar, a closed form
+        # with one weight is taken as it is, and a closed form of positive
+        # dimension is refused, neither of them counted
+        q = PrimePower(2)
+        counted = parse_variety("affine 1; vars x; eq x^3 + x + 1")
+        dec = fiber_decomposition(counted, q, None, degrees=4)
+        assert [f.poly for f in dec.factors] == [(1, 0, 0, -1)]
+        monkeypatch.setattr(zeta, "count_series", lambda *a, **k: pytest.fail("counted"))
+        dec = fiber_decomposition(parse_variety("zerodim x^2 + x + 1"), q, None, degrees=4)
+        assert [f.poly for f in dec.factors] == [(1, 0, -1)]
+        for text in ("projective 1; vars x, y", "elliptic a=[0,0,1,0,0]"):
+            with pytest.raises(ValueError, match="polar zeta"):
+                fiber_decomposition(parse_variety(text), q, None, degrees=4)

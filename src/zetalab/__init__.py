@@ -10,7 +10,7 @@ Every identity or bound that is checkable at desk scale gets a checker.
 
 __version__ = "0.1.0"
 
-from .arith import BigRational, PrimePower, make_extension_field, primes_up_to
+from .arith import PrimePower, make_extension_field, primes_up_to
 from .counting import PointCounts, VarietySpec, count_points, count_series, parse_variety
 from .series import PowerSeries, RationalFunction
 from .zeta import WeightDecomposition, WeightFactor, zeta_from_counts, zeta_rational, weight_factorize
@@ -18,7 +18,6 @@ from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .lfun import ArithmeticModel, DirichletSeries, dirichlet_expand, euler_product_value
 
 __all__ = [
-    "BigRational",
     "PrimePower",
     "make_extension_field",
     "primes_up_to",

@@ -1,4 +1,4 @@
-"""Exact number foundations: rationals, primes, and finite fields F_{p^r}.
+"""Exact number foundations: primes and finite fields F_{p^r}.
 
 Finite fields use a polynomial basis over F_p with an explicitly chosen
 monic irreducible modulus.  The modulus is always the lexicographically
@@ -20,18 +20,11 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import fp_gcd, mulmod, powmod, sub
 
-# Exact rational numbers.  fractions.Fraction already maintains the two
-# invariants we need (lowest terms, positive denominator), so it *is* our
-# big-rational type.
-BigRational = Fraction
-
 __all__ = [
-    "BigRational",
     "PrimePower",
     "FiniteField",
     "LogTables",

@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .arith import PrimePower
 from .counting import (
-    ELLIPTIC_CACHE_FROM,
     BudgetError,
     ParseError,
     VarietySpec,
@@ -149,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir",
         dest="cache_dir",
-        help=f"directory for point counts; closed-form shapes write none, but a Weierstrass "
-        f"curve keeps #E(F_p) from p = {ELLIPTIC_CACHE_FROM} on",
+        help="directory for point counts that enumerate; shapes with closed-form weight "
+        "factors, and products of them, write none",
     )
     common.add_argument("--format", choices=("json", "text"))
     common.add_argument(

@@ -29,8 +29,8 @@ a polynomial in z whose coefficients take one table lookup per term,
 and the fibre holds as many points as the gcd G of its equations has
 distinct roots in F_Q, deg gcd(G, z^Q - z), computed on logs in
 zetalab.poly.  That walks Q times fewer candidates than the points.
-Only such counts, products with such a factor, and #E(F_p) from
-p = ELLIPTIC_CACHE_FROM on enter the disk cache.
+Only such counts and products with such a factor enter the disk cache,
+which count_series alone reads and writes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .series import power_sums_inverse_roots
 __all__ = [
     "BudgetError",
     "DEFAULT_BUDGET",
-    "ELLIPTIC_CACHE_FROM",
     "ParseError",
     "PointCounts",
     "Polynomial",
@@ -68,13 +67,12 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**9
-# From this p on a Weierstrass curve keeps #E(F_p) in the disk cache, where a
-# hit (0.02-0.06 ms) beats the walk (0.25-0.6 us per x); README has the table.
-ELLIPTIC_CACHE_FROM = 1000
 
 
 class BudgetError(RuntimeError):
-    """Raised before a count whose candidate space exceeds the budget."""
+    """Raised before a count whose work exceeds the budget: the points of
+    the ambient space for an enumeration, the values of x (the (x, y)
+    pairs at p = 2) for a Weierstrass curve's #E(F_p)."""
 
 
 class ParseError(ValueError):
@@ -492,11 +490,10 @@ def parse_variety(text: str) -> VarietySpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(total, budget, what):
+def _check_budget(total, budget, unit):
+    """Charge total units of work (unit names them) against the budget."""
     if total > budget:
-        raise BudgetError(
-            f"{what}: {total} candidate tuples exceeds the budget of {budget}"
-        )
+        raise BudgetError(f"{total} {unit} exceed the budget of {budget}")
 
 
 def _count_projective(field: FiniteField, nvars, polys, budget):
@@ -505,7 +502,7 @@ def _count_projective(field: FiniteField, nvars, polys, budget):
     leading coordinate before the last leaves the last one free; the
     last one leading is the point [0:...:0:1]."""
     qn = field.order
-    _check_budget((qn**nvars - 1) // (qn - 1), budget, "projective enumeration")
+    _check_budget((qn**nvars - 1) // (qn - 1), budget, "points of the projective ambient space")
     patterns = [
         ((lead,), nonzero)
         for lead in range(nvars)
@@ -518,7 +515,7 @@ def _count_projective(field: FiniteField, nvars, polys, budget):
 def _count_affine(field: FiniteField, nvars, polys, budget):
     """Count affine solutions: each pattern fixes which of the first
     nvars - 1 coordinates are zero, and the last one is free."""
-    _check_budget(field.order**nvars, budget, "affine enumeration")
+    _check_budget(field.order**nvars, budget, "points of the affine ambient space")
     patterns = [
         ((), nonzero)
         for size in range(nvars)
@@ -584,7 +581,7 @@ def _count_zeros(field: FiniteField, nvars, polys, patterns):
     return count
 
 
-def _elliptic_frobenius(spec, q: PrimePower, budget, cache_dir):
+def _elliptic_frobenius(spec, q: PrimePower, budget):
     """det(1 - t Frob | H^1) of the Weierstrass curve over F_q, q = p^r.
 
     With a = p + 1 - #E(F_p) it is 1 - a_r t + p^r t^2, a_r the r-th power
@@ -594,43 +591,33 @@ def _elliptic_frobenius(spec, q: PrimePower, budget, cache_dir):
     and the factor is 1 - a^r t (ibid. III.2.5).  Odd p completes the
     square, (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and reads
     the y-count of each x off a table of square roots; p = 2 walks the
-    four (x, y) pairs.  From p = ELLIPTIC_CACHE_FROM on, cache_dir keeps
-    #E(F_p) as the curve's degree-1 count over F_p.
+    four (x, y) pairs.
     """
     a1, a2, a3, a4, a6 = spec.a_invariants
     p, r = q.p, q.r
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    points = path = None
-    if cache_dir is not None and p >= ELLIPTIC_CACHE_FROM:
-        fingerprint, F_p = spec.fingerprint(), PrimePower(p)
-        path = _cache_path(cache_dir, fingerprint, F_p)
-        points = _load_cached_counts(path, fingerprint, F_p).get(1)
-    if points is None:
-        if p == 2:
-            _check_budget(4, budget, "elliptic count")
-            affine = sum(
-                (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-                for x in (0, 1)
-                for y in (0, 1)
-            )
-        else:
-            _check_budget(p, budget, "elliptic count")
-            roots = [0] * p  # roots[v] = #{u : u^2 = v}
-            for u in range(p):
-                roots[u * u % p] += 1
-            affine = sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
-        points = affine + 1  # the point at infinity
-        if path is not None:
-            _store_cached_counts(path, fingerprint, F_p, {1: points})
-    a = p + 1 - points
+    if p == 2:
+        _check_budget(4, budget, "(x, y) pairs of the elliptic count")
+        affine = sum(
+            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
+        )
+    else:
+        _check_budget(p, budget, "values of x of the elliptic count")
+        roots = [0] * p  # roots[v] = #{u : u^2 = v}
+        for u in range(p):
+            roots[u * u % p] += 1
+        affine = sum(roots[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+    a = p - affine  # #E(F_p) = affine + 1, the point at infinity
     good = disc % p != 0
     a_r = power_sums_inverse_roots((1, -a, p) if good else (1, -a), r)[-1]
     return (1, -a_r, p**r) if good else poly.trim((1, -a_r))
 
 
-def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET, cache_dir=None):
+def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET):
     """Weight factors P_0..P_2d of X over F_q read off its shape, or None.
 
     Integer tuples with P_w(0) = 1, so #X(F_{q^n}) = sum_w (-1)^w
@@ -638,7 +625,8 @@ def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET, ca
     A zero-dimensional scheme has prod (1 - t^(k/g))^(cnt g), g = gcd(k, r),
     over its degree pattern {k: cnt} mod p: a point of degree k over F_p
     is g points of degree k/g over F_q.  A Weierstrass curve has 1 - t,
-    its Frobenius polynomial (_elliptic_frobenius, uses cache_dir) and 1 - q t."""
+    its Frobenius polynomial (_elliptic_frobenius) and 1 - q t.  Nothing
+    here reads or writes the disk cache."""
     kind = spec.kind
     if kind == "projective_space":
         d = spec.ambient_dim
@@ -651,7 +639,7 @@ def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET, ca
                 P = poly.mul(P, (1,) + (0,) * (k // g - 1) + (-1,))
         return (P,)
     if kind == "elliptic_curve":
-        return ((1, -1), _elliptic_frobenius(spec, q, budget, cache_dir), (1, -q.q))
+        return ((1, -1), _elliptic_frobenius(spec, q, budget), (1, -q.q))
     return None
 
 
@@ -674,18 +662,18 @@ def count_points(
     return _point_counter(spec, q, n, budget, degree_cap)[0](n)
 
 
-def _point_counter(spec: VarietySpec, q: PrimePower, m, budget, degree_cap, cache_dir=None):
+def _point_counter(spec: VarietySpec, q: PrimePower, m, budget, degree_cap):
     """(n -> #X(F_{q^n}) for 1 <= n <= m, whether it enumerates).  What does
     not depend on n is computed once: a shape's weight factors give their
     traces for every n <= m from one power-sum call each, and a product
     multiplies its factors' counts (and enumerates when one of them does)."""
-    weights = local_weights(spec, q, budget=budget, cache_dir=cache_dir)
+    weights = local_weights(spec, q, budget=budget)
     if weights is not None:
         traces = [power_sums_inverse_roots(P, m) for P in weights]
         return (lambda n: sum((-1) ** w * t[n - 1] for w, t in enumerate(traces))), False
     if spec.kind == "product":
-        left, walks_left = _point_counter(spec.left, q, m, budget, degree_cap, cache_dir)
-        right, walks_right = _point_counter(spec.right, q, m, budget, degree_cap, cache_dir)
+        left, walks_left = _point_counter(spec.left, q, m, budget, degree_cap)
+        right, walks_right = _point_counter(spec.right, q, m, budget, degree_cap)
         return (lambda n: left(n) * right(n)), walks_left or walks_right
     return (lambda n: _count_over_extension(spec, q, n, budget, degree_cap)), True
 
@@ -753,13 +741,12 @@ def count_series(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> PointCounts:
     """Counts over F_{q^n} for n = 1..m, backed by an optional JSON cache
-    when they enumerate.  Closed forms (local_weights) keep no file of
-    their own, as below p = ELLIPTIC_CACHE_FROM a file costs more than
-    they do; above it a Weierstrass curve keeps only #E(F_p)."""
+    when they enumerate.  This is the cache's one reader and writer:
+    closed forms (local_weights), and products of them, keep no file."""
     if m < 1:
         raise ValueError("need at least one count")
     fingerprint = spec.fingerprint()
-    count, enumerates = _point_counter(spec, q, m, budget, degree_cap, cache_dir)
+    count, enumerates = _point_counter(spec, q, m, budget, degree_cap)
     cached = {}
     path = None
     if cache_dir is not None and enumerates:

@@ -3,7 +3,8 @@
 An arithmetic model is a variety presentation with integral
 coefficients.  The weight factors of its fiber at each prime p come
 from zeta.fiber_decomposition (read off a closed form where the fiber
-has one, counted, reconstructed and separated otherwise); shifted onto
+has one, counted, reconstructed and separated otherwise), memoised by
+functools.lru_cache on exactly that function's arguments; shifted onto
 the two circles they give even/odd eigenvalue multisets per prime.
 The global objects, all read from one scan of local factors over
 primes, are Euler products, their multiplicative Dirichlet expansions,
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -176,30 +177,28 @@ def _fiber_spec(model: ArithmeticModel, p: int) -> VarietySpec:
     return model.family
 
 
-# Local entries by (fiber spec, p, own, betti), least recently used
-# first; the bound holds several global models of a few hundred primes
-# each.  Betti numbers fix a family fiber's weights and a counted fiber's
-# count number; own keeps a replacement apart from a family of that fiber.
-LOCAL_CACHE_SIZE = 2048
-_LOCAL_CACHE: OrderedDict = OrderedDict()
-
-
 def _local_entry(model: ArithmeticModel, p: int):
-    """(weight decomposition, spectrum, {parity: P_p}) of the fiber at p,
-    cached per (fiber, p, own, betti).  A family fiber has the model's
-    Betti numbers, a replacement fiber is zero-dimensional (betti None),
-    and either is counted to default_degrees(model.betti) where it must be;
-    P_p = det(1 - t F) over the parity's eigenvalues, from nc_zeta."""
+    """(weight decomposition, spectrum, {parity: P_p}) of the fiber at p.
+    It only chooses _fiber_entry's arguments: a family fiber has the
+    model's Betti numbers, a replacement fiber is zero-dimensional (betti
+    None), and either is counted to default_degrees(model.betti) where it
+    must be."""
     fiber = _fiber_spec(model, p)
-    own = fiber is model.family
-    key = (fiber, p, own, model.betti)
-    hit = _LOCAL_CACHE.get(key)
-    if hit is not None:
-        _LOCAL_CACHE.move_to_end(key)
-        return hit
-    betti = model.betti if own else None
+    betti = model.betti if fiber is model.family else None
+    return _fiber_entry(fiber, p, betti, default_degrees(model.betti))
+
+
+# The bound holds several global models of a few hundred primes each.
+LOCAL_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=LOCAL_CACHE_SIZE)
+def _fiber_entry(fiber: VarietySpec, p: int, betti, degrees):
+    """_local_entry's value, memoised on exactly fiber_decomposition's
+    arguments, so a cached entry equals a fresh one; P_p = det(1 - t F)
+    over the parity's eigenvalues, from nc_zeta."""
     try:
-        dec = fiber_decomposition(fiber, PrimePower(p), betti, degrees=default_degrees(model.betti))
+        dec = fiber_decomposition(fiber, PrimePower(p), betti, degrees=degrees)
     except SeparationError as exc:
         # a singular fiber at a prime the model does not declare bad
         # lands here, so name the prime
@@ -209,10 +208,7 @@ def _local_entry(model: ArithmeticModel, p: int):
     spectrum.provenance["p"] = p
     spectrum.provenance["weil"] = weil
     parity = {kind: nc_zeta(spectrum, kind).den for kind in ("even", "odd")}
-    entry = _LOCAL_CACHE[key] = (dec, spectrum, parity)
-    while len(_LOCAL_CACHE) > LOCAL_CACHE_SIZE:
-        _LOCAL_CACHE.popitem(last=False)
-    return entry
+    return dec, spectrum, parity
 
 
 def local_spectrum(model: ArithmeticModel, p: int) -> NcSpectrum:

@@ -10,7 +10,8 @@ relating s and d-s, and exact pole/zero orders at every real point.
 
 fiber_decomposition is the one route from a fiber to its weight
 factors, for the CLI and lfun alike: a closed form
-(counting.local_weights) is read, and only other shapes are counted.
+(counting.local_weights) is read, and only other shapes are counted
+(and, given a cache_dir, cached by counting.count_series).
 
 The factorization uses no floats: each weight factor is an integer gcd
 of a side with its q^w-mirror, certified on its circle by
@@ -342,15 +343,15 @@ def fiber_decomposition(
 ) -> WeightDecomposition:
     """The weight factors P_0..P_2d of the variety spec over F_q; their
     degrees must be betti, or SeparationError.  A closed form
-    (counting.local_weights) is read off: nothing is counted or rebuilt,
-    degrees is unused, and only a Weierstrass curve's #E(F_p) may be
-    cached.  Any other shape is counted over F_{q^n}, n <= degrees
-    (default_degrees(betti) by default), reconstructed and separated.
+    (counting.local_weights) is read off: nothing is counted, rebuilt or
+    cached, and degrees is unused.  Any other shape is counted over
+    F_{q^n}, n <= degrees (default_degrees(betti) by default; through
+    cache_dir when given), reconstructed and separated.
     betti None means a zero-dimensional replacement fiber (degrees then
     required): a closed form must have one weight, and a counted zeta,
     found by the degree scan, must be polar, numerator 1 and the
     denominator's inverse roots on |x| = 1 (not P^1's), or ValueError."""
-    weights = local_weights(spec, q, budget=budget, cache_dir=cache_dir)
+    weights = local_weights(spec, q, budget=budget)
     if weights is not None:
         factors = tuple(WeightFactor(w, P) for w, P in enumerate(weights))
         dec = WeightDecomposition(len(weights) // 2, q, factors)
@@ -375,8 +376,8 @@ def fiber_decomposition(
 
 
 def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
-    """Per weight: inverse-root moduli against q^{w/2}, and exact
-    integrality of the factor.
+    """Per weight: inverse-root moduli against q^{w/2}.  Integrality is
+    reported as True: WeightFactor admits integer coefficients only.
 
     The verdict is exact (series.roots_on_circle), and a PASS reports
     deviation 0.0.  Only a FAIL finds the roots, at the given precision,
@@ -386,15 +387,13 @@ def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
     for f in dec.factors:
         if f.beta == 0:
             continue
-        integral = all(isinstance(c, int) for c in f.poly)
         eig, Q = f.eigenvalue_polynomial(), dec.q.q**f.w
         on_circle = roots_on_circle(eig, Q)
         worst_f = 0.0 if on_circle else worst_modulus(eig, Q, precision)[0]
-        ok = integral and on_circle
         checks.append(
             Check(
                 name=f"weil.weight{f.w}",
-                verdict=PASS if ok else FAIL,
+                verdict=PASS if on_circle else FAIL,
                 detail=(
                     f"beta={f.beta}, max relative modulus deviation {worst_f:.3e} "
                     f"vs target q^{{{f.w}/2}}"
@@ -403,7 +402,7 @@ def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
                     "weight": f.w,
                     "beta": f.beta,
                     "max_rel_deviation": worst_f,
-                    "integer_coefficients": integral,
+                    "integer_coefficients": True,
                 },
             )
         )
@@ -418,21 +417,21 @@ def _strip_prime(n, p):
 
 
 def l_adic_check(dec: WeightDecomposition):
-    """Per weight: the eigenvalue polynomial is integer monic, and its
-    constant term is (up to sign) the expected power of q with prime
-    support {p}: the certificate that all prime-to-p valuations of the
-    inverse roots vanish."""
+    """Per weight: the constant term of the eigenvalue polynomial is (up
+    to sign) the expected power of q with prime support {p}: the
+    certificate that all prime-to-p valuations of the inverse roots
+    vanish.  The polynomial is integer monic by construction (WeightFactor
+    requires integer coefficients and P(0) = 1), reported as True."""
     checks = []
     p = dec.q.p
     for f in dec.factors:
         if f.beta == 0:
             continue
         eig = f.eigenvalue_polynomial()
-        monic_integer = eig[-1] == 1 and all(isinstance(c, int) for c in eig)
         const = eig[0]
         q_power_ok = const * const == dec.q.q ** (f.w * f.beta)
         support_ok = _strip_prime(const, p) == 1
-        ok = monic_integer and q_power_ok and support_ok
+        ok = q_power_ok and support_ok
         checks.append(
             Check(
                 name=f"ladic.weight{f.w}",
@@ -444,7 +443,7 @@ def l_adic_check(dec: WeightDecomposition):
                 data={
                     "weight": f.w,
                     "constant_term": const,
-                    "monic_integer": monic_integer,
+                    "monic_integer": True,
                     "constant_matches_q_power": q_power_ok,
                     "prime_support_only_p": support_ok,
                 },

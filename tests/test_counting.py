@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from zetalab import counting
 from zetalab.arith import FiniteField, PrimePower, make_extension_field
 from zetalab.counting import (
-    ELLIPTIC_CACHE_FROM,
     BudgetError,
     ParseError,
     Polynomial,
@@ -498,6 +497,20 @@ class TestBudget:
         with pytest.raises(BudgetError, match="degree"):
             count_series(big, PrimePower(101), 3, budget=10**6)
 
+    def test_message_names_the_charged_unit(self):
+        # an enumeration is charged the points of its ambient space, an
+        # elliptic count its values of x, or its (x, y) pairs at p = 2
+        cases = [
+            ("affine 2; vars x,y; eq x+y", 101, f"{101**2} points of the affine ambient space"),
+            ("projective 2; vars x,y,z; eq x+y+z", 101, f"{101**2 + 101 + 1} points of the projective ambient space"),
+            ("elliptic a=[0,0,1,1,0]", 101, "101 values of x of the elliptic count"),
+            ("elliptic a=[0,0,1,1,0]", 2, "4 (x, y) pairs of the elliptic count"),
+        ]
+        for text, p, charged in cases:
+            with pytest.raises(BudgetError) as info:
+                count_points(parse_variety(text), PrimePower(p), 1, budget=3)
+            assert str(info.value) == f"{charged} exceed the budget of 3"
+
 
 class TestCache:
     def test_roundtrip_and_extension(self, tmp_path):
@@ -547,47 +560,34 @@ class TestCache:
         assert fresh.counts == (count_points(v, PrimePower(7), 1), count_points(v, PrimePower(7), 2))
 
     @pytest.mark.parametrize(
-        "text",
+        "text, p",
         [
-            "elliptic a=[0,0,0,1,0]",
-            "projective 2; vars x,y,z",
-            "zerodim x^2+1",
-            "product { elliptic a=[0,0,0,1,0] } { zerodim x^2+1 }",
-            "product { projective 1; vars x,y } { product { zerodim x^3+2 } { projective 2; vars x,y,z } }",
+            pytest.param(text, p, id=text if p == 7 else f"{text} at p={p}")
+            for text, p in [
+                ("elliptic a=[0,0,0,1,0]", 7),
+                ("elliptic a=[0,0,0,1,0]", 1009),
+                ("projective 2; vars x,y,z", 7),
+                ("zerodim x^2+1", 7),
+                ("product { elliptic a=[0,0,0,1,0] } { zerodim x^2+1 }", 7),
+                (
+                    "product { projective 1; vars x,y } "
+                    "{ product { zerodim x^3+2 } { projective 2; vars x,y,z } }",
+                    7,
+                ),
+            ]
         ],
     )
-    def test_closed_shapes_leave_no_file(self, tmp_path, text):
+    def test_closed_shapes_leave_no_file(self, tmp_path, text, p):
         # counts read off weight factors never touch the disk, and a
-        # stale file for such a shape is not read either
+        # stale file for such a shape is not read either; that holds for
+        # a Weierstrass curve at a large p too, where #E(F_p) walks p
+        # values of x
         v = parse_variety(text)
-        fresh = count_series(v, PrimePower(7), 3, cache_dir=tmp_path)
+        fresh = count_series(v, PrimePower(p), 3, cache_dir=tmp_path)
         assert os.listdir(tmp_path) == []
-        payload = {"spec_hash": v.fingerprint(), "q": {"p": 7, "r": 1}, "counts": {"1": 1, "2": 1, "3": 1}}
-        (tmp_path / f"{v.fingerprint()}-p7r1.json").write_text(json.dumps(payload))
-        assert count_series(v, PrimePower(7), 3, cache_dir=tmp_path) == fresh
-
-    def test_weierstrass_curve_keeps_its_count_from_the_cutoff(self, tmp_path):
-        # from p = ELLIPTIC_CACHE_FROM on, #E(F_p) costs more to walk than
-        # to read: it is stored as the degree-1 count over F_p, and later
-        # calls at any r, on every route, read it under a budget that
-        # refuses the walk; below the cutoff nothing is written
-        v = elliptic((0, 0, 0, 1, 0))
-        local_weights(v, PrimePower(997), cache_dir=tmp_path)
-        assert os.listdir(tmp_path) == []
-        p, warm = 1009, {"budget": 10, "cache_dir": tmp_path}
-        assert p >= ELLIPTIC_CACHE_FROM
-        fresh = local_weights(v, PrimePower(p), cache_dir=tmp_path)
-        name = f"{v.fingerprint()}-p{p}r1.json"
-        assert os.listdir(tmp_path) == [name]
-        assert json.loads((tmp_path / name).read_text())["counts"] == {"1": p + 1 + fresh[1][1]}
-        with pytest.raises(BudgetError):
-            local_weights(v, PrimePower(p), budget=10)
-        assert local_weights(v, PrimePower(p), **warm) == fresh
-        assert local_weights(v, PrimePower(p, 2), **warm) == local_weights(v, PrimePower(p, 2))
-        assert count_series(v, PrimePower(p), 3, **warm) == count_series(v, PrimePower(p), 3)
-        dec = fiber_decomposition(v, PrimePower(p), (1, 2, 1), **warm)
-        assert tuple(f.poly for f in dec.factors) == fresh
-        assert os.listdir(tmp_path) == [name]
+        payload = {"spec_hash": v.fingerprint(), "q": {"p": p, "r": 1}, "counts": {"1": 1, "2": 1, "3": 1}}
+        (tmp_path / f"{v.fingerprint()}-p{p}r1.json").write_text(json.dumps(payload))
+        assert count_series(v, PrimePower(p), 3, cache_dir=tmp_path) == fresh
 
     def test_product_with_a_counted_factor_writes_its_file(self, tmp_path):
         v = parse_variety("product { zerodim x^2+1 } { projective 2; vars x,y,z; eq x^3+y^3+z^3 }")

@@ -13,7 +13,10 @@ equation, with series.functional_samples its one sampler (the only
 caller of its double-pass helpers, and with its point labels the only
 code at SAMPLE_DPS digits),
 ncspec.nc_zeta the one builder of det(1 - tF) per parity (lfun calls it
-in _local_entry only, and it constructs no Fraction), and
+in _fiber_entry only, and it constructs no Fraction),
+counting.count_series the one reader and writer of the count files and
+lfun._fiber_entry, an lru_cache on fiber_decomposition's own arguments,
+lfun's one cache of local entries, and
 zetalab.series the one module that decides whether a coefficient is an
 int or a Fraction (only series calls _int_if_integral, lfun imports no
 fractions, and weight_factorize makes no int() call).  Parameters that
@@ -227,12 +230,42 @@ def test_one_fiber_route():
         assert _callers(_function(trees["cli.py"], "_decomposition_for"), name) == [], name
     found = {f: _callers(tree, "weight_factorize") for f, tree in trees.items()}
     assert {f: c for f, c in found.items() if c} == {"zeta.py": ["fiber_decomposition"]}
-    assert _callers(trees["lfun.py"], "fiber_decomposition") == ["_local_entry"]
+    assert _callers(trees["lfun.py"], "fiber_decomposition") == ["_fiber_entry"]
     assert _callers(trees["cli.py"], "fiber_decomposition") == ["_decomposition_for"]
-    # the disk cache holds enumerated counts and, past a cutoff, the one
-    # closed form that walks F_p; nothing else reads it
+
+
+def test_one_cache_per_layer():
+    # the count files are read and written by count_series alone, and only
+    # for counts that enumerate: no closed form takes a cache_dir
+    from zetalab import counting, lfun
+
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
     for name in ("_load_cached_counts", "_store_cached_counts"):
-        assert sorted(_callers(trees["counting.py"], name)) == ["_elliptic_frobenius", "count_series"]
+        found = {f: _callers(tree, name) for f, tree in trees.items() if _callers(tree, name)}
+        assert found == {"counting.py": ["count_series"]}, name
+    for fn in (counting.local_weights, counting._elliptic_frobenius, counting._point_counter):
+        assert "cache_dir" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(counting, "ELLIPTIC_CACHE_FROM")
+    # lfun memoises its local entries with functools.lru_cache on exactly
+    # fiber_decomposition's arguments, and keeps no hand-built cache
+    lfun_tree = trees["lfun.py"]
+    imported = {
+        alias.name
+        for node in ast.walk(lfun_tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "OrderedDict" not in imported
+    assert not hasattr(lfun, "_LOCAL_CACHE")
+    assert lfun._fiber_entry.cache_info().maxsize == lfun.LOCAL_CACHE_SIZE
+    assert list(inspect.signature(lfun._fiber_entry.__wrapped__).parameters) == [
+        "fiber",
+        "p",
+        "betti",
+        "degrees",
+    ]
+    for name in ("fiber_decomposition", "nc_zeta"):
+        assert _callers(lfun_tree, name) == ["_fiber_entry"], name
 
 
 def test_unset_parameters_are_constants():
@@ -261,7 +294,7 @@ def test_one_parity_factor_builder():
     # reversals: lfun's local entries take it from there, so no second
     # shift loop grows back
     trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
-    assert _callers(trees["lfun.py"], "nc_zeta") == ["_local_entry"]
+    assert _callers(trees["lfun.py"], "nc_zeta") == ["_fiber_entry"]
     assert _callers(_function(trees["ncspec.py"], "nc_zeta"), "Fraction") == []
 
 

@@ -50,6 +50,12 @@ ZETA2 = 1.6449340668482264
 CATALAN = 0.915965594177219015
 
 
+def _fresh_local_cache(size=lfun.LOCAL_CACHE_SIZE):
+    """lfun's memoised fiber entries with an empty cache of size entries,
+    to patch in over lfun._fiber_entry."""
+    return functools.lru_cache(maxsize=size)(lfun._fiber_entry.__wrapped__)
+
+
 @pytest.fixture(scope="module")
 def specq():
     return load_model(fixture_path("specq.json"))
@@ -158,7 +164,7 @@ class TestLocalSpectra:
         def refuse(*args):
             raise AssertionError("closed-form replacement paid the circle check")
 
-        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache())
         fiber = parse_variety("zerodim x")
         with monkeypatch.context() as patched:
             patched.setattr(zeta, "roots_on_circle", refuse)
@@ -185,10 +191,10 @@ class TestLocalSpectra:
         ]
         fresh = []
         for model in models:
-            monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+            monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache())
             fresh.append(local_spectrum(model, 2))
         assert [s.chi0 for s in fresh] == [0, 3]
-        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache())
         assert [local_spectrum(model, 2) for model in models] == fresh
 
     def test_bad_prime_without_replacement(self, ell):
@@ -218,7 +224,7 @@ class TestLocalSpectra:
         # the key is the value-equal fiber spec, so a separately parsed
         # copy of a model hits the first one's entry without recomputing
         # the fiber's weight factors or hashing the fiber's text
-        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache())
         first, second = (load_model(fixture_path("elliptic.json")) for _ in range(2))
         assert first.family == second.family and first.family is not second.family
         computed = []
@@ -231,15 +237,14 @@ class TestLocalSpectra:
             VarietySpec, "fingerprint", lambda self: pytest.fail("fingerprint on a hit")
         )
         assert local_spectrum(second, 7) == spectrum
-        assert len(computed) == 1 and len(lfun._LOCAL_CACHE) == 1
+        assert len(computed) == 1 and lfun._fiber_entry.cache_info().currsize == 1
 
     def test_recomputed_after_eviction_equals_original(self, ell, monkeypatch):
-        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
-        monkeypatch.setattr(lfun, "LOCAL_CACHE_SIZE", 2)
+        monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache(2))
         first = local_spectrum(ell, 7)
         for p in (11, 13, 17):
             local_spectrum(ell, p)
-        assert len(lfun._LOCAL_CACHE) == 2
+        assert lfun._fiber_entry.cache_info().currsize == 2
         assert local_spectrum(ell, 7) == first
 
     def test_singular_fiber_at_undeclared_prime_raises(self):
@@ -288,7 +293,7 @@ def test_closed_route_matches_pade_route(name, monkeypatch):
     kinds = ("even", "odd", 0, 1, 2, 3)
 
     def scan():
-        monkeypatch.setattr(lfun, "_LOCAL_CACHE", collections.OrderedDict())
+        monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache())
         entries = [_outcome(_local_entry, model, p) for p in primes_up_to(300)]
         return entries, [lfun._local_factors(model, kind, 300) for kind in kinds]
 
@@ -333,7 +338,7 @@ def _fresh_outcomes():
     """Each call's outcome computed with an empty cache."""
     out = []
     for model, p in _SHARED_FIBER_CALLS:
-        with mock.patch.object(lfun, "_LOCAL_CACHE", collections.OrderedDict()):
+        with mock.patch.object(lfun, "_fiber_entry", _fresh_local_cache()):
             out.append(_spectrum_or_error(model, p))
     return out
 
@@ -348,8 +353,7 @@ class TestLocalCacheCallOrder:
     def test_any_call_order_gives_fresh_outcomes(self, order, repeats, size):
         # a cache of 1 or 3 entries evicts along the way, 2048 never does
         fresh = _fresh_outcomes()
-        with mock.patch.object(lfun, "_LOCAL_CACHE", collections.OrderedDict()), \
-                mock.patch.object(lfun, "LOCAL_CACHE_SIZE", size):
+        with mock.patch.object(lfun, "_fiber_entry", _fresh_local_cache(size)):
             for k in order + order[:repeats]:
                 assert _spectrum_or_error(*_SHARED_FIBER_CALLS[k]) == fresh[k]
 
@@ -359,7 +363,7 @@ class TestLocalCacheCallOrder:
         fresh = _fresh_outcomes()
         wrong, zi_at_2 = _SHARED_FIBER_CALLS[3], _SHARED_FIBER_CALLS[6]
         assert fresh[3][0] == "SeparationError"
-        with mock.patch.object(lfun, "_LOCAL_CACHE", collections.OrderedDict()):
+        with mock.patch.object(lfun, "_fiber_entry", _fresh_local_cache()):
             assert _spectrum_or_error(*zi_at_2) == fresh[6]
             assert _spectrum_or_error(*wrong) == fresh[3]
 

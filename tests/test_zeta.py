@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from zetalab import zeta
 from zetalab.arith import PrimePower
-from zetalab.counting import count_series, parse_variety
-from zetalab.poly import mul
-from zetalab.series import RationalFunction, functional_witnesses
+from zetalab.counting import VarietySpec, count_series, local_weights, parse_variety
+from zetalab.poly import fp_squarefree_part, mul
+from zetalab.series import RationalFunction, functional_witnesses, power_sums_inverse_roots
 from zetalab.zeta import (
     HypothesisWarning,
     ReconstructionError,
@@ -444,6 +444,45 @@ def _discriminant(a):
     return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
+def _tensor(P, Q):
+    """P (x) Q, whose inverse roots are the products of P's and Q's: its
+    power sums are tr_n(P) tr_n(Q), and Newton's identities
+    k c_k = -sum_{i<=k} tr_i c_{k-i} give its coefficients back."""
+    m = (len(P) - 1) * (len(Q) - 1)
+    traces = [a * b for a, b in zip(power_sums_inverse_roots(P, m), power_sums_inverse_roots(Q, m))]
+    c = [F(1)]
+    for k in range(1, m + 1):
+        c.append(-sum(traces[i - 1] * c[k - i] for i in range(1, k + 1)) / k)
+    assert all(x.denominator == 1 for x in c)
+    return tuple(int(x) for x in c)
+
+
+def _kunneth(left, right):
+    """Weight factors of a product: P_w = prod over i + j = w of L_i (x) R_j."""
+    out = [(1,)] * (len(left) + len(right) - 1)
+    for i, L in enumerate(left):
+        for j, R in enumerate(right):
+            out[i + j] = mul(out[i + j], _tensor(L, R))
+    return tuple(out)
+
+
+_CLOSED_LEAVES = st.one_of(
+    st.integers(min_value=0, max_value=2).map(
+        lambda d: VarietySpec(kind="projective_space", ambient_dim=d)
+    ),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).map(
+        lambda c: VarietySpec(kind="zero_dimensional", zero_poly=tuple(c) + (1,))
+    ),
+    st.tuples(*[st.integers(min_value=-2, max_value=2)] * 5).map(elliptic),
+)
+
+
+def _good_reduction(leaf, p):
+    if leaf.kind == "zero_dimensional":  # square-free mod p
+        return len(fp_squarefree_part(leaf.zero_poly, p)) == len(leaf.zero_poly)
+    return leaf.kind != "elliptic_curve" or _discriminant(leaf.a_invariants) % p != 0
+
+
 class TestFiberDecomposition:
     # An elliptic curve's factors are read off its closed form (one count
     # of #E(F_p)); its homogenised plane cubic has none, so it is
@@ -460,6 +499,21 @@ class TestFiberDecomposition:
         assume(_discriminant(a) % q.p != 0)
         closed = fiber_decomposition(elliptic(a), q, (1, 2, 1))
         assert fiber_decomposition(plane_cubic(a), q, (1, 2, 1)) == closed
+
+    # A product of two closed leaves has no closed form of its own: its
+    # counts are the products of the leaves' counts, and it is
+    # reconstructed by Pade and separated.  Its factors must be the
+    # Kunneth products of the leaves' closed forms.
+    @given(_CLOSED_LEAVES, _CLOSED_LEAVES, st.sampled_from([3, 5, 7]))
+    @settings(max_examples=50)
+    def test_product_of_closed_leaves_is_kunneth(self, left, right, p):
+        assume(_good_reduction(left, p) and _good_reduction(right, p))
+        q = PrimePower(p)
+        expected = _kunneth(local_weights(left, q), local_weights(right, q))
+        betti = tuple(len(P) - 1 for P in expected)
+        product = VarietySpec(kind="product", left=left, right=right)
+        dec = fiber_decomposition(product, q, betti)
+        assert tuple(f.poly for f in dec.factors) == expected
 
     def test_closed_form_ignores_degrees(self, e5_decomposition):
         # too few counts for the Betti degrees, but nothing is counted

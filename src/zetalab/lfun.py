@@ -11,7 +11,9 @@ primes, are Euler products, their multiplicative Dirichlet expansions,
 trace-bound certificates for convergence, and, for models whose
 L-function has a closed form in shifted Riemann zetas (or the Gaussian
 Dedekind zeta), an honest analytic continuation with argument-principle
-order detection.
+order detection.  The continuation of zeta and beta runs in complex
+doubles with a proven error bound first, and mpmath where the bound
+cannot settle a point.
 Everything without a closed form reports UNSUPPORTED rather than a
 fabricated continuation.
 """
@@ -32,7 +34,7 @@ from .arith import PrimePower, primes_up_to
 from .counting import VarietySpec, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
-from .series import RationalFunction, power_sums_inverse_roots
+from .series import _U, RationalFunction, power_sums_inverse_roots
 from .zeta import SeparationError, default_degrees, fiber_decomposition, weil_check
 
 __all__ = [
@@ -56,12 +58,17 @@ __all__ = [
 ]
 
 # Euler products (refused within HALF_PLANE_MARGIN of their half-plane)
-# and Dirichlet partial sums run at EULER_DPS digits, continuations at
-# CONTINUATION_DPS, and beta's accelerated series takes BETA_TERMS terms.
+# and Dirichlet partial sums run at EULER_DPS digits.  Continuations run
+# in complex doubles with a proven bound first, DOUBLE_TERMS terms of the
+# accelerated series, and mpmath where the bound cannot settle a point
+# (a relative error above DOUBLE_TOL, or overflow): at CONTINUATION_DPS
+# digits, where beta's accelerated series takes BETA_TERMS terms.
 HALF_PLANE_MARGIN = 0.05
 EULER_DPS = 30
 CONTINUATION_DPS = 40
 BETA_TERMS = 90
+DOUBLE_TERMS = 32
+DOUBLE_TOL = 1e-11
 WINDING_RADIUS = 0.25
 WINDING_SAMPLES = 64
 # An arc of the contour is bisected while its end values f(z0), f(z1)
@@ -607,29 +614,208 @@ def _beta_series(s):
     return _accelerated_alternating(lambda k: mpmath.power(2 * k + 1, -s), BETA_TERMS)
 
 
+# The double route.  Error bounds are relative to the exact value and
+# follow series._first_pass: a cmath exp, log or sin of an argument
+# computed from a double point with a few roundings, of size A, is
+# within 8 u (A + 1) of its exact argument; an arithmetic operation
+# costs 8 u relative, and a product of factors with relative errors r_i
+# is within 2 sum r_i of the exact product while sum r_i <= 1.  The
+# reflections evaluate at 1 - s, one rounding from the exact point,
+# which each argument bound covers.
+_LN2, _LN_PI, _LN_4_OVER_PI = math.log(2), math.log(math.pi), math.log(4 / math.pi)
+_HALF_LN_2PI = math.log(2 * math.pi) / 2
+# B_2k / (2k (2k - 1)) for k = 1..8: Stirling's series for log Gamma,
+# taken at x with Re x >= _STIRLING_FROM; the first omitted one (k = 9)
+# bounds its remainder.
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400
+)
+_STIRLING_OMITTED = 43867 / 244188
+_STIRLING_FROM = 9
+
+
+@lru_cache(maxsize=2)
+def _double_series(odd):
+    """(weights, logs, 1/d_n) of DOUBLE_TERMS Borwein terms in doubles:
+    sum_k (-1)^k m_k^{-z} ~ sum_k w_k exp(-z log m_k), with
+    w_k = (-1)^k (d_n - d_k) / d_n and m_k = 2k + 1 (odd, beta) or
+    k + 1 (eta), each rounded once."""
+    n = DOUBLE_TERMS
+    d = _borwein_coefficients(n)
+    weights = tuple((-1) ** k * (d[n] - d[k]) / d[n] for k in range(n))
+    logs = tuple(math.log(2 * k + 1 if odd else k + 1) for k in range(n))
+    return weights, logs, 1 / d[n]
+
+
+def _relative(size, err):
+    """A relative error bound from an absolute one err on a computed
+    value of modulus size: err / (size - err), inf unless size > err."""
+    return err / (size - err) if size > err else math.inf
+
+
+def _alternating_double(z, odd):
+    """(eta(z) or beta(z), relative error bound) in complex doubles for
+    Re z >= 1/2, by DOUBLE_TERMS terms of _double_series.
+
+    Truncation: for a_k = m_k^{-z}, the moments of a measure mu on [0, 1]
+    with int d|mu| / (1 + x) = Gamma(sigma) f(sigma) / |Gamma(z)| (f = eta
+    or beta at sigma = Re z, both at most 1), the Chebyshev weights miss
+    the sum by at most that integral over d_n = T_n(3) (Cohen, Rodriguez
+    Villegas and Zagier, Exp. Math. 9, 2000; P. Borwein, CMS Conf. Proc.
+    27, 2000), and Gamma(sigma) / |Gamma(sigma + it)| <= sqrt(cosh(pi t))
+    for sigma >= 1/2, the product prod_k (1 + t^2 / (sigma + k)^2) falling
+    in sigma to cosh(pi t) at 1/2.  Rounding: each term is within
+    8 u (|z| log m_k + 2) of its exact value (exp, the product with
+    w_k and the weight's own rounding), and the sum of n terms adds
+    (n + 3) u of their moduli (Higham 4.2); the bound doubles both, as
+    series._horner does.
+    """
+    weights, logs, tail = _double_series(odd)
+    value, size, spread = 0j, 0.0, 0.0
+    for w, lg in zip(weights, logs):
+        term = w * cmath.exp(-z * lg)
+        value += term
+        a = abs(term)
+        size += a
+        spread += a * lg
+    err = 2 * ((len(weights) + 3) * _U * size + 8 * _U * (abs(z) * spread + 2 * size))
+    err += math.sqrt(math.cosh(math.pi * z.imag)) * tail
+    return value, _relative(abs(value), err)
+
+
+def _log_gamma(z):
+    """(P, L, rel, err) with Gamma(z) = e^L / P in complex doubles, for
+    z computed with one rounding.
+
+    P = z (z + 1) ... (z + m - 1) shifts x = z + m to Re x >= _STIRLING_FROM,
+    with rel its relative error bound; L is Stirling's series for
+    log Gamma(x) with err an absolute bound that covers x's rounding
+    (|psi(x)| <= |log x| + 1), the rounding of the series and its
+    remainder, at most the first omitted term times
+    sec^18(arg(x) / 2) (Olver, Asymptotics and Special Functions, ch. 8;
+    DLMF 5.11.ii).  A factor of P within its own error of zero makes rel
+    inf, so a Gamma pole (or a zero of 1/Gamma) is never claimed.
+    """
+    dz = 2 * _U * abs(z)
+    m = max(0, math.ceil(_STIRLING_FROM - z.real))
+    P, rel = 1, 0.0
+    for i in range(m):
+        f = z + i
+        P *= f
+        rel += _relative(abs(f), dz + _U * abs(f)) + 8 * _U
+    x = z + m
+    r = abs(x)
+    lx = cmath.log(x)
+    y = 1 / (x * x)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * y + c
+    L = (x - 0.5) * lx - x + _HALF_LN_2PI + series / x
+    omitted = _STIRLING_OMITTED / (r**17 * ((1 + x.real / r) / 2) ** 9)
+    err = (abs(lx) + 1) * (dz + _U * r) + 16 * _U * (abs(x - 0.5) * abs(lx) + r + 1) + omitted
+    return P, L, rel, err
+
+
+def _exp_error(size, err=0.0):
+    """Relative error bound of cmath.exp at an argument of modulus size,
+    computed with a few roundings and off by err besides:
+    |e^delta - 1| <= 2 |delta| for |delta| <= 1, plus exp's own 8 u."""
+    return 2 * (8 * _U * (size + 1) + err) + 8 * _U
+
+
+def _zeta_double(s):
+    """(zeta(s), r) in complex doubles, r the sum of its factors' relative
+    error bounds.
+
+    zeta = eta / (1 - 2^{1-s}) with eta from _alternating_double for
+    Re s >= 1/2, and below that the reflection
+    zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s).
+    """
+    if s.real < 0.5:
+        value, rel = _zeta_double(1 - s)
+        w = s * (math.pi / 2)
+        sine = cmath.sin(w)
+        P, L, rel_P, err_L = _log_gamma(1 - s)
+        A = s * _LN2 + (s - 1) * _LN_PI + L
+        size = abs(s) * _LN2 + abs(s - 1) * _LN_PI + abs(L)
+        rel += 8 * _U * (abs(w) * math.cosh(w.imag) / abs(sine) + 1)
+        rel += rel_P + _exp_error(size, err_L) + 24 * _U
+        return value * sine * cmath.exp(A) / P, rel
+    eta, rel = _alternating_double(s, odd=False)
+    x = cmath.exp((1 - s) * _LN2)
+    den = 1 - x
+    rel += _relative(abs(den), _exp_error(abs(1 - s) * _LN2) * abs(x) + _U * abs(den))
+    return eta / den, rel + 8 * _U
+
+
+def _beta_double(s):
+    """(beta(s), r) in complex doubles, r as in _zeta_double.
+
+    beta from _alternating_double for Re s >= 1/2, and below that the
+    reflection dirichlet_beta uses, with 1/Gamma((s+1)/2) as its shift
+    product times exp(-log Gamma), finite at the trivial zeros.
+    """
+    if s.real < 0.5:
+        value, rel = _beta_double(1 - s)
+        P1, L1, rel1, err1 = _log_gamma(1 - s / 2)
+        P2, L2, rel2, err2 = _log_gamma((s + 1) / 2)
+        A = (0.5 - s) * _LN_4_OVER_PI + L1 - L2
+        size = abs(0.5 - s) * _LN_4_OVER_PI + abs(L1) + abs(L2)
+        rel += rel1 + rel2 + _exp_error(size, err1 + err2) + 24 * _U
+        return value * P2 / P1 * cmath.exp(A), rel
+    return _alternating_double(s, odd=True)
+
+
+def _double_route(evaluate, s):
+    """(value, relative error bound) from evaluate at the complex double
+    s when the bound proves a relative error of at most DOUBLE_TOL, else
+    None: the point then takes the mpmath route, as it does on overflow,
+    division by zero or a value that is not finite.  The bound is twice
+    the sum evaluate returns, which covers the product of its factors."""
+    try:
+        value, rel = evaluate(s)
+    except (ArithmeticError, ValueError):
+        return None
+    rel *= 2
+    if cmath.isfinite(value) and rel <= DOUBLE_TOL:
+        return value, rel
+    return None
+
+
 def zeta_continuation(s):
     """The Riemann zeta function anywhere except the pole at s=1.
 
-    mpmath.zeta continues it through the same alternating-series
-    acceleration (Borwein) on the right and the reflection formula on
-    the left.
+    Complex doubles with a proven bound first (_zeta_double: Borwein's
+    alternating series on the right, the reflection formula on the
+    left), mpmath where the bound cannot settle a point: mpmath.zeta at
+    CONTINUATION_DPS digits, through the same acceleration and
+    reflection.
     """
+    s = complex(s)
+    if s == 1:
+        raise PoleError("zeta has its pole at s=1")
+    double = _double_route(_zeta_double, s)
+    if double is not None:
+        return double[0]
     with mpmath.workdps(CONTINUATION_DPS):
-        s_mp = mpmath.mpc(complex(s))
-        if s_mp == 1:
-            raise PoleError("zeta has its pole at s=1")
-        return complex(mpmath.zeta(s_mp))
+        return complex(mpmath.zeta(mpmath.mpc(s)))
 
 
 def dirichlet_beta(s):
     """The alternating mod-4 L-function, continued everywhere.
 
-    For Re(s) > 0 the defining series is already alternating and the
-    same acceleration applies; for Re(s) <= 0 the completed-function
-    symmetry around s = 1/2 is used (the gamma factor carries parity 1).
+    Complex doubles with a proven bound first (_beta_double), mpmath
+    where the bound cannot settle a point: there, for Re(s) > 0 the
+    defining series is already alternating and the same acceleration
+    applies; for Re(s) <= 0 the completed-function symmetry around
+    s = 1/2 is used (the gamma factor carries parity 1).
     """
+    s = complex(s)
+    double = _double_route(_beta_double, s)
+    if double is not None:
+        return double[0]
     with mpmath.workdps(CONTINUATION_DPS):
-        s_mp = mpmath.mpc(complex(s))
+        s_mp = mpmath.mpc(s)
         if s_mp.real > 0:
             return complex(_beta_series(s_mp))
         pref = mpmath.power(4 / mpmath.pi, (1 - 2 * s_mp) / 2)

@@ -19,8 +19,11 @@ lfun._fiber_entry, an lru_cache on fiber_decomposition's own arguments,
 lfun's one cache of local entries, and
 zetalab.series the one module that decides whether a coefficient is an
 int or a Fraction (only series calls _int_if_integral, lfun imports no
-fractions, and weight_factorize makes no int() call).  Parameters that
-no caller set stay module constants."""
+fractions, and weight_factorize makes no int() call), and
+lfun._borwein_coefficients the one source of Borwein weights, for the
+double route of zeta and beta and for beta's mpmath route alike, with
+zeta_continuation the one caller of mpmath.zeta.  Parameters that no
+caller set stay module constants."""
 
 import ast
 import importlib
@@ -287,6 +290,9 @@ def test_unset_parameters_are_constants():
     assert list(inspect.signature(lfun.winding_order).parameters) == ["fn", "center"]
     assert (lfun.HALF_PLANE_MARGIN, lfun.EULER_DPS, lfun.CONTINUATION_DPS) == (0.05, 30, 40)
     assert (lfun.BETA_TERMS, lfun.WINDING_RADIUS, lfun.WINDING_SAMPLES) == (90, 0.25, 64)
+    assert (lfun.DOUBLE_TERMS, lfun.DOUBLE_TOL) == (32, 1e-11)
+    for fn in (lfun.zeta_continuation, lfun.dirichlet_beta):
+        assert list(inspect.signature(fn).parameters) == ["s"], fn.__name__
 
 
 def test_one_parity_factor_builder():
@@ -355,3 +361,19 @@ def test_one_functional_equation_route():
     from zetalab.series import functional_witnesses
 
     assert list(inspect.signature(functional_witnesses).parameters) == ["R", "Q", "chi"]
+
+
+def test_one_source_of_borwein_weights():
+    # the double route (eta and beta alike) and beta's mpmath route take
+    # their weights from _borwein_coefficients, so a second weight
+    # formula cannot grow back; zeta's mpmath route is mpmath.zeta, called
+    # from zeta_continuation only
+    tree = _tree(SRC / "lfun.py")
+    assert sorted(_callers(tree, "_borwein_coefficients")) == [
+        "_accelerated_alternating",
+        "_double_series",
+    ]
+    assert _callers(tree, "_double_series") == ["_alternating_double"]
+    assert sorted(_callers(tree, "_alternating_double")) == ["_beta_double", "_zeta_double"]
+    assert _callers(tree, "factorial") == ["_borwein_coefficients"] * 3
+    assert _callers(tree, "zeta") == ["zeta_continuation"]

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from zetalab import lfun, poly, zeta
@@ -730,6 +730,80 @@ class TestContinuation:
         assert abs(dirichlet_beta(-1)) < 1e-10
 
 
+def _mpmath_zeta(s):
+    with mpmath.workdps(40):
+        return mpmath.zeta(mpmath.mpc(s))
+
+
+def _mpmath_beta(s):
+    # the mod-4 character through mpmath's Hurwitz-zeta L-series, a
+    # route independent of lfun's own acceleration and reflection
+    with mpmath.workdps(40):
+        return mpmath.dirichlet(mpmath.mpc(s), [0, 1, 0, -1])
+
+
+# disks |s - j| <= 1/2 around j = -3..3, and the critical strip to |Im s| <= 8
+_CONTINUATION_POINTS = st.one_of(
+    st.builds(
+        lambda j, r, a: j + cmath.rect(r, a),
+        st.integers(-3, 3),
+        st.floats(0, 0.5),
+        st.floats(0, 2 * math.pi),
+    ),
+    st.builds(
+        complex,
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.floats(-8, 8),
+    ),
+)
+
+
+class TestDoubleRoute:
+    @pytest.mark.parametrize(
+        "name, evaluate, oracle",
+        [("zeta", lfun._zeta_double, _mpmath_zeta), ("beta", lfun._beta_double, _mpmath_beta)],
+    )
+    @given(s=_CONTINUATION_POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_value_within_claimed_bound(self, name, evaluate, oracle, s):
+        # a settled point is within its claimed relative bound of the
+        # 40-digit value, and that bound is at most DOUBLE_TOL; any other
+        # point is an mpmath fallback
+        settled = lfun._double_route(evaluate, s)
+        if settled is None:
+            event(f"{name}: mpmath fallback")
+            return
+        value, rel = settled
+        exact = oracle(s)
+        assert rel <= lfun.DOUBLE_TOL
+        assert abs(value - exact) <= rel * abs(exact), (s, value, exact, rel)
+
+    def test_analytic_dashboards_make_no_mpmath_call(self, specq, zi, p1, p2):
+        # every contour point of the 16 (model, j) dashboards is settled
+        # in doubles
+        counted = {name: _counted(getattr(mpmath, name)) for name in ("zeta", "gamma", "rgamma")}
+        with mock.patch.multiple(mpmath, **counted):
+            for model in (specq, zi, p1, p2):
+                for j in (1, 0, -1, -2):
+                    assert order_dashboard(model, j)
+        assert {name: fn.calls for name, fn in counted.items()} == dict.fromkeys(counted, 0)
+
+    def test_near_pole_takes_mpmath(self):
+        s = 1 + 1e-14
+        assert lfun._double_route(lfun._zeta_double, complex(s)) is None
+        zeta_mp = _counted(mpmath.zeta)
+        with mock.patch.object(mpmath, "zeta", zeta_mp):
+            value = zeta_continuation(s)
+        assert zeta_mp.calls == 1
+        assert abs(value - complex(_mpmath_zeta(s))) <= 1e-12 * abs(value)
+
+    def test_trivial_zero_of_beta_takes_mpmath(self):
+        # 1/Gamma((s+1)/2) vanishes at s = -1: the double route claims no
+        # bound there, and the mpmath route returns the zero finite
+        assert lfun._double_route(lfun._beta_double, -1 + 0j) is None
+        assert abs(dirichlet_beta(-1)) < 1e-30
+
+
 class TestClosedForm:
     def test_product_of_factors(self, specq, p1, p2, zi, ell):
         assert abs(closed_form_l_function(specq, "even")(2.0) - ZETA2) < 1e-12
@@ -738,6 +812,22 @@ class TestClosedForm:
         assert abs(closed_form_l_function(zi, "even")(2.0) - ZETA2 * CATALAN) < 1e-12
         assert closed_form_l_function(zi, "odd")(2.0) == 1
         assert closed_form_l_function(ell, "even") is None
+
+    def test_matches_40_digit_product(self, specq, p1, p2, zi):
+        # euler_within_tail in the benchmark compares an Euler product with
+        # the closed form at s in [2.5, 4] to its tail plus 1e-12
+        rng = random.Random(18)
+        points = [rng.uniform(2.5, 4.0) for _ in range(10)]
+        points += [complex(rng.uniform(2.5, 4.0), rng.uniform(-10, 10)) for _ in range(10)]
+        # (model, power of zeta, power of beta)
+        models = ((specq, 1, 0), (p1, 2, 0), (p2, 3, 0), (zi, 1, 1))
+        for s in points:
+            z, b = _mpmath_zeta(s), _mpmath_beta(s)
+            for model, zeta_power, beta_power in models:
+                with mpmath.workdps(40):
+                    want = complex(z**zeta_power * b**beta_power)
+                got = closed_form_l_function(model, "even")(s)
+                assert abs(got - want) <= 1e-13 * abs(want), (model.name, s)
 
     def test_factors_grouped_by_shift(self, p2, zi):
         assert [m for _, m in lfun._closed_form_factors(p2, "even")] == [3]

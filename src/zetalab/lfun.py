@@ -12,8 +12,8 @@ trace-bound certificates for convergence, and, for models whose
 L-function has a closed form in shifted Riemann zetas (or the Gaussian
 Dedekind zeta), an honest analytic continuation with argument-principle
 order detection.  The continuation of zeta and beta runs in complex
-doubles with a proven error bound first, and mpmath where the bound
-cannot settle a point.
+doubles with a proven error bound first, one evaluator and one
+reflection for both, and mpmath where the bound cannot settle a point.
 Everything without a closed form reports UNSUPPORTED rather than a
 fabricated continuation.
 """
@@ -59,10 +59,11 @@ __all__ = [
 
 # Euler products (refused within HALF_PLANE_MARGIN of their half-plane)
 # and Dirichlet partial sums run at EULER_DPS digits.  Continuations run
-# in complex doubles with a proven bound first, DOUBLE_TERMS terms of the
-# accelerated series, and mpmath where the bound cannot settle a point
-# (a relative error above DOUBLE_TOL, or overflow): at CONTINUATION_DPS
-# digits, where beta's accelerated series takes BETA_TERMS terms.
+# in complex doubles with a proven bound first (_l_double, DOUBLE_TERMS
+# terms of the accelerated series), and in mpmath where the bound cannot
+# settle a point (a relative error above DOUBLE_TOL, or overflow): at
+# CONTINUATION_DPS digits, where beta's accelerated series takes
+# BETA_TERMS terms.
 HALF_PLANE_MARGIN = 0.05
 EULER_DPS = 30
 CONTINUATION_DPS = 40
@@ -314,8 +315,11 @@ def _tail_bound(C, P, z_eff):
 def _euler_product(factors: dict, s: complex, e: int, prime_cutoff: int):
     """(value, tail, C) of the partial product prod_p 1/P_p(p^{-s}) over
     local factors of weight e: C is the largest degree, and the tail
-    bounds |L(s) - value| through _tail_bound at Re(s) - e/2."""
-    C = max((len(P) - 1 for P in factors.values()), default=0)
+    bounds |L(s) - value| through _tail_bound at Re(s) - e/2.  With no
+    local factor at all the product says nothing: ValueError."""
+    if not factors:
+        raise ValueError(f"no prime p <= {prime_cutoff} contributes a local factor")
+    C = max(len(P) - 1 for P in factors.values())
     with mpmath.workdps(EULER_DPS):
         s_mp = mpmath.mpc(s)
         total = mpmath.mpf(1)
@@ -335,7 +339,9 @@ def euler_product_value(
     The even product converges for Re(s) > 1, the odd one for
     Re(s) > 3/2; requests inside the critical region (up to
     HALF_PLANE_MARGIN) are rejected since the partial product would not
-    estimate anything there.  Excluded bad primes are listed in the result.
+    estimate anything there.  Excluded bad primes are listed in the result;
+    a range where every prime is excluded, or that holds none, raises
+    ValueError rather than return 1 with a zero tail.
     """
     s = complex(s)
     e = _weight(parity)
@@ -549,25 +555,21 @@ def bounds_certificate(
 
 
 def serre_bounds_certificate(
-    model: ArithmeticModel,
-    w: int,
-    prime_cutoff: int,
-    n_cutoff: int,
-    *,
-    sample_s=None,
+    model: ArithmeticModel, w: int, prime_cutoff: int, n_cutoff: int
 ) -> BoundsCertificate:
     """Per-weight trace bounds |sum lambda^n| <= C * p^{wn/2}, plus a
     sample of the weight-w L-function inside its half-plane.
 
     The traces use the unshifted weight-w inverse roots; C is the
     largest observed weight-w Betti number.  The partial product at the
-    sample point (default Re(s) = w/2 + 1.5) carries the same tail bound
-    as the parity L-functions.  A negative weight raises ValueError.
+    sample point s = w/2 + 1.5 carries the same tail bound as the parity
+    L-functions.  A negative weight raises ValueError, and so does a
+    range with no local factor.
     """
     if w < 0:
         raise ValueError(f"weight must be non-negative, got {w}")
     factors, certificate = _trace_certificate(model, w, prime_cutoff, n_cutoff)
-    sample_s = complex(w / 2 + 1.5 if sample_s is None else sample_s)
+    sample_s = complex(w / 2 + 1.5)
     value, tail, _ = _euler_product(factors, sample_s, w, prime_cutoff)
     return replace(certificate, sample_s=sample_s, sample_value=value, sample_tail=tail)
 
@@ -593,25 +595,17 @@ def _borwein_coefficients(n):
     return tuple(d)
 
 
-def _accelerated_alternating(terms, n):
-    """sum_{k>=0} (-1)^k a_k via Chebyshev-weighted partial sums.
-
-    terms(k) must return the k-th term as an mpmath value; the weights
-    converge geometrically at rate (3 + sqrt(8))^{-n} for terms that are
-    moments of a measure on [0,1], which covers k^{-s} type terms on the
-    half-plane Re(s) > 0.
-    """
+def _beta_series(s):
+    """beta(s) = sum_{k>=0} (-1)^k (2k + 1)^{-s} for Re(s) > 0, in mpmath,
+    by BETA_TERMS Chebyshev-weighted partial sums: the weights converge
+    geometrically at rate (3 + sqrt(8))^{-n} for terms that are moments
+    of a measure on [0, 1], as (2k + 1)^{-s} are on Re(s) > 0."""
+    n = BETA_TERMS
     d = _borwein_coefficients(n)
     acc = mpmath.mpf(0)
-    sign = 1
     for k in range(n):
-        acc += sign * (d[k] - d[n]) * terms(k)
-        sign = -sign
+        acc += (-1) ** k * (d[k] - d[n]) * mpmath.power(2 * k + 1, -s)
     return -acc / d[n]
-
-
-def _beta_series(s):
-    return _accelerated_alternating(lambda k: mpmath.power(2 * k + 1, -s), BETA_TERMS)
 
 
 # The double route.  Error bounds are relative to the exact value and
@@ -620,10 +614,9 @@ def _beta_series(s):
 # within 8 u (A + 1) of its exact argument; an arithmetic operation
 # costs 8 u relative, and a product of factors with relative errors r_i
 # is within 2 sum r_i of the exact product while sum r_i <= 1.  The
-# reflections evaluate at 1 - s, one rounding from the exact point,
+# reflection evaluates at 1 - s, one rounding from the exact point,
 # which each argument bound covers.
-_LN2, _LN_PI, _LN_4_OVER_PI = math.log(2), math.log(math.pi), math.log(4 / math.pi)
-_HALF_LN_2PI = math.log(2 * math.pi) / 2
+_LN2, _LN_2PI, _LN_HALF_PI = math.log(2), math.log(2 * math.pi), math.log(math.pi / 2)
 # B_2k / (2k (2k - 1)) for k = 1..8: Stirling's series for log Gamma,
 # taken at x with Re x >= _STIRLING_FROM; the first omitted one (k = 9)
 # bounds its remainder.
@@ -694,7 +687,7 @@ def _log_gamma(z):
     remainder, at most the first omitted term times
     sec^18(arg(x) / 2) (Olver, Asymptotics and Special Functions, ch. 8;
     DLMF 5.11.ii).  A factor of P within its own error of zero makes rel
-    inf, so a Gamma pole (or a zero of 1/Gamma) is never claimed.
+    inf, so a Gamma pole is never claimed.
     """
     dz = 2 * _U * abs(z)
     m = max(0, math.ceil(_STIRLING_FROM - z.real))
@@ -710,7 +703,7 @@ def _log_gamma(z):
     series = 0.0
     for c in reversed(_STIRLING):
         series = series * y + c
-    L = (x - 0.5) * lx - x + _HALF_LN_2PI + series / x
+    L = (x - 0.5) * lx - x + _LN_2PI / 2 + series / x
     omitted = _STIRLING_OMITTED / (r**17 * ((1 + x.real / r) / 2) ** 9)
     err = (abs(lx) + 1) * (dz + _U * r) + 16 * _U * (abs(x - 0.5) * abs(lx) + r + 1) + omitted
     return P, L, rel, err
@@ -723,57 +716,45 @@ def _exp_error(size, err=0.0):
     return 2 * (8 * _U * (size + 1) + err) + 8 * _U
 
 
-def _zeta_double(s):
-    """(zeta(s), r) in complex doubles, r the sum of its factors' relative
-    error bounds.
+def _l_double(s, odd):
+    """(L(s), r) in complex doubles for L = beta (odd) or zeta, r the sum
+    of its factors' relative error bounds.
 
-    zeta = eta / (1 - 2^{1-s}) with eta from _alternating_double for
-    Re s >= 1/2, and below that the reflection
-    zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s).
+    For Re s >= 1/2, _alternating_double, divided by 1 - 2^{1-s} for zeta;
+    below that the reflection both characters obey,
+    L(s) = m B^{s-1} sin(pi (s + a)/2) Gamma(1-s) L(1-s), with
+    (m, B, a) = (2, 2 pi, 0) for zeta (DLMF 25.4.2) and (1, pi/2, 1) for
+    beta.  Gamma(1-s) has no pole there, and the trivial zeros are the
+    sine's, where its relative bound is infinite.
     """
     if s.real < 0.5:
-        value, rel = _zeta_double(1 - s)
-        w = s * (math.pi / 2)
+        value, rel = _l_double(1 - s, odd)
+        ln_m, ln_B, a = (0.0, _LN_HALF_PI, 1) if odd else (_LN2, _LN_2PI, 0)
+        w = (s + a) * (math.pi / 2)
         sine = cmath.sin(w)
         P, L, rel_P, err_L = _log_gamma(1 - s)
-        A = s * _LN2 + (s - 1) * _LN_PI + L
-        size = abs(s) * _LN2 + abs(s - 1) * _LN_PI + abs(L)
+        A = ln_m + (s - 1) * ln_B + L
+        size = ln_m + abs(s - 1) * ln_B + abs(L)
         rel += 8 * _U * (abs(w) * math.cosh(w.imag) / abs(sine) + 1)
         rel += rel_P + _exp_error(size, err_L) + 24 * _U
         return value * sine * cmath.exp(A) / P, rel
-    eta, rel = _alternating_double(s, odd=False)
+    value, rel = _alternating_double(s, odd)
+    if odd:
+        return value, rel
     x = cmath.exp((1 - s) * _LN2)
     den = 1 - x
     rel += _relative(abs(den), _exp_error(abs(1 - s) * _LN2) * abs(x) + _U * abs(den))
-    return eta / den, rel + 8 * _U
+    return value / den, rel + 8 * _U
 
 
-def _beta_double(s):
-    """(beta(s), r) in complex doubles, r as in _zeta_double.
-
-    beta from _alternating_double for Re s >= 1/2, and below that the
-    reflection dirichlet_beta uses, with 1/Gamma((s+1)/2) as its shift
-    product times exp(-log Gamma), finite at the trivial zeros.
-    """
-    if s.real < 0.5:
-        value, rel = _beta_double(1 - s)
-        P1, L1, rel1, err1 = _log_gamma(1 - s / 2)
-        P2, L2, rel2, err2 = _log_gamma((s + 1) / 2)
-        A = (0.5 - s) * _LN_4_OVER_PI + L1 - L2
-        size = abs(0.5 - s) * _LN_4_OVER_PI + abs(L1) + abs(L2)
-        rel += rel1 + rel2 + _exp_error(size, err1 + err2) + 24 * _U
-        return value * P2 / P1 * cmath.exp(A), rel
-    return _alternating_double(s, odd=True)
-
-
-def _double_route(evaluate, s):
-    """(value, relative error bound) from evaluate at the complex double
-    s when the bound proves a relative error of at most DOUBLE_TOL, else
+def _double_route(s, odd):
+    """(value, relative error bound) of _l_double at the complex double s
+    when the bound proves a relative error of at most DOUBLE_TOL, else
     None: the point then takes the mpmath route, as it does on overflow,
     division by zero or a value that is not finite.  The bound is twice
-    the sum evaluate returns, which covers the product of its factors."""
+    the sum _l_double returns, which covers the product of its factors."""
     try:
-        value, rel = evaluate(s)
+        value, rel = _l_double(s, odd)
     except (ArithmeticError, ValueError):
         return None
     rel *= 2
@@ -785,16 +766,15 @@ def _double_route(evaluate, s):
 def zeta_continuation(s):
     """The Riemann zeta function anywhere except the pole at s=1.
 
-    Complex doubles with a proven bound first (_zeta_double: Borwein's
-    alternating series on the right, the reflection formula on the
-    left), mpmath where the bound cannot settle a point: mpmath.zeta at
-    CONTINUATION_DPS digits, through the same acceleration and
-    reflection.
+    Complex doubles with a proven bound first (_l_double: Borwein's
+    alternating series for eta on the right, the reflection formula on
+    the left), and where the bound cannot settle a point mpmath.zeta at
+    CONTINUATION_DPS digits, with whichever algorithm mpmath picks there.
     """
     s = complex(s)
     if s == 1:
         raise PoleError("zeta has its pole at s=1")
-    double = _double_route(_zeta_double, s)
+    double = _double_route(s, odd=False)
     if double is not None:
         return double[0]
     with mpmath.workdps(CONTINUATION_DPS):
@@ -804,25 +784,22 @@ def zeta_continuation(s):
 def dirichlet_beta(s):
     """The alternating mod-4 L-function, continued everywhere.
 
-    Complex doubles with a proven bound first (_beta_double), mpmath
-    where the bound cannot settle a point: there, for Re(s) > 0 the
-    defining series is already alternating and the same acceleration
-    applies; for Re(s) <= 0 the completed-function symmetry around
-    s = 1/2 is used (the gamma factor carries parity 1).
+    Complex doubles with a proven bound first (_l_double), mpmath at
+    CONTINUATION_DPS digits where the bound cannot settle a point: there
+    _beta_series for Re(s) > 0, and for Re(s) <= 0 the reflection of
+    _l_double, whose cos(pi s/2) (mpmath.cospi) is exactly zero at the
+    trivial zeros.
     """
     s = complex(s)
-    double = _double_route(_beta_double, s)
+    double = _double_route(s, odd=True)
     if double is not None:
         return double[0]
     with mpmath.workdps(CONTINUATION_DPS):
         s_mp = mpmath.mpc(s)
         if s_mp.real > 0:
             return complex(_beta_series(s_mp))
-        pref = mpmath.power(4 / mpmath.pi, (1 - 2 * s_mp) / 2)
-        # rgamma keeps the trivial zeros (gamma poles at odd negative
-        # integers) finite instead of raising at the pole itself.
-        gamma_ratio = mpmath.gamma(1 - s_mp / 2) * mpmath.rgamma((s_mp + 1) / 2)
-        return complex(pref * gamma_ratio * _beta_series(1 - s_mp))
+        factor = mpmath.power(mpmath.pi / 2, s_mp - 1) * mpmath.cospi(s_mp / 2)
+        return complex(factor * mpmath.gamma(1 - s_mp) * _beta_series(1 - s_mp))
 
 
 def _shifted_zeta(j):

@@ -110,9 +110,10 @@ class EigenvalueBlock:
         """Multiplicity of the rational eigenvalue value, exact."""
         return self.mult * poly.multiplicity(self.poly, poly.primitive((-value, 1)))[0]
 
-    def approximate_roots(self, precision=30):
-        """[(root approximation, total multiplicity)] including mult."""
-        return [(x, m * self.mult) for x, m in polynomial_roots(self.poly, precision)]
+    def approximate_roots(self):
+        """[(root approximation, total multiplicity)] including mult, at
+        16 digits."""
+        return [(x, m * self.mult) for x, m in polynomial_roots(self.poly, 16)]
 
 
 @dataclass
@@ -161,13 +162,13 @@ class NcSpectrum:
     def is_weight_built(self):
         return self.provenance.get("kind") == "weights"
 
-    def to_json_dict(self, *, precision=16):
+    def to_json_dict(self):
         def side(blocks):
             out = []
             for b in blocks:
                 roots = [
                     {"re": float(x.real), "im": float(x.imag), "mult": m}
-                    for x, m in b.approximate_roots(precision)
+                    for x, m in b.approximate_roots()
                 ]
                 out.append(
                     {
@@ -517,9 +518,9 @@ def _graded_shift_single(spec: NcSpectrum, n: int) -> Check:
     )
 
 
-def graded_shift_check(spec: NcSpectrum, degrees=(0, 1, 2, 3)):
-    """Degree-n zeta two ways for each n: shift the spectrum, or shift
-    the argument.
+def graded_shift_check(spec: NcSpectrum):
+    """Degree-n zeta two ways for each n in 0..3: shift the spectrum, or
+    shift the argument.
 
     The degree-n operator is q^{-n/2} F0 for even n and q^{-(n-1)/2} F1
     for odd n, so its zeta is the parity zeta with s replaced by s + a.
@@ -527,7 +528,7 @@ def graded_shift_check(spec: NcSpectrum, degrees=(0, 1, 2, 3)):
     zeta function; route two substitutes x -> q^{-a} x in the assembled
     parity zeta.  The two rational functions must agree exactly.
     """
-    return [_graded_shift_single(spec, n) for n in degrees]
+    return [_graded_shift_single(spec, n) for n in range(4)]
 
 
 def weight_normalization_check(dec: WeightDecomposition):

@@ -130,6 +130,13 @@ class TestZetaAndSpectrum:
         assert code == 1 and not out
         assert err.startswith("error: fiber at p=5: ")
 
+    def test_lfun_without_local_factor_exits_one(self, capsys):
+        # no prime up to 1: a product of nothing would print zeta(2) as 1
+        # with tail bound 0
+        code, out, err = run(capsys, "lfun", "--model", SPECQ, "--prime-cutoff", "1")
+        assert code == 1 and not out
+        assert err == "error: no prime p <= 1 contributes a local factor\n"
+
 
 class TestCheckSubcommand:
     def test_weil_pass(self, capsys):

@@ -22,8 +22,9 @@ int or a Fraction (only series calls _int_if_integral, lfun imports no
 fractions, and weight_factorize makes no int() call), and
 lfun._borwein_coefficients the one source of Borwein weights, for the
 double route of zeta and beta and for beta's mpmath route alike, with
-zeta_continuation the one caller of mpmath.zeta.  Parameters that no
-caller set stay module constants."""
+lfun._l_double the one double evaluator of both (one reflection, one
+log Gamma) and zeta_continuation the one caller of mpmath.zeta.
+Parameters that no caller set stay module constants."""
 
 import ast
 import importlib
@@ -293,6 +294,19 @@ def test_unset_parameters_are_constants():
     assert (lfun.DOUBLE_TERMS, lfun.DOUBLE_TOL) == (32, 1e-11)
     for fn in (lfun.zeta_continuation, lfun.dirichlet_beta):
         assert list(inspect.signature(fn).parameters) == ["s"], fn.__name__
+    # the Serre sample sits at w/2 + 1.5, the graded shifts are 0..3, and
+    # spectrum documents carry roots at 16 digits
+    from zetalab.ncspec import EigenvalueBlock, NcSpectrum, graded_shift_check
+
+    assert list(inspect.signature(lfun.serre_bounds_certificate).parameters) == [
+        "model",
+        "w",
+        "prime_cutoff",
+        "n_cutoff",
+    ]
+    assert list(inspect.signature(graded_shift_check).parameters) == ["spec"]
+    for fn in (NcSpectrum.to_json_dict, EigenvalueBlock.approximate_roots):
+        assert list(inspect.signature(fn).parameters) == ["self"], fn.__name__
 
 
 def test_one_parity_factor_builder():
@@ -366,14 +380,21 @@ def test_one_functional_equation_route():
 def test_one_source_of_borwein_weights():
     # the double route (eta and beta alike) and beta's mpmath route take
     # their weights from _borwein_coefficients, so a second weight
-    # formula cannot grow back; zeta's mpmath route is mpmath.zeta, called
-    # from zeta_continuation only
+    # formula cannot grow back; one double evaluator, _l_double, serves
+    # zeta and beta with one reflection and one log Gamma, and beta's
+    # mpmath reflection makes one gamma call; zeta's mpmath route is
+    # mpmath.zeta, called from zeta_continuation only
+    from zetalab import lfun
+
     tree = _tree(SRC / "lfun.py")
-    assert sorted(_callers(tree, "_borwein_coefficients")) == [
-        "_accelerated_alternating",
-        "_double_series",
-    ]
+    assert sorted(_callers(tree, "_borwein_coefficients")) == ["_beta_series", "_double_series"]
     assert _callers(tree, "_double_series") == ["_alternating_double"]
-    assert sorted(_callers(tree, "_alternating_double")) == ["_beta_double", "_zeta_double"]
+    for name in ("_alternating_double", "_log_gamma"):
+        assert _callers(tree, name) == ["_l_double"], name
+    assert _callers(tree, "_l_double") == ["_l_double", "_double_route"]
+    assert _callers(tree, "gamma") == ["dirichlet_beta"]
+    assert _callers(tree, "rgamma") == []
+    for name in ("_zeta_double", "_beta_double", "_accelerated_alternating"):
+        assert not hasattr(lfun, name), name
     assert _callers(tree, "factorial") == ["_borwein_coefficients"] * 3
     assert _callers(tree, "zeta") == ["zeta_continuation"]

@@ -391,6 +391,15 @@ class TestEulerProducts:
         r = euler_product_value(ell, "odd", 2.5, 200)
         assert r.excluded == (2,)
 
+    @pytest.mark.parametrize(
+        "model, parity, s, cutoff", [("specq", "even", 2.0, 1), ("ell", "odd", 2.5, 2)]
+    )
+    def test_no_local_factor_raises(self, request, model, parity, s, cutoff):
+        # no prime up to the cutoff, or only the excluded p = 2: a value
+        # of 1 with a zero tail would be a wrong claim
+        with pytest.raises(ValueError, match=f"no prime p <= {cutoff} contributes"):
+            euler_product_value(request.getfixturevalue(model), parity, s, cutoff)
+
 
 class TestDirichletExpansion:
     def test_riemann_coefficients_all_one(self, specq):
@@ -515,6 +524,11 @@ class TestBoundsCertificates:
         # a negative index would pick another weight's factor
         with pytest.raises(ValueError, match="non-negative"):
             serre_bounds_certificate(ell, w, 30, 2)
+
+    @pytest.mark.parametrize("model, cutoff", [("specq", 1), ("ell", 2)])
+    def test_serre_without_local_factor_raises(self, request, model, cutoff):
+        with pytest.raises(ValueError, match=f"no prime p <= {cutoff} contributes"):
+            serre_bounds_certificate(request.getfixturevalue(model), 0, cutoff, 3)
 
     def test_serre_above_top_weight_is_trivial(self, ell):
         # a curve has no weight-3 factor: every local factor is 1
@@ -737,8 +751,12 @@ def _mpmath_zeta(s):
 
 def _mpmath_beta(s):
     # the mod-4 character through mpmath's Hurwitz-zeta L-series, a
-    # route independent of lfun's own acceleration and reflection
-    with mpmath.workdps(40):
+    # route independent of lfun's own acceleration and reflection.  For
+    # Re s < 0 mpmath reflects each Hurwitz zeta at 1 - s, where their
+    # poles at s = 0 cancel: that costs about log10(1/|s|) digits (at
+    # |s| = 1e-38, 40 digits leave 9), which the working precision adds
+    extra = math.ceil(-math.log10(abs(s))) if 0 < abs(s) < 1 else 0
+    with mpmath.workdps(40 + extra):
         return mpmath.dirichlet(mpmath.mpc(s), [0, 1, 0, -1])
 
 
@@ -758,18 +776,21 @@ _CONTINUATION_POINTS = st.one_of(
 )
 
 
+_CHARACTERS = [
+    pytest.param("zeta", False, zeta_continuation, _mpmath_zeta, id="zeta"),
+    pytest.param("beta", True, dirichlet_beta, _mpmath_beta, id="beta"),
+]
+
+
 class TestDoubleRoute:
-    @pytest.mark.parametrize(
-        "name, evaluate, oracle",
-        [("zeta", lfun._zeta_double, _mpmath_zeta), ("beta", lfun._beta_double, _mpmath_beta)],
-    )
+    @pytest.mark.parametrize("name, odd, continuation, oracle", _CHARACTERS)
     @given(s=_CONTINUATION_POINTS)
     @settings(max_examples=150, deadline=None)
-    def test_value_within_claimed_bound(self, name, evaluate, oracle, s):
+    def test_value_within_claimed_bound(self, name, odd, continuation, oracle, s):
         # a settled point is within its claimed relative bound of the
         # 40-digit value, and that bound is at most DOUBLE_TOL; any other
         # point is an mpmath fallback
-        settled = lfun._double_route(evaluate, s)
+        settled = lfun._double_route(s, odd)
         if settled is None:
             event(f"{name}: mpmath fallback")
             return
@@ -790,7 +811,7 @@ class TestDoubleRoute:
 
     def test_near_pole_takes_mpmath(self):
         s = 1 + 1e-14
-        assert lfun._double_route(lfun._zeta_double, complex(s)) is None
+        assert lfun._double_route(complex(s), odd=False) is None
         zeta_mp = _counted(mpmath.zeta)
         with mock.patch.object(mpmath, "zeta", zeta_mp):
             value = zeta_continuation(s)
@@ -798,10 +819,25 @@ class TestDoubleRoute:
         assert abs(value - complex(_mpmath_zeta(s))) <= 1e-12 * abs(value)
 
     def test_trivial_zero_of_beta_takes_mpmath(self):
-        # 1/Gamma((s+1)/2) vanishes at s = -1: the double route claims no
-        # bound there, and the mpmath route returns the zero finite
-        assert lfun._double_route(lfun._beta_double, -1 + 0j) is None
+        # the reflection's cos(pi s/2) vanishes at s = -1: the double
+        # route claims no bound there, and the mpmath route returns the
+        # zero finite
+        assert lfun._double_route(-1 + 0j, odd=True) is None
         assert abs(dirichlet_beta(-1)) < 1e-30
+
+    @pytest.mark.parametrize("name, odd, continuation, oracle", _CHARACTERS)
+    @given(s=_CONTINUATION_POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_mpmath_route_matches_oracle(self, name, odd, continuation, oracle, s):
+        # with the double route off every point takes the mpmath route,
+        # which must agree with the 40-digit oracle (absolutely at an
+        # exact zero)
+        if name == "zeta" and s == 1:
+            return
+        with mock.patch.object(lfun, "_double_route", lambda s, odd: None):
+            value = continuation(s)
+        exact = complex(oracle(s))
+        assert abs(value - exact) <= 1e-12 * (abs(exact) or 1), (s, value, exact)
 
 
 class TestClosedForm:

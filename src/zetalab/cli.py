@@ -12,22 +12,20 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .arith import PrimePower
+from .arith import DEFAULT_DEGREE_CAP, PrimePower
 from .counting import (
+    DEFAULT_BUDGET,
     BudgetError,
-    ParseError,
     VarietySpec,
     count_series,
     parse_variety,
 )
 from .lfun import (
-    BadPrimeError,
     dashboard_checks,
     euler_product_value,
     load_model,
@@ -47,9 +45,10 @@ from .report import (
     SCHEMA_VERSION,
     Check,
     ConjectureReport,
-    _jsonable,
+    dumps,
     exit_code,
 )
+from .series import DEFAULT_PRECISION, DEFAULT_SAMPLE_TOL
 from .zeta import (
     SeparationError,
     default_degrees,
@@ -69,10 +68,10 @@ class RunConfig:
     """Effective settings for one invocation: defaults, overridden by a
     key=value config file, overridden by flags."""
 
-    precision: int = 50
-    functional_tol: float = 1e-9
-    degree_cap: int = 24
-    budget: int = 10**9
+    precision: int = DEFAULT_PRECISION
+    functional_tol: float = DEFAULT_SAMPLE_TOL
+    degree_cap: int = DEFAULT_DEGREE_CAP
+    budget: int = DEFAULT_BUDGET
     prime_cutoff: int = 10**4
     cache_dir: str | None = None
     format: str = "json"
@@ -268,12 +267,12 @@ def _decomposition_for(args, config):
 
 def _emit_doc(doc, config):
     if config.format == "json":
-        print(json.dumps(_jsonable(doc), sort_keys=True, indent=2))
+        print(dumps(doc, 2))
         return
     for key in sorted(doc):
         value = doc[key]
         if isinstance(value, (dict, list, tuple)):
-            value = json.dumps(_jsonable(value), sort_keys=True)
+            value = dumps(value, None)
         print(f"{key}: {value}")
 
 
@@ -315,7 +314,7 @@ def _cmd_zeta(args, config):
             raise _UsageError("--degrees is required when --betti cannot be inferred")
         m = default_degrees(betti)
     counts = count_series(spec, q, m, **_count_options(config))
-    Z = zeta_rational(counts.counts, betti, degree_cap=config.degree_cap)
+    Z = zeta_rational(counts.counts, betti)
     _emit_doc(
         {
             "schema": SCHEMA_VERSION,
@@ -406,43 +405,22 @@ _HANDLERS = {
     "check": _cmd_check,
 }
 
-_USER_ERRORS = (
-    ParseError,
-    BudgetError,
-    BadPrimeError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    SeparationError,
-    ValueError,
-)
+_USER_ERRORS = (OSError, ValueError, BudgetError, SeparationError)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return 1
-    try:
+        if args.command is None:
+            parser.print_help(sys.stderr)
+            return 1
         config = _build_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "show_config", False):
-        doc = {"schema": SCHEMA_VERSION, "config": config.as_dict()}
-        _emit_doc(doc, config)
-        return 0
-    try:
+        if getattr(args, "show_config", False):
+            _emit_doc({"schema": SCHEMA_VERSION, "config": config.as_dict()}, config)
+            return 0
         return _HANDLERS[args.command](args, config)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _USER_ERRORS as exc:
+    except (_UsageError, *_USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -137,8 +137,7 @@ class VarietySpec:
 
     kind is one of projective_space, plane_projective_curve,
     projective_hypersurface, elliptic_curve, zero_dimensional, product,
-    raw_system.  base is "integral" (a family over Z, specialized at
-    whatever prime the caller counts over) or a PrimePower.
+    raw_system.
     """
 
     kind: str
@@ -149,7 +148,6 @@ class VarietySpec:
     zero_poly: tuple = ()  # integer coefficients, low degree first, monic
     left: "VarietySpec" = None
     right: "VarietySpec" = None
-    base: object = "integral"
 
     def canonical(self):
         k = self.kind

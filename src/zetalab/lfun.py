@@ -150,17 +150,25 @@ class ArithmeticModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArithmeticModel":
-        family = parse_variety(data["family"])
+        """The model a JSON object describes; a missing required key is a
+        ValueError that names it."""
+
+        def required(entry, key, where):
+            if key not in entry:
+                raise ValueError(f"{where} has no {key!r}")
+            return entry[key]
+
+        family = parse_variety(required(data, "family", "model"))
         bad = []
         for entry in data.get("bad_primes", ()):
-            p = int(entry["p"])
+            p = int(required(entry, "p", "bad_primes entry"))
             repl = entry.get("replacement")
             bad.append((p, parse_variety(repl) if repl is not None else None))
         return cls(
             name=data.get("name", data["family"]),
             family=family,
             bad_primes=tuple(bad),
-            betti=tuple(int(b) for b in data["betti"]),
+            betti=tuple(int(b) for b in required(data, "betti", "model")),
             closed_form=_parse_closed_form(data.get("closed_form")),
             ranks={k: int(v) for k, v in data.get("ranks", {}).items()},
         )

@@ -10,11 +10,13 @@ multiset of primitive polynomial blocks, and all structural verdicts
 (multiplicities, determinants, functional-equation symmetry, closure
 under reciprocity, root moduli) are exact, on zetalab.poly's integer
 arithmetic (an eigenvalue's multiplicity is the exact power of its
-primitive linear factor).  The functional equations and reciprocity are
-one exact identity, series.functional_witnesses, which decides every
-verdict; the pointwise checks report series.functional_samples beside
-it, as the Hasse-Weil check does, and tol only classifies them.  So
-floats appear only through zetalab.series, in those samples,
+primitive linear factor).  The functional equations are one exact
+identity, series.functional_witnesses, which decides every verdict;
+closure under mu -> Q/mu is that identity again, so reciprocity is
+nc_functional_check's coefficient_symmetry row and has no check of its
+own.  The pointwise checks report series.functional_samples beside
+the identity, as the Hasse-Weil check does, and tol only classifies
+them.  So floats appear only through zetalab.series, in those samples,
 approximate roots for reports, and the witness of a failed modulus
 check, and this module does not import mpmath.
 """
@@ -29,6 +31,7 @@ from .arith import PrimePower
 from .report import FAIL, PASS, Check
 from .series import (
     DEFAULT_PRECISION,
+    DEFAULT_SAMPLE_TOL,
     RationalFunction,
     det_identity_minus_t,
     functional_samples,
@@ -58,7 +61,6 @@ __all__ = [
     "pairing_duality_check",
     "semisimplicity_criterion",
     "spectrum_direct_sum",
-    "spectrum_reciprocity_check",
     "spectrum_strip_exceptional",
     "strong_tate_check",
     "weight_normalization_check",
@@ -320,16 +322,8 @@ def nc_l_adic_check(spec: NcSpectrum, C: int = None):
     return checks
 
 
-def _functional_equation(spec, parity):
-    """(R, Q, chi) of the parity zeta's equation R(x) = C x^{-chi} R(1/(Qx)):
-    Q = 1 relates s and -s, Q = q relates s and 1 - s, and
-    C Q^chi = (-1)^chi det F for either parity."""
-    Q = 1 if parity == "even" else spec.q.q
-    return nc_zeta(spec, parity), Q, spec.chi(parity)
-
-
 def nc_functional_check(
-    spec: NcSpectrum, sample_points=DEFAULT_NC_SAMPLE_POINTS, tol: float = 1e-9
+    spec: NcSpectrum, sample_points=DEFAULT_NC_SAMPLE_POINTS, tol: float = DEFAULT_SAMPLE_TOL
 ):
     """The even equation relates s and -s, the odd one s and 1-s.
 
@@ -340,9 +334,13 @@ def nc_functional_check(
     witnesses the identity's own {"k", "lhs", "rhs"}, then the samples
     {"s", "lhs", "rhs"} off by more than tol, as the Hasse-Weil check
     lists them, so a FAIL always carries a witness; the
-    coefficient_symmetry one lists the identity's witnesses alone.  It
-    also gives det F = (-1)^chi C Q^chi.  For the even part the identity
-    reads r_{chi-k} = (-1)^chi det(F0) r_k and for the odd part
+    coefficient_symmetry one lists the identity's witnesses alone.
+    With Q = 1 (even) or q (odd), the identity
+    R(x) = C x^{-chi} R(1/(Qx)) for R = nc_zeta holds exactly when the
+    multiset is closed under mu -> Q/mu, so coefficient_symmetry is the
+    reciprocity verdict too; a multiset holding 0 fails it.  The
+    identity also gives det F = (-1)^chi C Q^chi.  For the even part the
+    identity reads r_{chi-k} = (-1)^chi det(F0) r_k and for the odd part
     r_{chi-k} = (-1)^chi q^{-k} det(F1) r_k.  For
     weight-built spectra the reduced forms with a bare sign are
     verified as well: det F0 must be a unit and det F1 a square root of
@@ -352,8 +350,8 @@ def nc_functional_check(
     """
     checks = []
     det = {}
-    for parity in ("even", "odd"):
-        R, Q, chi = _functional_equation(spec, parity)
+    for parity, Q in (("even", 1), ("odd", spec.q.q)):
+        R, chi = nc_zeta(spec, parity), spec.chi(parity)
         CQ, sym_bad = functional_witnesses(R, Q, chi)
         det[parity] = Fraction((-1) ** chi * CQ)
         used, skipped, sampled = functional_samples(R, spec.q.q, Q, chi, CQ, sample_points, tol)
@@ -409,7 +407,7 @@ def nc_functional_check(
 
 
 # ---------------------------------------------------------------------------
-# Duality and reciprocity
+# Duality
 # ---------------------------------------------------------------------------
 
 
@@ -453,30 +451,6 @@ def pairing_duality_check(theta, f, g, lam):
         detail=f"dimension {n}, lam = {lam}",
         data={"witnesses": bad, "det_f": det_f},
     )
-
-
-def spectrum_reciprocity_check(spec: NcSpectrum):
-    """Closure of the even multiset under mu -> 1/mu and the odd one
-    under mu -> q/mu, exactly.
-
-    With Q = 1 or q, 1/prod(1 - mu x) equals C x^{-chi} times its value
-    at 1/(Qx) for C Q^chi = (-1)^chi det F exactly when the multiset is
-    closed under mu -> Q/mu, so this is the parity's functional equation,
-    on series.functional_witnesses.  A multiset holding 0 fails, since
-    det F = 0 then.
-    """
-    checks = []
-    for parity, desc in (("even", "1/mu"), ("odd", "q/mu")):
-        bad = functional_witnesses(*_functional_equation(spec, parity))[1]
-        checks.append(
-            Check(
-                name=f"reciprocity.{parity}",
-                verdict=PASS if not bad else FAIL,
-                detail=f"multiset closure under mu -> {desc}",
-                data={"witnesses": bad},
-            )
-        )
-    return checks
 
 
 # ---------------------------------------------------------------------------

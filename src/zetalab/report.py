@@ -5,12 +5,17 @@ carry a witness in data (the deviating root, violating prime, or
 mismatched order).  INFO rows state side information and never affect
 exit codes; UNSUPPORTED marks statements the tool cannot decide rather
 than guessing.
+
+as_dict keeps exact values as they are; dumps is the one JSON emitter,
+for reports and the CLI's data documents alike: it makes exact values
+JSON-safe and sorts keys, so equal documents give equal bytes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -43,7 +48,7 @@ class Check:
             "name": self.name,
             "verdict": self.verdict,
             "detail": self.detail,
-            "data": _jsonable(self.data),
+            "data": self.data,
         }
 
     def line(self):
@@ -51,12 +56,15 @@ class Check:
         return f"[{self.verdict}] {self.name}{suffix}"
 
 
-def _jsonable(obj):
-    """Coerce exact values into JSON-safe, deterministic primitives."""
-    from fractions import Fraction
+def dumps(obj, indent):
+    """obj as deterministic JSON: exact values made JSON-safe, keys sorted."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=indent)
 
+
+def _jsonable(obj):
+    """Coerce exact values into JSON-safe primitives (dumps sorts keys)."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
@@ -107,13 +115,13 @@ class ConjectureReport:
             "subject": self.subject,
             "version": self.version,
             "unverified_hypotheses": list(UNVERIFIED_HYPOTHESES),
-            "config": _jsonable(self.config),
+            "config": self.config,
             "checks": [c.as_dict() for c in self.checks],
             "verdict": overall_verdict(self.checks),
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+        return dumps(self.as_dict(), 2)
 
     def to_text(self):
         lines = [f"subject: {self.subject}"]

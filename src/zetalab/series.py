@@ -13,11 +13,11 @@ integer polynomial lies on the circle |z| = Q^{1/2} is decided exactly
 (roots_on_circle), by a palindrome test and a Sturm count on
 poly.sturm_chain, so floats never decide a Weil verdict or a weight
 separation.  Every functional equation R(x) = C x^{-chi} R(1/(Qx)) (the
-classical one, the even and odd ones, reciprocity) is decided by one
-exact coefficient identity (functional_witnesses) and sampled at
-complex points by one numeric route (functional_samples), which is
-reported beside it: a first pass in complex doubles with a running
-error bound settles each point it can prove in tolerance and off the
+classical one, and the even and odd ones, which are also reciprocity)
+is decided by one exact coefficient identity (functional_witnesses) and
+sampled at complex points by one numeric route (functional_samples),
+which is reported beside it: a first pass in complex doubles with a
+running error bound settles each point it can prove in tolerance and off the
 poles, and every other point is classified at SAMPLE_DPS = 30 digits,
 so the report is the 30-digit one.  Floating point enters elsewhere
 only at root extraction (polynomial_roots, on mpmath.polyroots), which
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 50
+DEFAULT_SAMPLE_TOL = 1e-9
 SAMPLE_DPS = 30
 
 

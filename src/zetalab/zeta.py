@@ -2,7 +2,8 @@
 the classical checks.
 
 Pipeline: exact series from counts, rational reconstruction (degrees
-from Betti numbers when supplied, scanned otherwise), separation of
+from Betti numbers when supplied, otherwise scanned up to the number of
+counts, which the extension-field cap already bounds), separation of
 numerator/denominator roots along the modulus ladder q^{w/2} into
 integer weight factors, then the per-weight checks: inverse-root
 moduli, algebraic-integrality certificates, the functional equation
@@ -40,6 +41,7 @@ from .counting import DEFAULT_BUDGET, VarietySpec, count_series, local_weights
 from .report import FAIL, PASS, Check
 from .series import (
     DEFAULT_PRECISION,
+    DEFAULT_SAMPLE_TOL,
     PadeError,
     PowerSeries,
     RationalFunction,
@@ -58,7 +60,6 @@ __all__ = [
     "SeparationError",
     "WeightDecomposition",
     "WeightFactor",
-    "DEGREE_SCAN_CAP",
     "default_degrees",
     "fiber_decomposition",
     "hasse_weil_functional_check",
@@ -71,7 +72,6 @@ __all__ = [
     "zeta_rational",
 ]
 
-DEGREE_SCAN_CAP = 24
 DEFAULT_SAMPLE_POINTS = (0.3, 1.2 + 0.7j, -0.4)
 
 
@@ -193,13 +193,13 @@ def zeta_from_counts(counts) -> PowerSeries:
     return z
 
 
-def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> RationalFunction:
+def zeta_rational(counts, betti=None) -> RationalFunction:
     """Rational zeta from counts.
 
     With Betti numbers the degrees are fixed: numerator = sum of odd
     Betti numbers, denominator = sum of even ones.  Without them, total
-    degree is scanned upward; every candidate must re-verify against all
-    supplied counts before being accepted.
+    degree is scanned upward to the number of counts; every candidate
+    must re-verify against all supplied counts before being accepted.
     """
     values = _counts_list(counts)
     m = len(values)
@@ -228,7 +228,7 @@ def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> Rational
                 "stated Betti numbers"
             )
         return cand
-    for total in range(0, min(degree_cap, m) + 1):
+    for total in range(m + 1):
         for dn in range(total + 1):
             dd = total - dn
             try:
@@ -238,7 +238,7 @@ def zeta_rational(counts, betti=None, *, degree_cap=DEGREE_SCAN_CAP) -> Rational
             if verify(cand, dn, dd):
                 return cand
     raise ReconstructionError(
-        f"no rational function of total degree <= {min(degree_cap, m)} "
+        f"no rational function of total degree <= {m} "
         f"matches the supplied counts; supply Betti numbers or more counts"
     )
 
@@ -362,7 +362,7 @@ def fiber_decomposition(
         return dec
     m = default_degrees(betti) if degrees is None else degrees
     counts = count_series(spec, q, m, cache_dir=cache_dir, budget=budget, degree_cap=degree_cap)
-    Z = zeta_rational(counts, betti, degree_cap=degree_cap)
+    Z = zeta_rational(counts, betti)
     if betti is None:
         if len(Z.num) > 1 or not roots_on_circle(Z.den[::-1], 1):
             raise ValueError(_NOT_POLAR)
@@ -453,7 +453,7 @@ def l_adic_check(dec: WeightDecomposition):
 
 
 def hasse_weil_functional_check(
-    dec: WeightDecomposition, sample_points=DEFAULT_SAMPLE_POINTS, tol: float = 1e-9
+    dec: WeightDecomposition, sample_points=DEFAULT_SAMPLE_POINTS, tol: float = DEFAULT_SAMPLE_TOL
 ):
     """Weil's functional equation Z(1/(q^d t)) = sign q^{d chi/2} t^chi Z(t),
     that is zeta(s) = sign q^{chi s - chi d/2} zeta(d - s).

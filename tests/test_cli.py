@@ -89,6 +89,19 @@ class TestCount:
         code, _, _ = run(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, flag, rest",
+        [("count", "--spec", ("--p", "3", "--degrees", "1")), ("lfun", "--model", ())],
+    )
+    def test_unopenable_file_exits_one(self, capsys, tmp_path, command, flag, rest):
+        # a file name too long to open (ENAMETOOLONG) is an OSError that
+        # is none of FileNotFoundError, IsADirectoryError and
+        # NotADirectoryError, and still bad input, not an internal error
+        name = str(tmp_path / ("x" * 300))
+        code, out, err = run(capsys, command, flag, name, *rest)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "too long" in err
+
 
 class TestZetaAndSpectrum:
     def test_elliptic_zeta(self, capsys):
@@ -129,6 +142,25 @@ class TestZetaAndSpectrum:
         )
         assert code == 1 and not out
         assert err.startswith("error: fiber at p=5: ")
+
+    @pytest.mark.parametrize(
+        "model, missing",
+        [
+            ({"family": "projective 1; vars x, y"}, "model has no 'betti'"),
+            ({"betti": [1, 0, 1]}, "model has no 'family'"),
+            (
+                {"family": "projective 1; vars x, y", "betti": [1, 0, 1], "bad_primes": [{}]},
+                "bad_primes entry has no 'p'",
+            ),
+        ],
+    )
+    def test_malformed_model_exits_one(self, capsys, tmp_path, model, missing):
+        # a missing required key is a user error that names the key
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "lfun", "--model", str(path))
+        assert code == 1 and not out
+        assert err == f"error: {missing}\n"
 
     def test_lfun_without_local_factor_exits_one(self, capsys):
         # no prime up to 1: a product of nothing would print zeta(2) as 1

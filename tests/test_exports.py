@@ -24,6 +24,11 @@ lfun._borwein_coefficients the one source of Borwein weights, for the
 double route of zeta and beta and for beta's mpmath route alike, with
 lfun._l_double the one double evaluator of both (one reflection, one
 log Gamma) and zeta_continuation the one caller of mpmath.zeta.
+Reciprocity is nc_functional_check's coefficient_symmetry row, not a
+check of its own; zeta_rational's degree scan stops at the number of
+counts, with no cap of its own; report.dumps is the one JSON emitter,
+and the CLI imports no private name from report; RunConfig's defaults
+are the library's constants themselves, not restated literals.
 Parameters that no caller set stay module constants."""
 
 import ast
@@ -348,7 +353,10 @@ def test_one_functional_equation_route():
 
     checks = ["hasse_weil_functional_check", "nc_functional_check"]
     assert callers("functional_samples") == checks
-    assert callers("functional_witnesses") == checks + ["spectrum_reciprocity_check"]
+    # reciprocity is nc_functional_check's coefficient_symmetry row, not
+    # a second check on the same identity
+    assert callers("functional_witnesses") == checks
+    assert not defined & {"spectrum_reciprocity_check", "_functional_equation"}
     # the double pass and the point labels are reached through the
     # sampler only, and the sampler alone works at SAMPLE_DPS digits
     double_pass = {"_sample_point", "_first_pass", "_doubles", "_quotient", "_horner", "proves_used"}
@@ -369,8 +377,11 @@ def test_one_functional_equation_route():
     from zetalab.ncspec import nc_functional_check
     from zetalab.zeta import hasse_weil_functional_check
 
+    from zetalab.series import DEFAULT_SAMPLE_TOL
+
     for check in (hasse_weil_functional_check, nc_functional_check):
         assert "dps" not in inspect.signature(check).parameters
+        assert inspect.signature(check).parameters["tol"].default is DEFAULT_SAMPLE_TOL
     # C Q^chi is read off the exact identity, never passed in by a caller
     from zetalab.series import functional_witnesses
 
@@ -398,3 +409,64 @@ def test_one_source_of_borwein_weights():
         assert not hasattr(lfun, name), name
     assert _callers(tree, "factorial") == ["_borwein_coefficients"] * 3
     assert _callers(tree, "zeta") == ["zeta_continuation"]
+
+
+def test_one_degree_scan_cap():
+    # the Pade scan runs up to the number of counts it gets; the counts
+    # themselves are bounded by the extension-field cap, so no second
+    # cap (and no knob to fill it) grows back
+    from zetalab import zeta
+
+    assert list(inspect.signature(zeta.zeta_rational).parameters) == ["counts", "betti"]
+    assert not hasattr(zeta, "DEGREE_SCAN_CAP")
+
+
+def test_one_json_emitter():
+    # report.dumps is the one JSON emitter, for reports and the CLI's
+    # data documents alike: the CLI imports no private name from report
+    # and serialises nothing itself
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    from_report = [
+        alias.name
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "report"
+        for alias in node.names
+    ]
+    assert "dumps" in from_report
+    assert [name for name in from_report if name.startswith("_")] == []
+    assert "json" not in _imported(trees["cli.py"])
+    found = {f: _callers(tree, "_jsonable") for f, tree in trees.items()}
+    assert {f: sorted(set(c)) for f, c in found.items() if c} == {"report.py": ["_jsonable", "dumps"]}
+
+
+def test_cli_defaults_are_the_library_constants():
+    # RunConfig restates no library default: each is the library's
+    # constant itself, imported by name, so the two cannot drift apart
+    from zetalab import arith, counting, series
+    from zetalab.cli import RunConfig
+
+    tree = _tree(SRC / "cli.py")
+    run_config = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+    )
+    defaults = {
+        node.target.id: node.value
+        for node in run_config.body
+        if isinstance(node, ast.AnnAssign) and node.value is not None
+    }
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    expected = {
+        "precision": (series, "DEFAULT_PRECISION"),
+        "functional_tol": (series, "DEFAULT_SAMPLE_TOL"),
+        "degree_cap": (arith, "DEFAULT_DEGREE_CAP"),
+        "budget": (counting, "DEFAULT_BUDGET"),
+    }
+    for field, (module, constant) in expected.items():
+        assert getattr(defaults[field], "id", None) == constant, field
+        assert (module.__name__.removeprefix("zetalab."), constant) in imported, field
+        assert getattr(RunConfig(), field) is getattr(module, constant), field

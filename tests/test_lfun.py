@@ -799,6 +799,29 @@ class TestDoubleRoute:
         assert rel <= lfun.DOUBLE_TOL
         assert abs(value - exact) <= rel * abs(exact), (s, value, exact, rel)
 
+    @given(
+        start=st.integers(1, 3),
+        z=st.builds(complex, st.floats(-4, 5), st.floats(-8, 8)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_log_gamma_within_claimed_bound(self, start, z):
+        # with Stirling's series started at Re x >= 1..3 instead of 9, its
+        # remainder, not rounding, dominates the claimed error: L must
+        # still be within err of the 40-digit log Gamma(x), and the shift
+        # P within rel of the rising factorial z (z + 1) ... (z + m - 1),
+        # which claims no bound (rel inf) at a pole of Gamma
+        with mock.patch.object(lfun, "_STIRLING_FROM", start):
+            P, L, rel, err = lfun._log_gamma(z)
+        m = max(0, math.ceil(start - z.real))
+        with mpmath.workdps(40):
+            x = mpmath.mpc(z) + m
+            assert abs(L - mpmath.loggamma(x)) <= err, (z, start)
+            rising = mpmath.rf(mpmath.mpc(z), m)
+            if rising == 0:
+                assert rel == math.inf, (z, start)
+            else:
+                assert abs(P - rising) <= rel * abs(rising), (z, start)
+
     def test_analytic_dashboards_make_no_mpmath_call(self, specq, zi, p1, p2):
         # every contour point of the 16 (model, j) dashboards is settled
         # in doubles

@@ -1,6 +1,7 @@
 """Even/odd eigenvalue spectra, noncommutative zeta assembly, the
-functional-equation and reciprocity checkers, duality of pairings, and
-the multiplicity-vs-rank comparisons."""
+functional-equation checker (whose coefficient_symmetry rows are the
+reciprocity verdict), duality of pairings, and the multiplicity-vs-rank
+comparisons."""
 
 import json
 import random
@@ -27,7 +28,6 @@ from zetalab.ncspec import (
     pairing_duality_check,
     semisimplicity_criterion,
     spectrum_direct_sum,
-    spectrum_reciprocity_check,
     spectrum_strip_exceptional,
     strong_tate_check,
     weight_normalization_check,
@@ -42,6 +42,16 @@ from zetalab.zeta import (
 )
 
 from conftest import int_exactly_when_integral
+
+
+def _symmetry(spec):
+    """{parity: verdict} of nc_functional_check's coefficient_symmetry
+    rows, which decide closure under mu -> Q/mu."""
+    return {
+        c.name.split(".")[1]: c.verdict
+        for c in nc_functional_check(spec)
+        if c.name.endswith(".coefficient_symmetry")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +141,14 @@ class TestSpectrumChecks:
         assert reduced.data["reduced_sign_odd"] == 1
 
     def test_reciprocity(self, e5):
+        # E over F_5 has odd eigenvalues closed under mu -> 5/mu and even
+        # ones under mu -> 1/mu: both coefficient_symmetry rows pass
         _, spec = e5
-        assert all(c.verdict == "PASS" for c in spectrum_reciprocity_check(spec))
+        assert _symmetry(spec) == {"even": "PASS", "odd": "PASS"}
 
     def test_reciprocity_open_odd_multiset_fails(self):
         open_spec = NcSpectrum(q=PrimePower(5), odd=(EigenvalueBlock(poly=(-1, 1)),))
-        verdicts = [c.verdict for c in spectrum_reciprocity_check(open_spec)]
-        assert verdicts == ["PASS", "FAIL"]
+        assert _symmetry(open_spec) == {"even": "PASS", "odd": "FAIL"}
 
     def test_functional_open_odd_multiset_fails(self):
         # odd {1} over F_5 is not closed under mu -> 5/mu: with
@@ -155,7 +166,6 @@ class TestSpectrumChecks:
         assert checks["odd.coefficient_symmetry"].data["witnesses"] == witness
         pointwise = checks["odd.pointwise"].data["witnesses"]
         assert len(pointwise) == 4 and pointwise[0] == {"k": 1, "lhs": "5", "rhs": "1"}
-        assert spectrum_reciprocity_check(open_spec)[1].data == {"witnesses": witness}
 
     def test_pointwise_verdict_is_the_exact_identity(self):
         # y^2 = x^3 + x over F_7: at tol 1e-40 two samples per parity
@@ -215,10 +225,10 @@ class TestSpectrumChecks:
     @settings(max_examples=80, deadline=None)
     def test_reciprocity_is_the_functional_equation(self, p, data):
         # random integer eigenvalues, each closed up with its partner
-        # Q/mu or not: reciprocity, the exact functional equation and the
-        # multiset closure itself agree on each parity, and the constant
-        # C Q^chi read off nc_zeta is (-1)^chi det F, zero eigenvalues and
-        # non-monic blocks included
+        # Q/mu or not: the coefficient_symmetry verdict is the multiset's
+        # closure on each parity, and the constant C Q^chi read off
+        # nc_zeta is (-1)^chi det F, zero eigenvalues and non-monic
+        # blocks included
         mus = st.lists(st.integers(-6, 6), max_size=3)
         blocks, roots = {}, {}
         for parity, Q in (("even", 1), ("odd", p)):
@@ -232,16 +242,11 @@ class TestSpectrumChecks:
                     blocks[parity].append(EigenvalueBlock.from_coeffs(coeffs, mult=mult))
                     roots[parity] += [F(-coeffs[0], coeffs[1])] * mult
         spec = NcSpectrum(q=PrimePower(p), even=tuple(blocks["even"]), odd=tuple(blocks["odd"]))
-        reciprocity = {c.name.split(".")[1]: c.verdict for c in spectrum_reciprocity_check(spec)}
-        symmetry = {
-            c.name.split(".")[1]: c.verdict
-            for c in nc_functional_check(spec)
-            if c.name.endswith("coefficient_symmetry")
-        }
+        symmetry = _symmetry(spec)
         for parity, Q in (("even", 1), ("odd", p)):
             mu = roots[parity]
             closed = 0 not in mu and sorted(mu) == sorted(Q / m for m in mu)
-            assert reciprocity[parity] == symmetry[parity] == ("PASS" if closed else "FAIL")
+            assert symmetry[parity] == ("PASS" if closed else "FAIL")
             chi = spec.chi(parity)
             CQ = functional_witnesses(nc_zeta(spec, parity), Q, chi)[0]
             assert CQ == (-1) ** chi * spec.det(parity)

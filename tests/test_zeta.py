@@ -99,6 +99,17 @@ class TestZetaRational:
         Z = zeta_rational(count_series(spec, PrimePower(3), 6))
         assert Z.num == (F(1),) and Z.den == (F(1), F(0), F(-1))
 
+    def test_degree_scan_runs_to_the_number_of_counts(self):
+        # P^24 over F_2 has total degree 25, one past the extension-field
+        # cap: 25 counts, as a count file written under a larger cap
+        # holds, find it, since the scan stops at the counts it gets
+        counts = [sum(2 ** (i * n) for i in range(25)) for n in range(1, 26)]
+        den = (1,)
+        for i in range(25):
+            den = mul(den, (1, -(2**i)))
+        Z = zeta_rational(counts)
+        assert Z.num == (1,) and Z.den == den
+
     def test_insufficient_counts(self):
         with pytest.raises(ReconstructionError, match="[Ii]nsufficient"):
             zeta_rational([4, 32], betti=(1, 2, 1))

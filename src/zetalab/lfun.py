@@ -10,10 +10,13 @@ The global objects, all read from one scan of local factors over
 primes, are Euler products, their multiplicative Dirichlet expansions,
 trace-bound certificates for convergence, and, for models whose
 L-function has a closed form in shifted Riemann zetas (or the Gaussian
-Dedekind zeta), an honest analytic continuation with argument-principle
-order detection.  The continuation of zeta and beta runs in complex
-doubles with a proven error bound first, one evaluator and one
-reflection for both, and mpmath where the bound cannot settle a point.
+Dedekind zeta), an honest analytic continuation and its orders at
+integers.  The continuation of zeta and beta runs in complex doubles
+with a proven error bound first, one evaluator and one reflection for
+both, and mpmath where the bound cannot settle a point.  The order
+dashboard evaluates none of it: the Euler product and that reflection
+give every order at an integer exactly, and argument-principle winding
+on the continuation (winding_order) counts the same orders a second way.
 Everything without a closed form reports UNSUPPORTED rather than a
 fabricated continuation.
 """
@@ -33,7 +36,7 @@ from . import poly
 from .arith import PrimePower, primes_up_to
 from .counting import VarietySpec, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
-from .report import FAIL, INDETERMINATE, INFO, PASS, UNSUPPORTED, Check
+from .report import FAIL, INFO, PASS, UNSUPPORTED, Check
 from .series import _U, RationalFunction, power_sums_inverse_roots
 from .zeta import SeparationError, default_degrees, fiber_decomposition, weil_check
 
@@ -98,6 +101,35 @@ class BadPrimeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a value in a model's JSON must be, and the test for it.
+_JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an integer": _is_int,
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "an object of integers": lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+}
+_REQUIRED = object()
+
+
+def _json_value(entry, key, where, kind, default=_REQUIRED):
+    """entry[key] when it is the JSON kind, default when the key is
+    absent; a missing required key or a value of another kind is a
+    ValueError that names the key."""
+    if key not in entry:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no {key!r}")
+        return default
+    if not _JSON_KINDS[kind](entry[key]):
+        raise ValueError(f"{where}'s {key!r} is not {kind}")
+    return entry[key]
+
+
 def _parse_closed_form(tag):
     """Normalize the closed-form tag.
 
@@ -112,8 +144,8 @@ def _parse_closed_form(tag):
     if tag == "DedekindQi":
         return ("dedekind_qi",)
     if isinstance(tag, dict) and set(tag) == {"MixedTate"}:
-        shifts = tuple(int(j) for j in tag["MixedTate"])
-        return ("mixed_tate", shifts)
+        shifts = _json_value(tag, "MixedTate", "closed_form", "a list of integers")
+        return ("mixed_tate", tuple(shifts))
     raise ValueError(f"unknown closed-form tag: {tag!r}")
 
 
@@ -150,27 +182,25 @@ class ArithmeticModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArithmeticModel":
-        """The model a JSON object describes; a missing required key is a
-        ValueError that names it."""
-
-        def required(entry, key, where):
-            if key not in entry:
-                raise ValueError(f"{where} has no {key!r}")
-            return entry[key]
-
-        family = parse_variety(required(data, "family", "model"))
+        """The model a JSON object describes; a missing required key, or a
+        value of the wrong JSON type, is a ValueError that names the key."""
+        if not isinstance(data, dict):
+            raise ValueError("model is not a JSON object")
+        text = _json_value(data, "family", "model", "a string")
         bad = []
-        for entry in data.get("bad_primes", ()):
-            p = int(required(entry, "p", "bad_primes entry"))
-            repl = entry.get("replacement")
+        for entry in _json_value(data, "bad_primes", "model", "a list", []):
+            if not isinstance(entry, dict):
+                raise ValueError("bad_primes entry is not an object")
+            p = _json_value(entry, "p", "bad_primes entry", "an integer")
+            repl = _json_value(entry, "replacement", "bad_primes entry", "a string or null", None)
             bad.append((p, parse_variety(repl) if repl is not None else None))
         return cls(
-            name=data.get("name", data["family"]),
-            family=family,
+            name=_json_value(data, "name", "model", "a string", text),
+            family=parse_variety(text),
             bad_primes=tuple(bad),
-            betti=tuple(int(b) for b in required(data, "betti", "model")),
+            betti=tuple(_json_value(data, "betti", "model", "a list of integers")),
             closed_form=_parse_closed_form(data.get("closed_form")),
-            ranks={k: int(v) for k, v in data.get("ranks", {}).items()},
+            ranks=dict(_json_value(data, "ranks", "model", "an object of integers", {})),
         )
 
 
@@ -810,18 +840,17 @@ def dirichlet_beta(s):
         return complex(factor * mpmath.gamma(1 - s_mp) * _beta_series(1 - s_mp))
 
 
-def _shifted_zeta(j):
-    return lambda s: zeta_continuation(complex(s) - j)
-
-
 def _closed_form_factors(model: ArithmeticModel, parity: str):
-    """The distinct factors of the continued L-function, as
-    ((fn, multiplicity), ...), or None without a tag.
+    """The closed form of a parity's L-function as its distinct factors,
+    ((odd, shift), multiplicity) pairs for L(s - shift) with L = beta
+    (odd) or zeta, or None without a tag.
 
-    All shipped closed forms have trivial odd part, the empty product.
-    The even part is zeta(s - j) over the shifts j of a mixed-Tate tag,
-    one factor per distinct shift with its count as multiplicity, or
-    zeta times the mod-4 L-function beta for the Gaussian case.
+    This is the one description of a closed form: closed_form_l_function
+    evaluates it and order_dashboard reads its orders off it.  All
+    shipped closed forms have trivial odd part, the empty product.  The
+    even part is zeta(s - j) over the shifts j of a mixed-Tate tag, one
+    factor per distinct shift with its count as multiplicity, or zeta
+    times the mod-4 L-function beta for the Gaussian case.
     """
     tag = model.closed_form
     if tag is None:
@@ -829,9 +858,9 @@ def _closed_form_factors(model: ArithmeticModel, parity: str):
     if parity == "odd":
         return ()
     if tag[0] == "mixed_tate":
-        return tuple((_shifted_zeta(j), m) for j, m in sorted(Counter(tag[1]).items()))
+        return tuple(((False, j), m) for j, m in sorted(Counter(tag[1]).items()))
     if tag[0] == "dedekind_qi":
-        return ((zeta_continuation, 1), (dirichlet_beta, 1))
+        return (((False, 0), 1), ((True, 0), 1))
     raise AssertionError(f"unhandled closed form {tag!r}")
 
 
@@ -844,7 +873,12 @@ def closed_form_l_function(model: ArithmeticModel, parity: str):
     factors = _closed_form_factors(model, parity)
     if factors is None:
         return None
-    return lambda s: math.prod((fn(s) ** m for fn, m in factors), start=complex(1.0))
+    terms = [
+        (dirichlet_beta if odd else zeta_continuation, shift, m) for (odd, shift), m in factors
+    ]
+    return lambda s: math.prod(
+        (fn(complex(s) - shift) ** m for fn, shift, m in terms), start=complex(1.0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -917,21 +951,39 @@ _DASHBOARD_EQUALITIES = {
 }
 
 
-def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
-    """Orders of the parity L-functions at s=j against supplied ranks.
+def _exact_order(odd, n):
+    """The order of beta (odd) or zeta at the integer n, exactly.
 
-    Orders are measured on the continued closed form by winding count,
-    one contour per distinct factor: the order is the sum of
-    multiplicity times factor order, and the residual the same sum of
-    the factor residuals; one failed factor makes the order None
-    (INDETERMINATE).  Models without a closed form get UNSUPPORTED rows
-    instead of fabricated orders.  Ranks are fixtures (from the model
-    file or the ranks argument) and every row says which rank was
-    supplied.  The known equalities cover j in {1, 0} for both parities and j = -1 for
-    the even part; other combinations are INFO rows.  The further
-    variants involving extension groups are reported as an INFO row
-    only, since no rank data exists for them.
+    For n >= 1: the Euler product converges and is nonzero from n = 2 on,
+    zeta has its simple pole at 1, and beta(1) = pi/4.  For n <= 0: in the
+    reflection of _l_double, L(s) = m B^{s-1} sin(pi (s + a)/2)
+    Gamma(1 - s) L(1 - s), Gamma(1 - n) is finite and nonzero and the sine
+    has a simple zero exactly when n + a is even, so
+    ord_n L = [n + a even] + ord_{1-n} L.
     """
+    if n >= 1:
+        return -1 if n == 1 and not odd else 0
+    return int((n + odd) % 2 == 0) + _exact_order(odd, 1 - n)
+
+
+def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
+    """Orders of the parity L-functions at the integer s=j against
+    supplied ranks.
+
+    Orders are exact: the sum over `_closed_form_factors` of multiplicity
+    times `_exact_order` of the factor at j - shift, with residual 0.0.
+    No continuation is evaluated; winding_order counts the same orders on
+    the continued closed form, as the tests' second route.  A j that is
+    not an int is a ValueError.  Models without a closed form get
+    UNSUPPORTED rows instead of fabricated orders.  Ranks are fixtures
+    (from the model file or the ranks argument) and every row says which
+    rank was supplied.  The known equalities cover j in {1, 0} for both
+    parities and j = -1 for the even part; other combinations are INFO
+    rows.  The further variants involving extension groups are reported
+    as an INFO row only, since no rank data exists for them.
+    """
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise ValueError(f"the order dashboard needs an integer j, not {j!r}")
     if ranks is None:
         ranks = model.ranks
     rows = []
@@ -950,27 +1002,16 @@ def order_dashboard(model: ArithmeticModel, j: int, ranks: dict = None):
                 dict(base, verdict=UNSUPPORTED, note="no closed-form continuation for this model")
             )
             continue
-        order, residual = 0, 0.0
-        for fn, m in factors:
-            factor_order, factor_residual = winding_order(fn, j)
-            if factor_order is None:
-                order, residual = None, math.inf
-                break
-            order += m * factor_order
-            residual += m * factor_residual
-        base["residual"] = residual
-        if order is None:
-            verdict, note = INDETERMINATE, "winding failed: a zero or pole on or near the contour"
+        order = sum(m * _exact_order(odd, j - shift) for (odd, shift), m in factors)
+        base.update(ord_computed=order, residual=0.0)
+        if rank_name is None:
+            verdict, note = INFO, "no stated equality at this point"
+        elif rank_name not in ranks:
+            verdict, note = UNSUPPORTED, f"rank fixture {rank_name} not supplied"
         else:
-            base["ord_computed"] = order
-            if rank_name is None:
-                verdict, note = INFO, "no stated equality at this point"
-            elif rank_name not in ranks:
-                verdict, note = UNSUPPORTED, f"rank fixture {rank_name} not supplied"
-            else:
-                expected = sign * ranks[rank_name]
-                verdict = PASS if order == expected else FAIL
-                note = f"conjectural value {expected} (sign {sign})"
+            expected = sign * ranks[rank_name]
+            verdict = PASS if order == expected else FAIL
+            note = f"conjectural value {expected} (sign {sign})"
         rows.append(dict(base, verdict=verdict, note=note))
     rows.append(
         {

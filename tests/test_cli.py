@@ -152,10 +152,27 @@ class TestZetaAndSpectrum:
                 {"family": "projective 1; vars x, y", "betti": [1, 0, 1], "bad_primes": [{}]},
                 "bad_primes entry has no 'p'",
             ),
+            ({"family": "projective 1; vars x, y", "betti": 3}, "model's 'betti' is not a list of integers"),
+            (
+                {"family": "projective 1; vars x, y", "betti": [1, 0, 1], "bad_primes": [5]},
+                "bad_primes entry is not an object",
+            ),
+            ({"family": 7, "betti": [1]}, "model's 'family' is not a string"),
+            (
+                {"family": "zerodim x", "betti": [1], "bad_primes": [{"p": "2"}]},
+                "bad_primes entry's 'p' is not an integer",
+            ),
+            ({"family": "zerodim x", "betti": [1], "ranks": [1]}, "model's 'ranks' is not an object of integers"),
+            (
+                {"family": "zerodim x", "betti": [1], "closed_form": {"MixedTate": 0}},
+                "closed_form's 'MixedTate' is not a list of integers",
+            ),
+            ([], "model is not a JSON object"),
         ],
     )
     def test_malformed_model_exits_one(self, capsys, tmp_path, model, missing):
-        # a missing required key is a user error that names the key
+        # a missing required key, or a value of the wrong JSON type, is a
+        # user error that names the key
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
         code, out, err = run(capsys, "lfun", "--model", str(path))

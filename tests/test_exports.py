@@ -29,7 +29,11 @@ check of its own; zeta_rational's degree scan stops at the number of
 counts, with no cap of its own; report.dumps is the one JSON emitter,
 and the CLI imports no private name from report; RunConfig's defaults
 are the library's constants themselves, not restated literals.
-Parameters that no caller set stay module constants."""
+lfun._closed_form_factors is the one description of a closed form, read
+by closed_form_l_function and order_dashboard, and the dashboard reaches
+no continuation or winding function.  Every name the benchmark imports
+from zetalab resolves.  Parameters that no caller set stay module
+constants."""
 
 import ast
 import importlib
@@ -470,3 +474,86 @@ def test_cli_defaults_are_the_library_constants():
         assert getattr(defaults[field], "id", None) == constant, field
         assert (module.__name__.removeprefix("zetalab."), constant) in imported, field
         assert getattr(RunConfig(), field) is getattr(module, constant), field
+
+
+def _reached(tree, start):
+    """Names of the calls made from start, following calls into the
+    module's own functions (transitively)."""
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name not in seen:
+                    seen.add(name)
+                    if name in functions:
+                        todo.append(name)
+    return seen
+
+
+def test_dashboard_evaluates_no_continuation():
+    # the dashboard's orders are exact: nothing it calls, directly or
+    # through lfun's own functions, continues zeta or beta or winds a
+    # contour, so the numeric route stays the tests' second route
+    tree = _tree(SRC / "lfun.py")
+    reached = _reached(tree, "order_dashboard")
+    assert {"_closed_form_factors", "_exact_order"} <= reached
+    numeric = {
+        "zeta_continuation",
+        "dirichlet_beta",
+        "closed_form_l_function",
+        "winding_order",
+        "_double_route",
+        "_l_double",
+        "_log_gamma",
+        "_beta_series",
+        "zeta",
+        "gamma",
+    }
+    assert reached & numeric == set()
+
+
+def test_one_closed_form_description():
+    # _closed_form_factors is the one reading of a model's closed-form
+    # tag, as ((odd, shift), multiplicity) pairs: the L-function and the
+    # dashboard both build on it, and no per-factor callable of its own
+    # (the old _shifted_zeta) grows back beside it
+    from zetalab import lfun
+
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    readers = {
+        (f, fn.name)
+        for f, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "closed_form"
+    }
+    assert readers == {("lfun.py", "_closed_form_factors")}
+    assert sorted(_callers(trees["lfun.py"], "_closed_form_factors")) == [
+        "closed_form_l_function",
+        "order_dashboard",
+    ]
+    assert sorted(_callers(trees["lfun.py"], "_exact_order")) == ["_exact_order", "order_dashboard"]
+    assert not hasattr(lfun, "_shifted_zeta")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in BENCH.glob("*.py")))
+def test_benchmark_imports_resolve(path):
+    # every name the benchmark imports from zetalab still exists, so a
+    # rename in the library fails here and not in a benchmark run
+    names = []
+    for node in ast.walk(_tree(BENCH / path)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "zetalab":
+            names += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [(a.name, None) for a in node.names if a.name.split(".")[0] == "zetalab"]
+    for module, name in names:
+        imported = importlib.import_module(module)
+        assert name is None or hasattr(imported, name), (path, module, name)
+    if path == "workloads.py":
+        assert ("zetalab.lfun", "order_dashboard") in names

@@ -823,13 +823,16 @@ class TestDoubleRoute:
                 assert abs(P - rising) <= rel * abs(rising), (z, start)
 
     def test_analytic_dashboards_make_no_mpmath_call(self, specq, zi, p1, p2):
-        # every contour point of the 16 (model, j) dashboards is settled
-        # in doubles
+        # the 16 (model, j) dashboards evaluate nothing, and every contour
+        # point of their second route, a winding count per distinct
+        # factor, is settled in doubles
         counted = {name: _counted(getattr(mpmath, name)) for name in ("zeta", "gamma", "rgamma")}
         with mock.patch.multiple(mpmath, **counted):
             for model in (specq, zi, p1, p2):
                 for j in (1, 0, -1, -2):
                     assert order_dashboard(model, j)
+                    for fn, _ in _factor_functions(model):
+                        assert winding_order(fn, j)[0] is not None
         assert {name: fn.calls for name, fn in counted.items()} == dict.fromkeys(counted, 0)
 
     def test_near_pole_takes_mpmath(self):
@@ -889,8 +892,9 @@ class TestClosedForm:
                 assert abs(got - want) <= 1e-13 * abs(want), (model.name, s)
 
     def test_factors_grouped_by_shift(self, p2, zi):
-        assert [m for _, m in lfun._closed_form_factors(p2, "even")] == [3]
-        assert [m for _, m in lfun._closed_form_factors(zi, "even")] == [1, 1]
+        # ((odd, shift), multiplicity) for L(s - shift), L = beta or zeta
+        assert lfun._closed_form_factors(p2, "even") == (((False, 0), 3),)
+        assert lfun._closed_form_factors(zi, "even") == (((False, 0), 1), ((True, 0), 1))
         assert lfun._closed_form_factors(p2, "odd") == ()
         mixed = ArithmeticModel.from_dict(
             {
@@ -900,10 +904,10 @@ class TestClosedForm:
                 "closed_form": {"MixedTate": [1, 0, 1]},
             }
         )
-        factors = lfun._closed_form_factors(mixed, "even")
-        assert [m for _, m in factors] == [1, 2]
-        value = factors[1][0](3.0)
-        assert abs(value - ZETA2) < 1e-12
+        assert lfun._closed_form_factors(mixed, "even") == (((False, 0), 1), ((False, 1), 2))
+        zeta3 = complex(_mpmath_zeta(3))
+        value = closed_form_l_function(mixed, "even")(3.0)
+        assert abs(value - zeta3 * ZETA2**2) < 1e-12
 
 
 def _counted(fn):
@@ -1068,25 +1072,92 @@ class TestOrderDashboard:
             assert by["even"]["ord_computed"] == expected, j
             assert by["odd"]["ord_computed"] == 0 and by["odd"]["residual"] == 0.0
 
-    def test_one_contour_per_distinct_factor(self, p2, zi):
-        winds = _counted(winding_order)
-        zeta = _counted(zeta_continuation)
-        with mock.patch.object(lfun, "winding_order", winds), mock.patch.object(
-            lfun, "zeta_continuation", zeta
-        ):
-            order_dashboard(p2, 1)
-            assert winds.calls == 1
-            assert 0 < zeta.calls <= 2 * WINDING_SAMPLES
-            winds.calls = 0
-            order_dashboard(zi, 1)
-            assert winds.calls == 2
+    @pytest.mark.parametrize("name", ["specq", "zi", "p1", "p2"])
+    def test_orders_match_winding(self, request, name):
+        # every analytic (model, j) pair: the exact orders against the
+        # winding count of the continued closed form, factor by factor
+        model = request.getfixturevalue(name)
+        for j in (1, 0, -1, -2):
+            by = {r["parity"]: r for r in order_dashboard(model, j)}
+            wound = sum(m * winding_order(fn, j)[0] for fn, m in _factor_functions(model))
+            assert by["even"]["ord_computed"] == wound, j
+            assert by["even"]["residual"] == 0.0
 
-    def test_failed_factor_is_indeterminate(self, zi):
-        # j = 0.75 puts a sample on the pole of the zeta factor
-        by = {r["parity"]: r for r in order_dashboard(zi, 0.75)}
-        assert by["even"]["verdict"] == "INDETERMINATE"
-        assert by["even"]["ord_computed"] is None
-        assert by["even"]["residual"] == math.inf
+    def test_no_continuation_on_the_dashboard_path(self, specq, zi, p1, p2):
+        # orders come from the exact rule alone: with every continuation
+        # and the winding count refusing to run, the 16 analytic
+        # dashboards still give their pinned orders
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dashboard evaluated a continuation")
+
+        pinned = {"specq": (-1, 0, 0, 1), "zi": (-1, 0, 1, 1), "p1": (-2, 0, 0, 2), "p2": (-3, 0, 0, 3)}
+        names = ("zeta_continuation", "dirichlet_beta", "winding_order", "_l_double")
+        with mock.patch.multiple(lfun, **dict.fromkeys(names, refuse)), mock.patch.object(
+            mpmath, "zeta", refuse
+        ):
+            for model, name in ((specq, "specq"), (zi, "zi"), (p1, "p1"), (p2, "p2")):
+                for j, expected in zip((1, 0, -1, -2), pinned[name]):
+                    by = {r["parity"]: r for r in order_dashboard(model, j)}
+                    assert by["even"]["ord_computed"] == expected, (name, j)
+
+    @pytest.mark.parametrize("j", [0.75, 1.0, True, "1", None])
+    def test_non_integer_j_raises(self, zi, j):
+        # orders are exact at integers only; a non-integer point is a
+        # winding_order question (see TestWindingOrder)
+        with pytest.raises(ValueError, match="integer j"):
+            order_dashboard(zi, j)
+
+    def test_rows_keep_their_keys(self, zi, ell):
+        keys = ["j", "parity", "ord_computed", "rank_name", "rank_supplied"]
+        for row in order_dashboard(zi, 1)[:2]:
+            assert list(row) == keys + ["residual", "verdict", "note"]
+        for row in order_dashboard(ell, 1)[:2]:
+            assert list(row) == keys + ["verdict", "note"]
+
+
+def _factor_functions(model):
+    """(callable, multiplicity) for each distinct factor of the even closed
+    form, built as closed_form_l_function builds them: L(s - shift)."""
+    out = []
+    for (odd, shift), m in lfun._closed_form_factors(model, "even"):
+        fn = dirichlet_beta if odd else zeta_continuation
+        out.append(((lambda s, fn=fn, shift=shift: fn(complex(s) - shift)), m))
+    return out
+
+
+class TestExactOrder:
+    @pytest.mark.parametrize("n", range(-6, 4))
+    @pytest.mark.parametrize(
+        "odd, fn",
+        [pytest.param(False, zeta_continuation, id="zeta"), pytest.param(True, dirichlet_beta, id="beta")],
+    )
+    def test_matches_winding(self, odd, fn, n):
+        order, residual = winding_order(fn, n)
+        assert lfun._exact_order(odd, n) == order
+        assert residual < 1e-9
+
+    def test_known_orders(self):
+        # the pole of zeta, its trivial zeros at negative even integers,
+        # beta's at negative odd ones, and nonzero values elsewhere
+        zeta_orders = [lfun._exact_order(False, n) for n in range(-6, 4)]
+        beta_orders = [lfun._exact_order(True, n) for n in range(-6, 4)]
+        assert zeta_orders == [1, 0, 1, 0, 1, 0, 0, -1, 0, 0]
+        assert beta_orders == [0, 1, 0, 1, 0, 1, 0, 0, 0, 0]
+
+    @given(
+        shifts=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        j=st.integers(-6, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_tate_matches_winding(self, shifts, j):
+        # any mixed-Tate closed form: the dashboard's exact order against
+        # the winding count of each distinct shifted zeta
+        model = ArithmeticModel.from_dict(
+            {"family": "zerodim x", "betti": [1], "closed_form": {"MixedTate": shifts}}
+        )
+        by = {r["parity"]: r for r in order_dashboard(model, j)}
+        wound = sum(m * winding_order(fn, j)[0] for fn, m in _factor_functions(model))
+        assert by["even"]["ord_computed"] == wound
 
 
 class TestKTheoryTable:

@@ -62,6 +62,7 @@ __all__ = [
     "VarietySpec",
     "count_points",
     "count_series",
+    "has_closed_form",
     "local_weights",
     "parse_variety",
 ]
@@ -615,6 +616,12 @@ def _elliptic_frobenius(spec, q: PrimePower, budget):
     return (1, -a_r, p**r) if good else poly.trim((1, -a_r))
 
 
+def has_closed_form(spec: VarietySpec) -> bool:
+    """Whether local_weights reads spec's weight factors off its shape
+    (and so counts nothing)."""
+    return spec.kind in ("projective_space", "zero_dimensional", "elliptic_curve")
+
+
 def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET):
     """Weight factors P_0..P_2d of X over F_q read off its shape, or None.
 
@@ -625,6 +632,8 @@ def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET):
     is g points of degree k/g over F_q.  A Weierstrass curve has 1 - t,
     its Frobenius polynomial (_elliptic_frobenius) and 1 - q t.  Nothing
     here reads or writes the disk cache."""
+    if not has_closed_form(spec):
+        return None
     kind = spec.kind
     if kind == "projective_space":
         d = spec.ambient_dim
@@ -636,9 +645,7 @@ def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET):
             for _ in range(cnt * g):
                 P = poly.mul(P, (1,) + (0,) * (k // g - 1) + (-1,))
         return (P,)
-    if kind == "elliptic_curve":
-        return ((1, -1), _elliptic_frobenius(spec, q, budget), (1, -q.q))
-    return None
+    return ((1, -1), _elliptic_frobenius(spec, q, budget), (1, -q.q))
 
 
 def count_points(

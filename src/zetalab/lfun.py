@@ -34,7 +34,7 @@ import mpmath
 
 from . import poly
 from .arith import PrimePower, primes_up_to
-from .counting import VarietySpec, parse_variety
+from .counting import VarietySpec, has_closed_form, parse_variety
 from .ncspec import NcSpectrum, nc_spectrum_from_weights, nc_zeta
 from .report import FAIL, INFO, PASS, UNSUPPORTED, Check
 from .series import _U, RationalFunction, power_sums_inverse_roots
@@ -228,10 +228,12 @@ def _local_entry(model: ArithmeticModel, p: int):
     It only chooses _fiber_entry's arguments: a family fiber has the
     model's Betti numbers, a replacement fiber is zero-dimensional (betti
     None), and either is counted to default_degrees(model.betti) where it
-    must be."""
+    must be.  A closed form is counted nowhere, so its degrees are None
+    and equal closed-form fibers of different models share one entry."""
     fiber = _fiber_spec(model, p)
     betti = model.betti if fiber is model.family else None
-    return _fiber_entry(fiber, p, betti, default_degrees(model.betti))
+    degrees = None if has_closed_form(fiber) else default_degrees(model.betti)
+    return _fiber_entry(fiber, p, betti, degrees)
 
 
 # The bound holds several global models of a few hundred primes each.

@@ -1,12 +1,15 @@
-"""Exact truncated power series and rational functions over Q, Pade
+"""Exact truncated power series and rational functions over Q, rational
 reconstruction, exact linear algebra, functional equations, and root
 extraction.
 
 This module decides what type an exact coefficient has: series and
 rational functions store each coefficient as an int when it is
 integral and as a Fraction otherwise (_int_if_integral), so their
-consumers never convert.  Linear algebra row-reduces fraction-free on
-integers (Bareiss) and only the reduced rows come back as Fractions.
+consumers never convert.  A series becomes a rational function by one
+route, rational_reconstruct: an extended Euclidean run on integer
+polynomials, whose rows are the series' Pade approximants.  Linear
+algebra row-reduces fraction-free on integers (Bareiss) and only the
+reduced rows come back as Fractions.
 Polynomial arithmetic itself (gcds, exact division, square-free parts) is
 zetalab.poly's, on primitive integer parts.  Whether every root of an
 integer polynomial lies on the circle |z| = Q^{1/2} is decided exactly
@@ -44,15 +47,13 @@ from . import poly
 __all__ = [
     "PowerSeries",
     "RationalFunction",
-    "PadeError",
     "RootFindingError",
-    "exp_series",
     "functional_samples",
     "functional_witnesses",
     "log_series",
     "log_det_series",
-    "pade_reconstruct",
     "polynomial_roots",
+    "rational_reconstruct",
     "roots_on_circle",
     "power_sums_inverse_roots",
     "worst_modulus",
@@ -61,10 +62,6 @@ __all__ = [
 DEFAULT_PRECISION = 50
 DEFAULT_SAMPLE_TOL = 1e-9
 SAMPLE_DPS = 30
-
-
-class PadeError(ValueError):
-    pass
 
 
 class RootFindingError(RuntimeError):
@@ -269,23 +266,8 @@ class PowerSeries:
         return cls((1,) + (0,) * M)
 
 
-def exp_series(s: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, truncation preserving."""
-    if s.coeffs[0] != 0:
-        raise ValueError("exp_series needs constant term 0")
-    M = s.order
-    e = [Fraction(1)] + [Fraction(0)] * M
-    for n in range(1, M + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            if s.coeffs[k]:
-                acc += k * s.coeffs[k] * e[n - k]
-        e[n] = acc / n
-    return PowerSeries(e)
-
-
 def log_series(s: PowerSeries) -> PowerSeries:
-    """log of a series with constant term 1; inverse of exp_series."""
+    """log of a series with constant term 1."""
     if s.coeffs[0] != 1:
         raise ValueError("log_series needs constant term 1")
     M = s.order
@@ -409,53 +391,48 @@ def _unit_constant(a):
     return tuple(_int_if_integral(Fraction(c, c0)) for c in a)
 
 
-def pade_reconstruct(s: PowerSeries, deg_num: int, deg_den: int) -> RationalFunction:
-    """The rational function with the given degree bounds matching s.
+def rational_reconstruct(s: PowerSeries, degrees=None):
+    """The rational function N/D in lowest terms, N(0) = D(0) = 1, that
+    matches s to its order m, from one extended Euclidean run on
+    (t^(m+1), s).
 
-    Exact linear algebra over Q: the denominator comes from the null
-    space of the Hankel-style system, the numerator from multiplying
-    back.  The match to order deg_num + deg_den is verified before
-    returning; failure raises PadeError.
+    Each row (r, v) of the run has r = v s mod t^(m+1) and
+    deg r + deg v <= m, and a reduced N/D with deg N + deg D <= m matches
+    s exactly when (N, D) is a scalar multiple of a row with v(0) != 0
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 5.9), so
+    such a row is in lowest terms and matches every coefficient already.
+    Without degrees the answer is the row of least deg r + deg v, ties
+    going to the smaller deg r.  With degrees = (dn, dd), m >= dn + dd,
+    it is the first row with deg r <= dn, or None when that row has
+    deg v > dd or v(0) = 0.  The run is on integers: s is scaled to
+    integer coefficients, each remainder is a pseudo-remainder, and each
+    row is divided by the content of its two polynomials.
     """
-    if deg_num < 0 or deg_den < 0:
-        raise PadeError("degree bounds must be non-negative")
-    if s.coeffs[0] != 1:
-        raise PadeError("series must have constant term 1")
-    need = deg_num + deg_den
-    if s.order < need:
-        raise PadeError(
-            f"underdetermined: need the series to order {need}, have {s.order}"
-        )
     c = s.coeffs
-    if deg_den == 0:
-        den = (1,)
-    else:
-        rows = []
-        for n in range(deg_num + 1, need + 1):
-            rows.append([c[n - j] if 0 <= n - j else 0 for j in range(deg_den + 1)])
-        null = mat_nullspace(rows)
-        if not null:
-            raise PadeError("no solution at the stated degrees")
-        b = null[0]
-        if b[0] == 0:
-            # a vanishing leading denominator coefficient means the stated
-            # degrees are wrong for this series
-            nonzero = [v for v in null if v[0] != 0]
-            if not nonzero:
-                raise PadeError("no solution at the stated degrees")
-            b = nonzero[0]
-        den = tuple(x / b[0] for x in b)
-    num = []
-    for n in range(deg_num + 1):
-        num.append(sum(den[j] * c[n - j] for j in range(min(n, deg_den) + 1)))
-    num = poly.trim(num) or (0,)
-    if num[0] == 0:
-        raise PadeError("no solution at the stated degrees")
-    cand = RationalFunction(num, den)
-    exp = cand.expand(need)
-    if exp.coeffs != c[: need + 1]:
-        raise PadeError("no solution at the stated degrees")
-    return cand
+    if c[0] != 1:
+        raise ValueError("series must have constant term 1")
+    if degrees is not None and s.order < sum(degrees):
+        raise ValueError(f"underdetermined: need the series to order {sum(degrees)}")
+    den = math.lcm(*(x.denominator for x in c))
+    r0, v0 = (0,) * len(c) + (1,), ()
+    r1, v1 = poly.trim(x.numerator * (den // x.denominator) for x in c), (den,)
+    best = None
+    while r1:
+        if degrees is None:
+            # rows come in falling deg r, so <= hands a tie to the later row
+            if v1[0] and (best is None or len(r1) + len(v1) <= sum(map(len, best))):
+                best = (r1, v1)
+        elif len(r1) - 1 <= degrees[0]:
+            if len(v1) - 1 > degrees[1] or not v1[0]:
+                return None
+            best = (r1, v1)
+            break
+        f = r1[-1] ** (len(r0) - len(r1) + 1)
+        quo, r = poly.divrem([f * x for x in r0], r1)
+        v = poly.sub([f * x for x in v0], poly.mul(quo, v1))
+        g = math.gcd(*r, *v)
+        r0, v0, r1, v1 = r1, v1, tuple(x // g for x in r), tuple(x // g for x in v)
+    return RationalFunction(*best, reduce=False)
 
 
 # ---------------------------------------------------------------------------

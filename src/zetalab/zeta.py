@@ -2,8 +2,8 @@
 the classical checks.
 
 Pipeline: exact series from counts, rational reconstruction (degrees
-from Betti numbers when supplied, otherwise scanned up to the number of
-counts, which the extension-field cap already bounds), separation of
+bounded by the Betti numbers when supplied, otherwise the least total
+degree, which the number of counts bounds), separation of
 numerator/denominator roots along the modulus ladder q^{w/2} into
 integer weight factors, then the per-weight checks: inverse-root
 moduli, algebraic-integrality certificates, the functional equation
@@ -42,14 +42,12 @@ from .report import FAIL, PASS, Check
 from .series import (
     DEFAULT_PRECISION,
     DEFAULT_SAMPLE_TOL,
-    PadeError,
     PowerSeries,
     RationalFunction,
-    exp_series,
     functional_samples,
     functional_witnesses,
-    pade_reconstruct,
     power_sums_inverse_roots,
+    rational_reconstruct,
     roots_on_circle,
     worst_modulus,
 )
@@ -168,20 +166,21 @@ def _counts_list(counts):
 
 
 def zeta_from_counts(counts) -> PowerSeries:
-    """exp of sum N_n t^n / n, exactly, to the order the counts allow.
+    """exp of sum N_n t^n / n, exactly, to the order the counts allow,
+    by Newton's recurrence n z_n = sum_(k=1..n) N_k z_(n-k) in integers
+    (a Fraction only where n does not divide).
 
     Genuine varieties give non-negative integer coefficients; a
     violation raises HypothesisWarning (not an error) since the caller
     may be probing synthetic data.
     """
     values = _counts_list(counts)
-    log_z = PowerSeries([Fraction(0)] + [Fraction(v, n + 1) for n, v in enumerate(values)])
-    z = exp_series(log_z)
-    bad = [
-        (i, c)
-        for i, c in enumerate(z.coeffs)
-        if c.denominator != 1 or c < 0
-    ]
+    z = [1]
+    for n in range(1, len(values) + 1):
+        acc = sum(values[k - 1] * z[n - k] for k in range(1, n + 1))
+        z.append(acc // n if isinstance(acc, int) and acc % n == 0 else Fraction(acc, n))
+    z = PowerSeries(z)
+    bad = [(i, c) for i, c in enumerate(z.coeffs) if c.denominator != 1 or c < 0]
     if bad:
         warnings.warn(
             f"zeta coefficients are not non-negative integers "
@@ -194,53 +193,33 @@ def zeta_from_counts(counts) -> PowerSeries:
 
 
 def zeta_rational(counts, betti=None) -> RationalFunction:
-    """Rational zeta from counts.
+    """Rational zeta from counts, by series.rational_reconstruct, which
+    matches every supplied count.
 
-    With Betti numbers the degrees are fixed: numerator = sum of odd
-    Betti numbers, denominator = sum of even ones.  Without them, total
-    degree is scanned upward to the number of counts; every candidate
-    must re-verify against all supplied counts before being accepted.
+    With Betti numbers the degrees are bounded: numerator by the sum of
+    odd Betti numbers, denominator by the sum of even ones.  Without
+    them the answer is the function of least total degree, which the
+    number of counts bounds.
     """
     values = _counts_list(counts)
-    m = len(values)
     series = zeta_from_counts(values)
-
-    def verify(cand, dn, dd):
-        # pade_reconstruct has matched the series up to t^(dn + dd)
-        return dn + dd >= m or cand.expand(m).coeffs == series.coeffs
-
-    if betti is not None:
-        betti = tuple(int(b) for b in betti)
-        dn = sum(b for w, b in enumerate(betti) if w % 2 == 1)
-        dd = sum(b for w, b in enumerate(betti) if w % 2 == 0)
-        if m < dn + dd:
-            raise ReconstructionError(
-                f"insufficient counts for the stated Betti numbers: "
-                f"need {dn + dd}, have {m}"
-            )
-        try:
-            cand = pade_reconstruct(series, dn, dd)
-        except PadeError as exc:
-            raise ReconstructionError(f"reconstruction failed: {exc}") from exc
-        if not verify(cand, dn, dd):
-            raise ReconstructionError(
-                "reconstruction mismatch: counts are inconsistent with the "
-                "stated Betti numbers"
-            )
-        return cand
-    for total in range(m + 1):
-        for dn in range(total + 1):
-            dd = total - dn
-            try:
-                cand = pade_reconstruct(series, dn, dd)
-            except PadeError:
-                continue
-            if verify(cand, dn, dd):
-                return cand
-    raise ReconstructionError(
-        f"no rational function of total degree <= {m} "
-        f"matches the supplied counts; supply Betti numbers or more counts"
-    )
+    if betti is None:
+        return rational_reconstruct(series)
+    betti = tuple(int(b) for b in betti)
+    dn = sum(b for w, b in enumerate(betti) if w % 2 == 1)
+    dd = sum(b for w, b in enumerate(betti) if w % 2 == 0)
+    if len(values) < dn + dd:
+        raise ReconstructionError(
+            f"insufficient counts for the stated Betti numbers: "
+            f"need {dn + dd}, have {len(values)}"
+        )
+    Z = rational_reconstruct(series, (dn, dd))
+    if Z is None:
+        raise ReconstructionError(
+            "reconstruction mismatch: counts are inconsistent with the "
+            "stated Betti numbers"
+        )
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +328,9 @@ def fiber_decomposition(
     cache_dir when given), reconstructed and separated.
     betti None means a zero-dimensional replacement fiber (degrees then
     required): a closed form must have one weight, and a counted zeta,
-    found by the degree scan, must be polar, numerator 1 and the
-    denominator's inverse roots on |x| = 1 (not P^1's), or ValueError."""
+    reconstructed at its least total degree, must be polar, numerator 1
+    and the denominator's inverse roots on |x| = 1 (not P^1's), or
+    ValueError."""
     weights = local_weights(spec, q, budget=budget)
     if weights is not None:
         factors = tuple(WeightFactor(w, P) for w, P in enumerate(weights))

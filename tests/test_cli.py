@@ -110,6 +110,18 @@ class TestZetaAndSpectrum:
         assert doc["numerator"] == ["1", "-2", "5"]
         assert doc["denominator"] == ["1", "-6", "5"]
 
+    def test_scan_without_betti(self, capsys, tmp_path):
+        # a plane cubic's Betti numbers are not inferred, so --degrees
+        # counts it and the reconstruction finds the degrees itself:
+        # y^2 + y = x^3 is supersingular over F_2, 1 + 2t^2 over (1 - t)(1 - 2t)
+        cubic = tmp_path / "cubic.vty"
+        cubic.write_text("projective 2; vars x,y,z; eq y^2*z + y*z^2 - x^3\n")
+        code, doc = run_json(capsys, "zeta", "--spec", str(cubic), "--p", "2", "--degrees", "6")
+        assert code == 0 and doc["betti"] is None
+        assert doc["counts"] == [3, 9, 9, 9, 33, 81]
+        assert doc["numerator"] == ["1", "0", "2"]
+        assert doc["denominator"] == ["1", "-3", "2"]
+
     def test_spectrum_document(self, capsys):
         code, doc = run_json(capsys, "nc", "--spec", P2, "--p", "3")
         assert code == 0

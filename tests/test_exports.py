@@ -25,8 +25,10 @@ double route of zeta and beta and for beta's mpmath route alike, with
 lfun._l_double the one double evaluator of both (one reflection, one
 log Gamma) and zeta_continuation the one caller of mpmath.zeta.
 Reciprocity is nc_functional_check's coefficient_symmetry row, not a
-check of its own; zeta_rational's degree scan stops at the number of
-counts, with no cap of its own; report.dumps is the one JSON emitter,
+check of its own; series.rational_reconstruct, one extended Euclidean
+run on integers that constructs no Fraction, is the one route from a
+zeta series to its rational function, and it reads every count
+zeta_rational gets, with no cap of its own; report.dumps is the one JSON emitter,
 and the CLI imports no private name from report; RunConfig's defaults
 are the library's constants themselves, not restated literals.
 lfun._closed_form_factors is the one description of a closed form, read
@@ -416,13 +418,43 @@ def test_one_source_of_borwein_weights():
 
 
 def test_one_degree_scan_cap():
-    # the Pade scan runs up to the number of counts it gets; the counts
-    # themselves are bounded by the extension-field cap, so no second
-    # cap (and no knob to fill it) grows back
+    # the reconstruction reads every count it gets; the counts themselves
+    # are bounded by the extension-field cap, so no second cap (and no
+    # knob to fill it) grows back
     from zetalab import zeta
 
     assert list(inspect.signature(zeta.zeta_rational).parameters) == ["counts", "betti"]
     assert not hasattr(zeta, "DEGREE_SCAN_CAP")
+
+
+def test_one_rational_reconstruction():
+    # counts become a rational zeta through one extended Euclidean run on
+    # integers, series.rational_reconstruct: no Pade nullspace, no degree
+    # loop and no Fraction exp grows back beside it
+    from zetalab import series, zeta
+
+    trees = {path.name: _tree(path) for path in SRC.glob("*.py")}
+    defined = [
+        (f, node.name)
+        for f, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(w in node.name.lower() for w in ("reconstruct", "pade"))
+    ]
+    assert defined == [("series.py", "rational_reconstruct")]
+    for name in ("pade_reconstruct", "PadeError", "exp_series"):
+        assert not hasattr(series, name) and not hasattr(zeta, name), name
+    found = {f: _callers(tree, "rational_reconstruct") for f, tree in trees.items()}
+    assert {f: c for f, c in found.items() if c} == {"zeta.py": ["zeta_rational", "zeta_rational"]}
+    for name in ("zeta_rational", "zeta_from_counts"):
+        assert not [c for c in _reached(trees["zeta.py"], name) if c.startswith("mat_")], name
+    reached = _reached(trees["series.py"], "rational_reconstruct")
+    assert not [c for c in reached if c.startswith("mat_")]
+    assert "Fraction" not in reached
+    # zeta_rational has no loop of its own: the Betti degrees bound one
+    # run, and without them the run picks the degrees
+    body = ast.walk(_function(trees["zeta.py"], "zeta_rational"))
+    assert not [n for n in body if isinstance(n, (ast.For, ast.While))]
 
 
 def test_one_json_emitter():

@@ -239,6 +239,19 @@ class TestLocalSpectra:
         assert local_spectrum(second, 7) == spectrum
         assert len(computed) == 1 and lfun._fiber_entry.cache_info().currsize == 1
 
+    def test_equal_closed_form_fibers_share_one_entry(self):
+        # a closed form counts nothing, so its entry is keyed without
+        # degrees: zerodim x, the replacement fiber at 2 of two models
+        # whose Betti sums (and so counting degrees) differ, is one entry
+        lfun._fiber_entry.cache_clear()
+        for family, betti in (("zerodim x^2 + 1", [2]), ("zerodim x^3 - 2", [3])):
+            model = ArithmeticModel.from_dict(
+                {"family": family, "bad_primes": [{"p": 2, "replacement": "zerodim x"}], "betti": betti}
+            )
+            local_spectrum(model, 2)
+        info = lfun._fiber_entry.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_recomputed_after_eviction_equals_original(self, ell, monkeypatch):
         monkeypatch.setattr(lfun, "_fiber_entry", _fresh_local_cache(2))
         first = local_spectrum(ell, 7)
@@ -287,8 +300,10 @@ _ROUTE_MODELS = {
 @pytest.mark.parametrize("name", sorted(_ROUTE_MODELS))
 def test_closed_route_matches_pade_route(name, monkeypatch):
     # every local entry and every kind's factors at p <= 300, read off the
-    # closed-form weight factors and then by counting, Pade reconstruction
-    # and the gcd peel, each from an empty cache
+    # closed-form weight factors and then by counting, rational
+    # reconstruction and the gcd peel, each from an empty cache; the
+    # counted route needs lfun to see no closed form either, so that it
+    # passes the counting degrees
     model = _ROUTE_MODELS[name]
     kinds = ("even", "odd", 0, 1, 2, 3)
 
@@ -300,6 +315,7 @@ def test_closed_route_matches_pade_route(name, monkeypatch):
     closed = scan()
     calls = []
     monkeypatch.setattr(zeta, "local_weights", lambda spec, q, **k: calls.append(q) and None)
+    monkeypatch.setattr(lfun, "has_closed_form", lambda spec: False)
     assert scan() == closed
     assert len(calls) == len(primes_up_to(300)) - sum(
         p <= 300 and fiber is None for p, fiber in model.bad_primes

@@ -1,8 +1,10 @@
-"""Exact power-series and rational-function arithmetic, determinant
-expansions, root clustering, linear algebra over Q, and the
-functional-equation sampler against its 30-digit reference."""
+"""Exact power-series and rational-function arithmetic, rational
+reconstruction, determinant expansions, root clustering, linear algebra
+over Q, and the functional-equation sampler against its 30-digit
+reference."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import mpmath
@@ -11,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab.series import (
-    PadeError,
     PowerSeries,
     RationalFunction,
     RootFindingError,
     SAMPLE_DPS,
     det_identity_minus_t,
-    exp_series,
     functional_samples,
     functional_witnesses,
     log_det_series,
@@ -26,13 +26,14 @@ from zetalab.series import (
     mat_nullspace,
     mat_rank,
     mat_rref,
-    pade_reconstruct,
     polynomial_roots,
     power_sums_inverse_roots,
+    rational_reconstruct,
     roots_on_circle,
 )
 from zetalab import poly
 from zetalab.poly import deg, evaluate, mul, squarefree
+from zetalab.zeta import HypothesisWarning, zeta_from_counts
 
 from conftest import int_exactly_when_integral
 
@@ -41,15 +42,23 @@ small_fractions = st.fractions(
 )
 
 
+def exp_of(log):
+    """exp of a series with zero constant term, by Newton's recurrence in
+    zeta.zeta_from_counts: the counts are N_n = n log_n."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisWarning)
+        return zeta_from_counts([n * log.coeffs[n] for n in range(1, log.order + 1)])
+
+
 class TestExpLog:
     def test_exp_of_geometric_log(self):
         # exp(sum 4^n t^n / n) = 1/(1 - 4t)
         src = PowerSeries([F(0)] + [F(4**n, n) for n in range(1, 6)])
-        assert exp_series(src).coeffs == tuple(F(4**n) for n in range(6))
+        assert exp_of(src).coeffs == tuple(F(4**n) for n in range(6))
 
     def test_log_inverts_exp(self):
         src = PowerSeries([F(0)] + [F(4**n, n) for n in range(1, 6)])
-        assert log_series(exp_series(src)) == src
+        assert log_series(exp_of(src)) == src
 
     def test_log_of_rational_expansion(self):
         rf = RationalFunction((1,), mul((1, -1), (1, -3)))
@@ -60,11 +69,13 @@ class TestExpLog:
     @settings(max_examples=60)
     def test_exp_log_roundtrip(self, tail):
         src = PowerSeries([F(0)] + tail)
-        assert log_series(exp_series(src)) == src
+        assert log_series(exp_of(src)) == src
 
-    def test_exp_requires_zero_constant_term(self):
+    def test_exp_needs_a_count(self):
+        # the counts are the log's terms from t^1 on, so the zero constant
+        # term cannot be broken; an empty log has no order to expand to
         with pytest.raises(ValueError):
-            exp_series(PowerSeries([F(1), F(1)]))
+            zeta_from_counts([])
 
 
 class TestDeterminants:
@@ -95,26 +106,47 @@ class TestDeterminants:
 class TestPade:
     def test_recovers_rational(self):
         rf = RationalFunction((1,), mul((1, -1), (1, -3)))
-        p = pade_reconstruct(rf.expand(4), 0, 2)
+        p = rational_reconstruct(rf.expand(4), (0, 2))
         assert p.num == (F(1),) and p.den == (F(1), F(-4), F(3))
 
     def test_minimal_data(self):
         zs = RationalFunction((1,), mul((1, -1), (1, -3))).expand(2)
-        assert pade_reconstruct(zs, 0, 2).den == (F(1), F(-4), F(3))
+        assert rational_reconstruct(zs, (0, 2)).den == (F(1), F(-4), F(3))
 
     def test_degenerate_degrees_still_verify(self):
         ser = RationalFunction((1,), (1, -1)).expand(6)
-        p = pade_reconstruct(ser, 1, 2)
+        p = rational_reconstruct(PowerSeries(ser.coeffs[:4]), (1, 2))
         assert p.expand(3).coeffs == ser.coeffs[:4]
 
     def test_underdetermined_raises(self):
-        with pytest.raises(PadeError, match="underdetermined"):
-            pade_reconstruct(PowerSeries([1, 1]), 2, 2)
+        with pytest.raises(ValueError, match="underdetermined"):
+            rational_reconstruct(PowerSeries([1, 1]), (2, 2))
 
     def test_exp_series_pade_exists(self):
         eser = PowerSeries([F(1), F(1), F(1, 2), F(1, 6), F(1, 24), F(1, 120), F(1, 720)])
-        pade_reconstruct(eser, 1, 1)
-        pade_reconstruct(eser, 2, 2)
+        assert rational_reconstruct(PowerSeries(eser.coeffs[:3]), (1, 1)) is not None
+        assert rational_reconstruct(PowerSeries(eser.coeffs[:5]), (2, 2)) is not None
+
+    def test_no_function_at_the_degrees_is_none(self):
+        # 1/(1 - t)^2 matched to order 4 has no form with a linear denominator
+        ser = RationalFunction((1,), mul((1, -1), (1, -1))).expand(4)
+        assert rational_reconstruct(ser, (2, 1)) is None
+        assert rational_reconstruct(ser, (0, 2)) == RationalFunction((1,), (1, -2, 1))
+
+    def test_least_total_degree_without_degrees(self):
+        # 1 + 2t + 3t^2 itself, (1 + t/2)/(1 - 3t/2) and 1/(1 - t)^2 all
+        # have total degree 2: the smallest numerator wins the tie
+        assert rational_reconstruct(PowerSeries([1, 2, 3])) == RationalFunction((1,), (1, -2, 1))
+        ser = RationalFunction((1, 1), (1, -2)).expand(5)
+        assert rational_reconstruct(ser) == RationalFunction((1, 1), (1, -2))
+
+    @given(st.lists(small_fractions, min_size=1, max_size=8))
+    @settings(max_examples=60)
+    def test_matches_every_coefficient(self, tail):
+        ser = PowerSeries([1] + tail)
+        R = rational_reconstruct(ser)
+        assert len(R.num) + len(R.den) - 2 <= ser.order
+        assert R.expand(ser.order) == ser
 
 
 class TestPowerSums:

@@ -2,6 +2,7 @@
 factorization, and the per-weight conjecture checkers."""
 
 import math
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -12,8 +13,13 @@ from hypothesis import strategies as st
 from zetalab import zeta
 from zetalab.arith import PrimePower
 from zetalab.counting import VarietySpec, count_series, local_weights, parse_variety
-from zetalab.poly import fp_squarefree_part, mul
-from zetalab.series import RationalFunction, functional_witnesses, power_sums_inverse_roots
+from zetalab.poly import fp_squarefree_part, mul, trim
+from zetalab.series import (
+    RationalFunction,
+    functional_witnesses,
+    mat_nullspace,
+    power_sums_inverse_roots,
+)
 from zetalab.zeta import (
     HypothesisWarning,
     ReconstructionError,
@@ -102,12 +108,16 @@ class TestZetaRational:
     def test_degree_scan_runs_to_the_number_of_counts(self):
         # P^24 over F_2 has total degree 25, one past the extension-field
         # cap: 25 counts, as a count file written under a larger cap
-        # holds, find it, since the scan stops at the counts it gets
+        # holds, find it, since the reconstruction reads every count it
+        # gets; one Euclidean run does it in milliseconds where a
+        # nullspace per degree split took seconds
         counts = [sum(2 ** (i * n) for i in range(25)) for n in range(1, 26)]
         den = (1,)
         for i in range(25):
             den = mul(den, (1, -(2**i)))
+        start = time.perf_counter()
         Z = zeta_rational(counts)
+        assert time.perf_counter() - start < 0.1
         assert Z.num == (1,) and Z.den == den
 
     def test_insufficient_counts(self):
@@ -118,6 +128,132 @@ class TestZetaRational:
         with pytest.raises(ReconstructionError), warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisWarning)
             zeta_rational([4, 32, 148, 640, 2, 2], betti=(1, 2, 1))
+
+
+def _oracle_series(values):
+    """exp of sum N_n t^n / n over Fractions, as zeta_from_counts computed
+    it before its integer recurrence."""
+    e = [F(1)]
+    for n in range(1, len(values) + 1):
+        e.append(sum(F(values[k - 1]) * e[n - k] for k in range(1, n + 1)) / n)
+    return tuple(e)
+
+
+def _oracle_pade(c, dn, dd):
+    """The former series.pade_reconstruct on the coefficients c, or None
+    where it raised: the denominator from the null space of the Hankel
+    system over Q, the numerator by multiplying back, and the match to
+    order dn + dd verified."""
+    need = dn + dd
+    den = (1,)
+    if dd:
+        rows = [[c[n - j] if n >= j else 0 for j in range(dd + 1)] for n in range(dn + 1, need + 1)]
+        null = [v for v in mat_nullspace(rows) if v[0] != 0]
+        if not null:
+            return None
+        den = tuple(x / null[0][0] for x in null[0])
+    num = trim(sum(den[j] * c[n - j] for j in range(min(n, dd) + 1)) for n in range(dn + 1))
+    if not num or num[0] == 0:
+        return None
+    cand = RationalFunction(num, den)
+    return cand if cand.expand(need).coeffs == c[: need + 1] else None
+
+
+def _oracle_zeta_rational(values, betti=None):
+    """The former zeta_rational: one Pade solve at the Betti degrees, or
+    a scan of every (dn, dd) by total degree up to the number of counts,
+    each candidate verified against every count."""
+    m, c = len(values), _oracle_series(values)
+
+    def solve(dn, dd):
+        cand = _oracle_pade(c, dn, dd)
+        return cand if cand is not None and cand.expand(m).coeffs == c else None
+
+    if betti is not None:
+        dn = sum(b for w, b in enumerate(betti) if w % 2 == 1)
+        dd = sum(b for w, b in enumerate(betti) if w % 2 == 0)
+        if m < dn + dd:
+            raise ReconstructionError("insufficient counts for the stated Betti numbers")
+        cand = solve(dn, dd)
+        if cand is None:
+            raise ReconstructionError("counts are inconsistent with the stated Betti numbers")
+        return cand
+    for total in range(m + 1):
+        for dn in range(total + 1):
+            cand = solve(dn, total - dn)
+            if cand is not None:
+                return cand
+    raise ReconstructionError("no rational function matches the counts")
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@st.composite
+def _weil_counts(draw):
+    """(counts, betti, extra): the counts of Z = num/den over F_q with den
+    a product of ladder factors 1 - q^i t and num a product of Weil
+    quadratics 1 - a t + q t^2, m counts for 1 <= m <= 12, the Betti
+    numbers of weights 0 and 1 bounding den and num, and m minus their
+    total (negative when the counts are too few)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    den = num = (1,)
+    for i in draw(st.lists(st.integers(0, 2), max_size=3)):
+        den = mul(den, (1, -(q**i)))
+    bound = math.isqrt(4 * q)
+    for a in draw(st.lists(st.integers(-bound, bound), max_size=2)):
+        num = mul(num, (1, -a, q))
+    m = draw(st.integers(1, 12))
+    counts = [
+        x - y
+        for x, y in zip(power_sums_inverse_roots(den, m), power_sums_inverse_roots(num, m))
+    ]
+    betti = (len(den) - 1, len(num) - 1)
+    return counts, betti, m - sum(betti)
+
+
+class TestReconstructionOracle:
+    """zeta_rational's one Euclidean run against the nullspace scan it
+    replaced, with and without Betti numbers."""
+
+    @given(_weil_counts(), st.integers(1, 3))
+    @settings(max_examples=80)
+    @pytest.mark.filterwarnings("ignore::zetalab.zeta.HypothesisWarning")
+    def test_matches_the_nullspace_scan(self, drawn, delta):
+        # (a Weil quadratic alone, or a perturbed count, may leave
+        # negative or fractional coefficients, hence the filter)
+        counts, betti, extra = drawn
+        assert _outcome(zeta_rational, counts) == _outcome(_oracle_zeta_rational, counts)
+        got = _outcome(zeta_rational, counts, betti)
+        assert got == _outcome(_oracle_zeta_rational, counts, betti)
+        if extra < 0:
+            assert got is ReconstructionError
+        else:
+            assert got.expand(len(counts)).coeffs == _oracle_series(counts)
+        # a perturbed last count leaves nothing at the Betti degrees when
+        # a count is left over: the true function matches every other one
+        counts[-1] += delta
+        assert _outcome(zeta_rational, counts) == _outcome(_oracle_zeta_rational, counts)
+        got = _outcome(zeta_rational, counts, betti)
+        assert got == _outcome(_oracle_zeta_rational, counts, betti)
+        if extra > 0:
+            assert got is ReconstructionError
+
+    @pytest.mark.parametrize("counts", [[1, 0, 0, 0], [2, 3, 5, 7, 11], [-1, 4, 0]])
+    def test_non_variety_counts_warn_and_reconstruct_over_q(self, counts):
+        with pytest.warns(HypothesisWarning):
+            series = zeta_from_counts(counts)
+        assert series.coeffs == _oracle_series(counts)
+        with pytest.warns(HypothesisWarning):
+            Z = zeta_rational(counts)
+        assert Z == _oracle_zeta_rational(counts)
+        assert Z.expand(len(counts)) == series
+        assert any(isinstance(c, F) for c in series.coeffs)
 
 
 class TestWeightFactorization:

@@ -21,8 +21,8 @@ from .arith import DEFAULT_DEGREE_CAP, PrimePower
 from .counting import (
     DEFAULT_BUDGET,
     BudgetError,
-    VarietySpec,
     count_series,
+    default_betti,
     parse_variety,
 )
 from .lfun import (
@@ -48,7 +48,7 @@ from .report import (
     dumps,
     exit_code,
 )
-from .series import DEFAULT_PRECISION, DEFAULT_SAMPLE_TOL
+from .series import DEFAULT_SAMPLE_TOL
 from .zeta import (
     SeparationError,
     default_degrees,
@@ -59,7 +59,7 @@ from .zeta import (
     zeta_rational,
 )
 
-_INT_FIELDS = ("precision", "degree_cap", "budget", "prime_cutoff")
+_INT_FIELDS = ("degree_cap", "budget", "prime_cutoff")
 _FLOAT_FIELDS = ("functional_tol",)
 
 
@@ -68,7 +68,6 @@ class RunConfig:
     """Effective settings for one invocation: defaults, overridden by a
     key=value config file, overridden by flags."""
 
-    precision: int = DEFAULT_PRECISION
     functional_tol: float = DEFAULT_SAMPLE_TOL
     degree_cap: int = DEFAULT_DEGREE_CAP
     budget: int = DEFAULT_BUDGET
@@ -82,6 +81,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.format not in ("json", "text"):
             raise ValueError("format must be 'json' or 'text'")
+        if self.cache_dir == "":
+            # count_series would take "" for the working directory
+            raise ValueError("cache_dir must not be empty")
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -115,7 +117,7 @@ def _build_config(args) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(_coerce_config(load_config_file(args.config)))
-    for name in ("precision", "prime_cutoff", "cache_dir", "format"):
+    for name in ("prime_cutoff", "cache_dir", "format"):
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
@@ -134,15 +136,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key=value config file")
-    common.add_argument(
-        "--precision",
-        type=int,
-        help=(
-            "working digits for root finding, used only for the witness of a "
-            "failed moduli check; verdicts and weight separation are exact, and "
-            "lfun, check serre and check beilinson do not use it"
-        ),
-    )
     common.add_argument("--prime-cutoff", type=int, dest="prime_cutoff")
     common.add_argument(
         "--cache-dir",
@@ -214,28 +207,6 @@ def _parse_betti(text):
     return betti
 
 
-def _default_betti(spec: VarietySpec):
-    """Weight dimensions for inputs whose shape already determines them."""
-    if spec.kind == "projective_space":
-        n = spec.ambient_dim
-        return tuple(1 if w % 2 == 0 else 0 for w in range(2 * n + 1))
-    if spec.kind == "elliptic_curve":
-        return (1, 2, 1)
-    if spec.kind == "zero_dimensional":
-        return (len(spec.zero_poly) - 1,)
-    if spec.kind == "product":
-        left = _default_betti(spec.left)
-        right = _default_betti(spec.right)
-        if left is None or right is None:
-            return None
-        out = [0] * (len(left) + len(right) - 1)
-        for i, a in enumerate(left):
-            for j, b in enumerate(right):
-                out[i + j] += a * b
-        return tuple(out)
-    return None
-
-
 def _load_variety(args):
     path = Path(_require(args, "spec"))
     spec = parse_variety(path.read_text())
@@ -247,7 +218,7 @@ def _load_variety(args):
 def _resolve_betti(args, spec):
     if getattr(args, "betti", None):
         return _parse_betti(args.betti)
-    return _default_betti(spec)
+    return default_betti(spec)
 
 
 def _count_options(config):
@@ -378,8 +349,8 @@ def _cmd_check(args, config):
     else:
         dec, subject = _decomposition_for(args, config)
         if kind == "weil":
-            checks = weil_check(dec, precision=config.precision)
-            checks += nc_weil_check(nc_spectrum_from_weights(dec), precision=config.precision)
+            checks = weil_check(dec)
+            checks += nc_weil_check(nc_spectrum_from_weights(dec))
         elif kind == "ladic":
             checks = l_adic_check(dec)
             checks += nc_l_adic_check(nc_spectrum_from_weights(dec))

@@ -19,8 +19,9 @@ closed form (local_weights) and are counted from them, #X(F_{q^n}) =
 sum_w (-1)^w trace_n(P_w): projective space, zero-dimensional schemes
 by distinct-degree factorization, and Weierstrass curves by one integer
 count of #E(F_p) (a square table over x at odd p, the four (x, y) pairs
-at p = 2).  Everything else is counted over the extension field,
-fibred over the last coordinate z (_count_zeros).  The other
+at p = 2); default_betti gives the Betti numbers these shapes and
+their products fix.  Everything else is counted over the extension
+field, fibred over the last coordinate z (_count_zeros).  The other
 coordinates are walked on the field's Zech-log tables, one normalized
 representative per projective point (first nonzero coordinate = 1) so
 no division by the unit group is ever needed: a choice of zero
@@ -62,6 +63,7 @@ __all__ = [
     "VarietySpec",
     "count_points",
     "count_series",
+    "default_betti",
     "has_closed_form",
     "local_weights",
     "parse_variety",
@@ -620,6 +622,21 @@ def has_closed_form(spec: VarietySpec) -> bool:
     """Whether local_weights reads spec's weight factors off its shape
     (and so counts nothing)."""
     return spec.kind in ("projective_space", "zero_dimensional", "elliptic_curve")
+
+
+def default_betti(spec: VarietySpec):
+    """Betti numbers b_0..b_2d that spec's shape fixes, or None.  They are
+    generic: a zero-dimensional scheme's is its degree, where local_weights
+    at a ramified prime reads the square-free part.  A product's are its
+    factors' convolved (Kunneth)."""
+    if spec.kind == "product":
+        left, right = default_betti(spec.left), default_betti(spec.right)
+        return None if None in (left, right) else poly.mul(left, right)
+    if spec.kind == "projective_space":
+        return tuple(1 - w % 2 for w in range(2 * spec.ambient_dim + 1))
+    if spec.kind == "zero_dimensional":
+        return (len(spec.zero_poly) - 1,)
+    return (1, 2, 1) if spec.kind == "elliptic_curve" else None
 
 
 def local_weights(spec: VarietySpec, q: PrimePower, *, budget=DEFAULT_BUDGET):

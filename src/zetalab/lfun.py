@@ -51,7 +51,6 @@ __all__ = [
     "dirichlet_beta",
     "dirichlet_expand",
     "euler_product_value",
-    "ktheory_decomposition_table",
     "load_model",
     "local_spectrum",
     "order_dashboard",
@@ -1042,46 +1041,3 @@ def dashboard_checks(rows):
             )
         checks.append(Check(name=name, verdict=row["verdict"], detail=detail, data=row))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# K-theory bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def ktheory_decomposition_table(d: int, n: int, motivic_ranks) -> dict:
-    """Rank of K_n from supplied motivic ranks over the index window
-    n/2 < r <= d+n, plus the check that dropping the top index r = d+n
-    (whose contributing group is proved to vanish) changes nothing.
-
-    motivic_ranks maps (i, r) -> rank; missing entries count as 0.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if isinstance(motivic_ranks, dict):
-        table = dict(motivic_ranks)
-    else:
-        raise ValueError("motivic_ranks must be a mapping (i, r) -> rank")
-    r_lo = n // 2 + 1
-    r_hi = d + n
-    terms = []
-    full = 0
-    reduced = 0
-    for r in range(r_lo, r_hi + 1):
-        i = 2 * r - n
-        rank = int(table.get((i, r), 0))
-        terms.append({"r": r, "i": i, "rank": rank})
-        full += rank
-        if r <= r_hi - 1:
-            reduced += rank
-    top = full - reduced
-    return {
-        "d": d,
-        "n": n,
-        "window": {"low_exclusive": n / 2, "high": r_hi},
-        "terms": terms,
-        "rank": full,
-        "reduced_rank": reduced,
-        "top_rank": top,
-        "windows_agree": top == 0,
-    }

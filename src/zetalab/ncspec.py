@@ -30,7 +30,6 @@ from . import poly
 from .arith import PrimePower
 from .report import FAIL, PASS, Check
 from .series import (
-    DEFAULT_PRECISION,
     DEFAULT_SAMPLE_TOL,
     RationalFunction,
     det_identity_minus_t,
@@ -51,7 +50,6 @@ __all__ = [
     "KernelReport",
     "NcSpectrum",
     "euler_pairing_kernel",
-    "graded_shift_check",
     "nc_functional_check",
     "nc_l_adic_check",
     "nc_spectrum_from_weights",
@@ -242,13 +240,14 @@ def nc_zeta(spec: NcSpectrum, parity: str) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def nc_weil_check(spec: NcSpectrum, *, precision: int = DEFAULT_PRECISION):
+def nc_weil_check(spec: NcSpectrum):
     """Even moduli against 1, odd against q^{1/2}; block polynomials are
     integer by construction, which is the algebraicity certificate.
 
     The verdict is exact (series.roots_on_circle); a PASS reports
-    deviation 0.0 and no witness.  Only a FAIL finds the roots, at the
-    given precision, to name the eigenvalue farthest off its circle.
+    deviation 0.0 and no witness.  Only a FAIL finds the roots
+    (series.worst_modulus, at 50 digits) to name the eigenvalue farthest
+    off its circle.
     """
     checks = []
     for parity, Q in (("even", 1), ("odd", spec.q.q)):
@@ -266,9 +265,7 @@ def nc_weil_check(spec: NcSpectrum, *, precision: int = DEFAULT_PRECISION):
         ok = all(roots_on_circle(b.poly, Q) for b in blocks)
         worst, witness = 0.0, None
         if not ok:
-            worst, witness = max(
-                (worst_modulus(b.poly, Q, precision) for b in blocks), key=lambda r: r[0]
-            )
+            worst, witness = max((worst_modulus(b.poly, Q) for b in blocks), key=lambda r: r[0])
         checks.append(
             Check(
                 name=f"nc_weil.{parity}",
@@ -456,53 +453,6 @@ def pairing_duality_check(theta, f, g, lam):
 # ---------------------------------------------------------------------------
 # Graded pieces
 # ---------------------------------------------------------------------------
-
-
-def _shift_block(block: EigenvalueBlock, a: int, q: int) -> EigenvalueBlock:
-    """Multiply every eigenvalue by q^{-a} (exact)."""
-    scale = Fraction(q) ** a
-    coeffs = [c * scale**i for i, c in enumerate(block.poly)]
-    return EigenvalueBlock.from_coeffs(coeffs, mult=block.mult, weight=block.weight)
-
-
-def _graded_shift_single(spec: NcSpectrum, n: int) -> Check:
-    parity = "even" if n % 2 == 0 else "odd"
-    a = n // 2
-    q = spec.q.q
-    shifted_blocks = tuple(_shift_block(b, a, q) for b in spec.blocks(parity))
-    shifted_spec = NcSpectrum(q=spec.q, even=shifted_blocks if parity == "even" else (),
-                              odd=() if parity == "even" else shifted_blocks)
-    route_spectrum = nc_zeta(shifted_spec, parity)
-    route_argument = nc_zeta(spec, parity).substitute_scaled(Fraction(1, q) ** a)
-    ok = route_spectrum == route_argument
-    return Check(
-        name=f"graded_shift.n{n}",
-        verdict=PASS if ok else FAIL,
-        detail=(
-            f"degree {n} via {parity} part shifted by q^-{a}: spectrum route "
-            f"{'==' if ok else '!='} argument route"
-        ),
-        data={
-            "n": n,
-            "parity": parity,
-            "shift_exponent": a,
-            "spectrum_route_den": [str(c) for c in route_spectrum.den],
-            "argument_route_den": [str(c) for c in route_argument.den],
-        },
-    )
-
-
-def graded_shift_check(spec: NcSpectrum):
-    """Degree-n zeta two ways for each n in 0..3: shift the spectrum, or
-    shift the argument.
-
-    The degree-n operator is q^{-n/2} F0 for even n and q^{-(n-1)/2} F1
-    for odd n, so its zeta is the parity zeta with s replaced by s + a.
-    Route one rescales every eigenvalue block exactly and assembles the
-    zeta function; route two substitutes x -> q^{-a} x in the assembled
-    parity zeta.  The two rational functions must agree exactly.
-    """
-    return [_graded_shift_single(spec, n) for n in range(4)]
 
 
 def weight_normalization_check(dec: WeightDecomposition):

@@ -24,8 +24,8 @@ running error bound settles each point it can prove in tolerance and off the
 poles, and every other point is classified at SAMPLE_DPS = 30 digits,
 so the report is the 30-digit one.  Floating point enters elsewhere
 only at root extraction (polynomial_roots, on mpmath.polyroots), which
-runs at a configurable decimal precision (default 50 digits) and
-serves failure witnesses and approximate roots in reports.  There a root
+serves failure witnesses, at DEFAULT_PRECISION = 50 digits, and
+approximate roots in reports, at 16.  There a root
 multiset takes its multiplicities from the exact square-free
 decomposition, never from numerical multiplicity guessing.
 
@@ -704,17 +704,17 @@ def _horner(P, x, ex):
     return v, 2 * ((4 * len(P) + 3) * _U * s + ex * ds)
 
 
-def worst_modulus(P, Q: int, precision: int = DEFAULT_PRECISION):
+def worst_modulus(P, Q: int):
     """(largest relative deviation of |x| from Q^{1/2}, that x) over the
     roots x of P, numerically: the witness of a failed roots_on_circle.
 
-    The roots come from polynomial_roots at the given precision; the
+    The roots come from polynomial_roots at DEFAULT_PRECISION digits; the
     first root of largest deviation is the witness, and (0.0, None)
     means no root deviates.
     """
     worst, witness = mpmath.mpf(0), None
-    roots = polynomial_roots(P, precision)
-    with mpmath.workdps(precision + 10):
+    roots = polynomial_roots(P, DEFAULT_PRECISION)
+    with mpmath.workdps(DEFAULT_PRECISION + 10):
         target = mpmath.sqrt(Q)
         for x, _ in roots:
             dev = abs(abs(x) - target) / target

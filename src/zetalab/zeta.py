@@ -40,7 +40,6 @@ from .arith import DEFAULT_DEGREE_CAP, PrimePower
 from .counting import DEFAULT_BUDGET, VarietySpec, count_series, local_weights
 from .report import FAIL, PASS, Check
 from .series import (
-    DEFAULT_PRECISION,
     DEFAULT_SAMPLE_TOL,
     PowerSeries,
     RationalFunction,
@@ -355,13 +354,14 @@ def fiber_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
+def weil_check(dec: WeightDecomposition):
     """Per weight: inverse-root moduli against q^{w/2}.  Integrality is
     reported as True: WeightFactor admits integer coefficients only.
 
     The verdict is exact (series.roots_on_circle), and a PASS reports
-    deviation 0.0.  Only a FAIL finds the roots, at the given precision,
-    to report the largest relative modulus deviation as its witness.
+    deviation 0.0.  Only a FAIL finds the roots (series.worst_modulus,
+    at 50 digits) to report the largest relative modulus deviation as
+    its witness.
     """
     checks = []
     for f in dec.factors:
@@ -369,7 +369,7 @@ def weil_check(dec: WeightDecomposition, *, precision: int = DEFAULT_PRECISION):
             continue
         eig, Q = f.eigenvalue_polynomial(), dec.q.q**f.w
         on_circle = roots_on_circle(eig, Q)
-        worst_f = 0.0 if on_circle else worst_modulus(eig, Q, precision)[0]
+        worst_f = 0.0 if on_circle else worst_modulus(eig, Q)[0]
         checks.append(
             Check(
                 name=f"weil.weight{f.w}",

@@ -257,7 +257,7 @@ def test_01_zeta_from_brute_force_counts():
 
 def test_02_riemann_hypothesis_moduli(corpus):
     with budget(1.0):
-        checks = {c.name: c for c in weil_check(corpus["e5"], precision=50)}
+        checks = {c.name: c for c in weil_check(corpus["e5"])}
         assert all(c.verdict == PASS for c in checks.values())
         deviation = float(checks["weil.weight1"].data["max_rel_deviation"])
         assert deviation < 1e-30
@@ -271,7 +271,7 @@ def test_02_riemann_hypothesis_moduli(corpus):
                 WeightFactor(2, (1, -5)),
             ),
         )
-        bad = {c.name: c for c in weil_check(violator, precision=50)}
+        bad = {c.name: c for c in weil_check(violator)}
         assert bad["weil.weight1"].verdict == FAIL
         assert float(bad["weil.weight1"].data["max_rel_deviation"]) > 0.5
 

@@ -31,25 +31,25 @@ def run_json(capsys, *argv):
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
-        assert config.precision == 50
+        assert config.prime_cutoff == 10**4
         assert config.format == "json"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(functional_tol=0)
         with pytest.raises(ValueError):
-            RunConfig(precision=-1)
+            RunConfig(prime_cutoff=-1)
         with pytest.raises(ValueError):
             RunConfig(format="yaml")
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("precision = 30\nformat = \"text\"  # trailing comment\n\n# full comment\n")
-        assert load_config_file(path) == {"precision": "30", "format": "text"}
+        path.write_text("prime_cutoff = 30\nformat = \"text\"  # trailing comment\n\n# full comment\n")
+        assert load_config_file(path) == {"prime_cutoff": "30", "format": "text"}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("precisionn = 30\n")
+        path.write_text("prime_cutofff = 30\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config_file(path)
 
@@ -302,18 +302,17 @@ class TestCheckSubcommand:
             assert code == 1 and not out
             assert err.startswith("error: ") and "internal error" not in err
 
-    def test_serre_report_ignores_precision(self, capsys):
-        # the verdict is exact: --precision shows only in the config block
-        docs = []
-        for digits in ("10", "80"):
-            _, doc = run_json(
-                capsys,
-                "check", "serre", "--model", ELLIPTIC, "--weight", "1",
-                "--prime-cutoff", "100", "--n-cutoff", "4", "--precision", digits,
-            )
-            assert doc["config"].pop("precision") == int(digits)
-            docs.append(doc)
-        assert docs[0] == docs[1]
+    def test_precision_is_no_longer_a_key(self, capsys, tmp_path):
+        # verdicts are exact and a FAIL's witness runs at a fixed 50
+        # digits, so neither the config file nor a flag can set digits
+        cfg = tmp_path / "cfg"
+        cfg.write_text("precision = 30\n")
+        serre = ["check", "serre", "--model", ELLIPTIC, "--prime-cutoff", "100", "--n-cutoff", "4"]
+        code, out, err = run(capsys, *serre, "--config", str(cfg))
+        assert code == 1 and not out
+        assert err == f"error: {cfg}:1: unknown config key 'precision'\n"
+        code, out, err = run(capsys, *serre, "--precision", "40")
+        assert code == 1 and not out and err.startswith("error: ")
 
     def test_beilinson_pass(self, capsys):
         code, doc = run_json(capsys, "check", "beilinson", "--model", SPECQ, "--j", "1")
@@ -326,7 +325,7 @@ class TestCheckSubcommand:
 
     def test_report_carries_config_and_hypotheses(self, capsys):
         _, doc = run_json(capsys, "check", "ladic", "--spec", E5, "--p", "5")
-        assert doc["config"]["precision"] == 50
+        assert doc["config"]["prime_cutoff"] == 10**4
         assert doc["unverified_hypotheses"] == ["smooth", "proper"]
 
 
@@ -334,16 +333,31 @@ class TestConfigLayering:
     def test_show_config(self, capsys):
         code, doc = run_json(capsys, "count", "--spec", P1, "--p", "3", "--degrees", "1", "--show-config")
         assert code == 0
-        assert doc["config"]["precision"] == 50
+        assert doc["config"]["prime_cutoff"] == 10**4
 
     def test_file_overridden_by_flag(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"
-        cfg.write_text("precision = 30\n")
+        cfg.write_text("prime_cutoff = 30\n")
         _, doc = run_json(
             capsys, "count", "--spec", P1, "--p", "3", "--degrees", "1",
-            "--config", str(cfg), "--precision", "40", "--show-config",
+            "--config", str(cfg), "--prime-cutoff", "40", "--show-config",
         )
-        assert doc["config"]["precision"] == 40
+        assert doc["config"]["prime_cutoff"] == 40
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_empty_cache_dir_exits_one(self, capsys, tmp_path, monkeypatch, where):
+        # an empty cache_dir is no directory: the counts of an enumerated
+        # shape must not land in the working directory
+        monkeypatch.chdir(tmp_path)
+        cubic = tmp_path / "cubic.vty"
+        cubic.write_text("projective 2; vars x, y, z; eq y^2*z - x^3 - x*z^2\n")
+        cfg = tmp_path / "cfg"
+        cfg.write_text("cache_dir =\n")
+        flags = ["--config", str(cfg)] if where == "file" else ["--cache-dir", ""]
+        code, out, err = run(capsys, "count", "--spec", str(cubic), "--p", "5", "--degrees", "2", *flags)
+        assert code == 1 and not out
+        assert err == "error: cache_dir must not be empty\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg", "cubic.vty"]
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "zeta", "--spec", E5, "--p", "5", "--format", "text")

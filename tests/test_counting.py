@@ -18,13 +18,14 @@ from zetalab.counting import (
     VarietySpec,
     count_points,
     count_series,
+    default_betti,
     local_weights,
     parse_variety,
 )
 from zetalab.poly import divrem, fp_degree_pattern, fp_gcd, fp_squarefree_part, mulmod, powmod
 from zetalab.zeta import fiber_decomposition, weight_factorize, zeta_rational
 
-from conftest import elliptic, plane_cubic
+from conftest import elliptic, fixture_path, plane_cubic
 
 
 class TestParser:
@@ -57,6 +58,53 @@ class TestParser:
         a = parse_variety("elliptic a=[0,0,0,1,0]")
         b = parse_variety("elliptic a=[0, 0, 0, 1, 0]")
         assert a.fingerprint() == b.fingerprint()
+
+    @pytest.mark.parametrize(
+        "text, fingerprint",
+        [
+            (fixture_path("e5.vty").read_text(), "6002ff50b0dd2bf4"),
+            (fixture_path("p1.vty").read_text(), "0cc9381e4fffdfa1"),
+            (fixture_path("p2.vty").read_text(), "29108c7fcd48b6c9"),
+            (fixture_path("zi.vty").read_text(), "4aa96276b2c0c7d4"),
+            ("projective 3; vars x, y, z, w", "f53af51623803e22"),
+            ("projective 2; vars x, y, z; eq y^2*z + y*z^2 - x^3", "4e70a67578141026"),
+            ("projective 3; vars x, y, z, w; eq x*w - y*z", "d05868cba492dbcb"),
+            ("projective 4; vars a, b, c, d, e; eq a*b - c*d; eq a^2 + b^2 + e^2", "1ee4722a16f42bcc"),
+            ("affine 2; vars x, y; eq y^2 - x^3 - 1", "38b9864d4f340acd"),
+            ("elliptic a=[1,-1,0,-4,3]", "0eb7ec813a891f0c"),
+            ("zerodim x^3 - 2", "aaf7871d8502d4a8"),
+            ("product { projective 1; vars x, y } { elliptic a=[0,0,0,1,0] }", "467d13d660a00755"),
+        ],
+    )
+    def test_fingerprint_pinned(self, text, fingerprint):
+        # fingerprints name the count-cache files, so a change to the
+        # canonical text orphans every cached count
+        assert parse_variety(text).fingerprint() == fingerprint
+
+
+class TestDefaultBetti:
+    @pytest.mark.parametrize(
+        "text, betti",
+        [
+            ("projective 0; vars x", (1,)),
+            ("projective 2; vars x, y, z", (1, 0, 1, 0, 1)),
+            ("elliptic a=[0,0,0,1,0]", (1, 2, 1)),
+            ("zerodim x^3 - 2", (3,)),
+            ("product { zerodim x^2 + 1 } { projective 1; vars x, y }", (2, 0, 2)),
+            ("product { projective 1; vars x, y } { elliptic a=[0,0,0,1,0] }", (1, 2, 2, 2, 1)),
+            (
+                "product { projective 1; vars x, y } "
+                "{ product { projective 1; vars x, y } { elliptic a=[0,0,0,1,0] } }",
+                (1, 2, 3, 4, 3, 2, 1),
+            ),
+            ("projective 2; vars x, y, z; eq y^2*z - x^3 - x*z^2", None),
+            ("affine 2; vars x, y; eq y^2 - x^3 - 1", None),
+            ("product { projective 1; vars x, y } { projective 2; vars x, y, z; eq x^3 - y^2*z }", None),
+        ],
+    )
+    def test_shapes_fix_their_betti_numbers(self, text, betti):
+        # a product's Betti numbers are its factors' convolved (Kunneth)
+        assert default_betti(parse_variety(text)) == betti
 
 
 class TestParserErrors:

@@ -32,7 +32,6 @@ from zetalab.lfun import (
     dirichlet_beta,
     dirichlet_expand,
     euler_product_value,
-    ktheory_decomposition_table,
     load_model,
     local_spectrum,
     order_dashboard,
@@ -1174,27 +1173,3 @@ class TestExactOrder:
         by = {r["parity"]: r for r in order_dashboard(model, j)}
         wound = sum(m * winding_order(fn, j)[0] for fn, m in _factor_functions(model))
         assert by["even"]["ord_computed"] == wound
-
-
-class TestKTheoryTable:
-    def test_top_index_occupied(self):
-        t = ktheory_decomposition_table(0, 1, {(1, 1): 1})
-        assert t["rank"] == 1
-        assert t["reduced_rank"] == 0
-        assert not t["windows_agree"]
-
-    def test_empty_ranks(self):
-        t = ktheory_decomposition_table(2, 4, {})
-        assert t["rank"] == 0 and t["windows_agree"]
-
-    def test_interior_rank_only(self):
-        t = ktheory_decomposition_table(1, 2, {(2, 2): 1, (0, 1): 0, (2, 3): 0})
-        assert t["rank"] == 1 and t["windows_agree"]
-
-    def test_nonzero_top_rank_flagged(self):
-        t = ktheory_decomposition_table(1, 2, {(2, 2): 1, (4, 3): 2})
-        assert t["rank"] == 3 and not t["windows_agree"]
-
-    def test_requires_positive_n(self):
-        with pytest.raises(ValueError):
-            ktheory_decomposition_table(1, 0, {})

@@ -18,7 +18,6 @@ from zetalab.ncspec import (
     EigenvalueBlock,
     NcSpectrum,
     euler_pairing_kernel,
-    graded_shift_check,
     nc_functional_check,
     nc_l_adic_check,
     nc_spectrum_from_weights,
@@ -250,10 +249,6 @@ class TestSpectrumChecks:
             chi = spec.chi(parity)
             CQ = functional_witnesses(nc_zeta(spec, parity), Q, chi)[0]
             assert CQ == (-1) ** chi * spec.det(parity)
-
-    def test_graded_shifts(self, e5):
-        _, spec = e5
-        assert all(c.verdict == "PASS" for c in graded_shift_check(spec))
 
     def test_weight_normalization(self, e5, p2):
         for dec, _ in (e5, p2):
